@@ -26,12 +26,12 @@ from alcc_lab.scenario import Scenario
 
 
 def mean_error_db(scenario: Scenario, subset, seeds) -> float:
-    sc = scenario.with_updates(assignment=tuple(subset), unreliable=tuple(subset))
+    sc = scenario.with_updates(unreliable=tuple(subset))
     errors = [run_trial(sc, s).e_rel for s in seeds]
     return 20 * math.log10(float(np.mean(errors)))
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=11)
     parser.add_argument("--mu", type=int, default=5)
@@ -45,7 +45,7 @@ def main():
     parser.add_argument("--out", default="assignment_study.csv")
     parser.add_argument("--skip-scan", action="store_true",
                         help="skip the exhaustive empirical scan")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     prob = AssignmentProblem(
         n_workers=args.n,

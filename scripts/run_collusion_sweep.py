@@ -18,14 +18,14 @@ from alcc_lab.scenario import Scenario
 from alcc_lab.threat import optimal_zero_probability
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=20240503)
     parser.add_argument("--precision-var", type=float, default=0.005)
     parser.add_argument("--constraint-length", type=int, default=8)
     parser.add_argument("--out", default="collusion_sweep.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     base = Scenario(
         sigma_pad=1.0,

@@ -16,14 +16,14 @@ from alcc_lab.harness import run_trial, trial_seeds
 from alcc_lab.scenario import Scenario
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="joint_vs_independent.csv")
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=20240502)
     parser.add_argument("--counts", default="1,2,3,4,5,6,7,8")
     parser.add_argument("--variances", default="1e-3,1e-2,1e-1")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     base = Scenario(
         sigma_pad=1.0,

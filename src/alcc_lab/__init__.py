@@ -2,7 +2,7 @@
 
 Library layout:
     numeric       complex linear-algebra and polynomial kernels
-    codec         Lagrange encoding, share distribution, reconstruction
+    codec         Lagrange encoding, share evaluation, reconstruction
     dft_code      (N, K) DFT code and its decoder blocks
     localization  independent / restricted / joint error localization
     threat        Byzantine injection, collusion designs, precision models

@@ -88,12 +88,6 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
     return peak + math.log(sum(math.exp(e - peak) for e in exps)) - math.log(len(exps))
 
 
-def problem2_objective(subset, prob: AssignmentProblem, rng=None) -> float:
-    """Expected dominant confusability term (may underflow to 0 for tiny noise)."""
-    log_val = problem2_log_objective(subset, prob, rng)
-    return 0.0 if log_val == -math.inf else math.exp(log_val)
-
-
 @dataclass(frozen=True)
 class AssignmentSolution:
     subset: tuple
@@ -186,14 +180,6 @@ def contiguous_subset(n: int, mu: int, start: int = 0) -> tuple:
     return tuple(sorted((start + i) % n for i in range(mu)))
 
 
-def spaced_subset(n: int, mu: int, delta: int, start: int = 0) -> tuple:
-    """The delta-spaced candidate family {start, start+delta, ...} mod n."""
-    subset = [(start + i * delta) % n for i in range(mu)]
-    if len(set(subset)) != mu:
-        raise ParameterError("spacing wraps onto itself; pick a different delta")
-    return tuple(sorted(subset))
-
-
 @dataclass(frozen=True)
 class BaselineResult:
     subset: tuple
@@ -214,7 +200,7 @@ def relative_error_baseline(
     """Pick the subset minimizing empirical mean relative error.
 
     Runs `trials` seeded end-to-end simulations per candidate subset of the
-    given scenario (the scenario's assignment field is overridden per
+    given scenario (the scenario's unreliable set is overridden per
     candidate). Refuses to exceed `max_simulations` total runs unless forced.
     Trial seeds are shared across candidates so the comparison is paired.
     """
@@ -232,7 +218,7 @@ def relative_error_baseline(
     table = {}
     for subset in candidates:
         subset = tuple(sorted(int(i) for i in subset))
-        sc = scenario.with_updates(assignment=subset, unreliable=subset)
+        sc = scenario.with_updates(unreliable=subset)
         errors = [harness.run_trial(sc, s).e_rel for s in seeds]
         table[subset] = float(np.mean(errors))
     best = min(table, key=lambda k: (table[k], k))

@@ -241,13 +241,3 @@ def assignment_pair_log_bound(
     """Log of exp(-eta * H * gamma_max / (4 sigma^2)) for one (support, probe)."""
     h = confusability(support, probe, n, metric)
     return -eta * h * gamma_max / (4.0 * sigma_p_sq)
-
-
-def assignment_pair_bound(
-    support, probe: int, n: int, eta: float, gamma_max: float, sigma_p_sq: float,
-    metric: str = "integer",
-) -> float:
-    """Dominant confusability term for one (Byzantine support, probe) pair."""
-    return math.exp(
-        assignment_pair_log_bound(support, probe, n, eta, gamma_max, sigma_p_sq, metric)
-    )

@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import harness, selftest, threat
 from .assignment import AssignmentProblem, RuntimeGuardError
 from .numeric import ParameterError
-from .scenario import SweepSpec, load_config
+from .scenario import load_config
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     oa.add_argument("--beam-width", type=int, default=64)
     oa.add_argument("--seed", type=int, default=0)
     oa.add_argument("--table-out", default=None,
-                    help="CSV comparing solver, contiguous, and spaced sets")
+                    help="CSV comparing the solver and contiguous sets")
 
     ad = sub.add_parser("attack-design", help="generate a collusion base matrix")
     ad.add_argument("--mode", choices=("strong", "weak"), required=True)

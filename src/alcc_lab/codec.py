@@ -1,4 +1,4 @@
-"""Lagrange encoding, share distribution, and reconstruction.
+"""Lagrange encoding, share evaluation, and reconstruction.
 
 Data blocks and random padding blocks are combined into a matrix polynomial
 which is evaluated at the N-th roots of unity; workers apply a degree-D
@@ -9,7 +9,7 @@ encoding nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,7 +56,6 @@ class EncodingParams:
     degree: int
     beta: float = 1.5
     sigma_pad: float = 1e6
-    mapping: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.k < 1 or self.t < 0 or self.degree < 1:
@@ -67,9 +66,6 @@ class EncodingParams:
             raise ParameterError(
                 f"code dimension K={self.code_dimension} exceeds N={self.n_workers}"
             )
-        if self.mapping is not None:
-            if sorted(self.mapping) != list(range(self.n_workers)):
-                raise ParameterError("mapping must be a permutation of 0..N-1")
 
     @property
     def nodes(self) -> int:
@@ -91,28 +87,11 @@ class EncodingParams:
         return self.beta * np.exp(-2j * np.pi * np.arange(self.nodes) / self.nodes)
 
 
-@dataclass(frozen=True)
-class DatasetBatch:
-    """k real data blocks plus t complex Gaussian padding blocks, all m-by-n."""
+def make_batch(params: EncodingParams, blocks, rng: np.random.Generator) -> np.ndarray:
+    """Stack the k data blocks over t blocks of i.i.d. padding, (k+t, m, n) complex.
 
-    blocks: np.ndarray
-    padding: np.ndarray
-
-    def __post_init__(self):
-        if self.blocks.ndim != 3 or self.padding.ndim != 3:
-            raise DimensionError("blocks and padding must be stacked as (count, m, n)")
-        if self.padding.shape[0] and self.blocks.shape[1:] != self.padding.shape[1:]:
-            raise DimensionError("blocks and padding must share matrix dimensions")
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(
-            [self.blocks.astype(complex), self.padding.astype(complex)], axis=0
-        )
-
-
-def make_batch(params: EncodingParams, blocks, rng: np.random.Generator) -> DatasetBatch:
-    """Attach i.i.d. circular-symmetric Gaussian padding of std sigma_pad/sqrt(t)."""
+    The padding is circular-symmetric Gaussian with std sigma_pad/sqrt(t).
+    """
     blocks = np.asarray(blocks, dtype=float)
     if blocks.shape[0] != params.k:
         raise ParameterError(f"expected {params.k} data blocks, got {blocks.shape[0]}")
@@ -125,7 +104,7 @@ def make_batch(params: EncodingParams, blocks, rng: np.random.Generator) -> Data
         ) / np.sqrt(2)
     else:
         padding = np.zeros((0, m, n), dtype=complex)
-    return DatasetBatch(blocks=blocks, padding=padding)
+    return np.concatenate([blocks.astype(complex), padding], axis=0)
 
 
 def lagrange_basis(params: EncodingParams, z) -> np.ndarray:
@@ -150,41 +129,15 @@ def lagrange_basis(params: EncodingParams, z) -> np.ndarray:
     return out[0] if scalar else out
 
 
-@dataclass(frozen=True)
-class ShareSet:
-    """Evaluations U_i = l(gamma^i) of the encoding polynomial, i = 0..N-1."""
-
-    values: np.ndarray  # (N, m, n) complex
-    params: EncodingParams = field(repr=False)
-
-
-def encode_shares(batch: DatasetBatch, params: EncodingParams) -> ShareSet:
-    """Evaluate the encoding polynomial at the N-th roots of unity."""
-    stacked = batch.stacked
+def encode_shares(batch, params: EncodingParams) -> np.ndarray:
+    """Evaluate the encoding polynomial at the N-th roots of unity, (N, m, n)."""
+    stacked = np.asarray(batch)
     if stacked.shape[0] != params.nodes:
         raise ParameterError(
             f"batch holds {stacked.shape[0]} matrices, expected {params.nodes}"
         )
     basis = lagrange_basis(params, params.eval_points)  # (N, k+t)
-    values = np.einsum("ir,rmn->imn", basis, stacked)
-    return ShareSet(values=values, params=params)
-
-
-def assign_shares(shares: ShareSet, mapping=None) -> np.ndarray:
-    """Map evaluation index -> worker id; identity when mapping is None.
-
-    The evaluation index travels with the share: worker mapping[i] holds
-    (i, U_i). Returns the worker id per evaluation index.
-    """
-    n = shares.values.shape[0]
-    if mapping is None:
-        mapping = shares.params.mapping
-    if mapping is None:
-        return np.arange(n)
-    mapping = np.asarray(mapping, dtype=int)
-    if sorted(mapping.tolist()) != list(range(n)):
-        raise ParameterError("mapping must be a permutation of 0..N-1")
-    return mapping
+    return np.einsum("ir,rmn->imn", basis, stacked)
 
 
 def reconstruct(

@@ -117,10 +117,6 @@ class LocatorPolynomial:
         if self.coeffs.shape[0] != self.degree + 1:
             raise DimensionError("coefficient count must be degree + 1")
 
-    @property
-    def ill_conditioned(self) -> bool:
-        return bool(np.isfinite(self.cond) and self.cond > 1e12)
-
     def perturbed(self, noise) -> "LocatorPolynomial":
         """Copy with additive coefficient noise (models precision error)."""
         noise = np.asarray(noise, dtype=complex)

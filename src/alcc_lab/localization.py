@@ -3,7 +3,8 @@
 Roots are constrained to the N-th-roots-of-unity grid, so localization
 orders |g(gamma^q)|^2 over candidate indices instead of extracting roots.
 Three strategies: independent per polynomial, restricted to an unreliable
-index set, and joint across all polynomials of one decoding round.
+index set (independent with a candidate set), and joint across all
+polynomials of one decoding round.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ def independent_localize(
     metric = root_metric(poly, n, cand)
     order = np.argsort(metric, kind="stable")  # candidates ascending => stable tie-break
     return np.sort(cand[order[:count]])
-
-
-def restricted_localize(
-    poly: LocatorPolynomial, count: int, n: int, unreliable
-) -> np.ndarray:
-    """Localization with candidates restricted to the unreliable index set."""
-    return independent_localize(poly, count, n, candidates=unreliable)
 
 
 def average_locators(polys) -> LocatorPolynomial:

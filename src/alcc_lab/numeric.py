@@ -42,13 +42,8 @@ class LstsqSolution:
     """Least-squares solution plus conditioning metadata."""
 
     x: np.ndarray
-    residual_norm: float
     rank: int
     cond: float
-
-    @property
-    def ill_conditioned(self) -> bool:
-        return (not np.isfinite(self.cond)) or self.cond > 1e12
 
 
 def least_squares(a, b) -> LstsqSolution:
@@ -73,8 +68,7 @@ def least_squares(a, b) -> LstsqSolution:
         cond = np.inf
     else:
         cond = float(sv[0] / sv[-1])
-    residual = float(np.linalg.norm(a @ x - b))
-    return LstsqSolution(x=x, residual_norm=residual, rank=int(rank), cond=cond)
+    return LstsqSolution(x=x, rank=int(rank), cond=cond)
 
 
 def numerical_rank(m, rel_tol: float) -> int:
@@ -94,16 +88,3 @@ def poly_eval(coeffs, z):
     if coeffs.size == 0:
         raise ParameterError("polynomial needs at least one coefficient")
     return np.polyval(coeffs[::-1], z)
-
-
-def trim_trailing_zeros(coeffs, tol: float | None = None) -> np.ndarray:
-    """Drop trailing coefficients below tol (default 1e-12 * max |coeff|)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size == 0:
-        raise ParameterError("polynomial needs at least one coefficient")
-    if tol is None:
-        tol = 1e-12 * float(np.abs(coeffs).max())
-    last = coeffs.size - 1
-    while last > 0 and abs(coeffs[last]) <= tol:
-        last -= 1
-    return coeffs[: last + 1].copy()

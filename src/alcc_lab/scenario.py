@@ -2,7 +2,8 @@
 
 Scenarios are frozen dataclasses; sweeps derive variants with
 ``with_updates``. The on-disk format is flat key-value text with typed
-sections (configparser syntax), see ``configs/`` for examples.
+sections (configparser syntax), see ``configs/`` for examples. Each key is
+parsed by the type annotation of the dataclass field it names.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import itertools
+import typing
 from dataclasses import dataclass
 
 from .codec import FUNCTIONS, EncodingParams
 from .numeric import ParameterError
-from .threat import TrustProfile
 
 LOCALIZATION_MODES = ("independent", "restricted", "joint")
 BASE_MATRIX_MODES = ("all-one", "strong", "weak")
@@ -31,12 +33,11 @@ class Scenario:
     function: str = "gram"
     input_rows: int = 20
     input_cols: int = 5
-    # trust profile and share assignment (evaluation indices, 0-based)
-    unreliable: tuple | None = None  # None: every worker is unreliable
-    assignment: tuple | None = None  # None: identity mapping
+    # trust profile: evaluation indices (0-based) held by unreliable workers
+    unreliable: tuple[int, ...] | None = None  # None: every worker is unreliable
     # threat
     byzantine_count: int = 0
-    byzantine_locations: tuple | None = None  # None: resampled per trial
+    byzantine_locations: tuple[int, ...] | None = None  # None: resampled per trial
     base_matrix: str = "all-one"
     weak_zero_prob: float = 0.25
     noise_mean_re: float = 10.0
@@ -63,15 +64,21 @@ class Scenario:
             raise ParameterError(f"base_matrix must be one of {BASE_MATRIX_MODES}")
         if self.error_count_mode not in ("oracle", "rank"):
             raise ParameterError("error_count_mode must be 'oracle' or 'rank'")
-        for name in ("unreliable", "assignment", "byzantine_locations"):
+        for name in ("unreliable", "byzantine_locations"):
             idx = getattr(self, name)
             if idx is not None:
                 if any(not 0 <= i < self.n_workers for i in idx):
                     raise ParameterError(f"{name} indices must lie in 0..N-1")
                 if len(set(idx)) != len(idx):
                     raise ParameterError(f"{name} indices must be distinct")
-        if self.byzantine_count > len(self.candidate_pool()):
+        pool = self.candidate_pool()
+        if self.byzantine_count > len(pool):
             raise ParameterError("byzantine count exceeds the unreliable pool")
+        if self.byzantine_locations is not None:
+            if len(self.byzantine_locations) != self.byzantine_count:
+                raise ParameterError("byzantine_locations must match byzantine_count")
+            if not set(self.byzantine_locations) <= set(pool):
+                raise ParameterError("byzantine_locations must lie in the unreliable pool")
         self.encoding()  # validates K <= N
 
     def encoding(self) -> EncodingParams:
@@ -84,16 +91,8 @@ class Scenario:
             sigma_pad=self.sigma_pad,
         )
 
-    def trust_profile(self) -> TrustProfile:
-        unreliable = self.unreliable
-        if unreliable is None:
-            unreliable = tuple(range(self.n_workers))
-        return TrustProfile(n_workers=self.n_workers, unreliable=tuple(unreliable))
-
     def candidate_pool(self) -> tuple:
         """Evaluation indices that unreliable workers hold."""
-        if self.assignment is not None:
-            return tuple(sorted(self.assignment))
         if self.unreliable is not None:
             return tuple(sorted(self.unreliable))
         return tuple(range(self.n_workers))
@@ -132,69 +131,83 @@ class Scenario:
 class SweepSpec:
     """Grid axes layered over a base scenario; empty axes mean 'keep base'."""
 
-    byzantine_counts: tuple = ()
-    precision_vars: tuple = ()
-    strategies: tuple = ()
-    zero_probs: tuple = ()
-    constraint_lengths: tuple = ()
-    decoder_states: tuple = ()
+    byzantine_counts: tuple[int, ...] = ()
+    precision_vars: tuple[float, ...] = ()
+    strategies: tuple[str, ...] = ()
+    zero_probs: tuple[float, ...] = ()
+    constraint_lengths: tuple[int, ...] = ()
+    decoder_states: tuple[bool, ...] = ()
     trials: int | None = None
     master_seed: int | None = None
 
     def grid(self, base: Scenario):
-        """Yield (grid_index, scenario, label-dict) in deterministic order."""
-        counts = self.byzantine_counts or (base.byzantine_count,)
-        varis = self.precision_vars or (base.precision_var,)
-        strats = self.strategies or (base.localization,)
-        probs = self.zero_probs or (base.weak_zero_prob,)
-        lengths = self.constraint_lengths or (base.constraint_length,)
-        decoders = self.decoder_states or (base.decoder,)
-        idx = 0
-        for dec in decoders:
-            for a in counts:
-                for var in varis:
-                    for strat in strats:
-                        for p in probs:
-                            for cl in lengths:
-                                sc = base.with_updates(
-                                    decoder=dec,
-                                    byzantine_count=a,
-                                    precision_var=var,
-                                    localization=strat,
-                                    weak_zero_prob=p,
-                                    constraint_length=cl,
-                                )
-                                if self.trials is not None:
-                                    sc = sc.with_updates(trials=self.trials)
-                                if self.master_seed is not None:
-                                    sc = sc.with_updates(master_seed=self.master_seed)
-                                label = {
-                                    "decoder": dec,
-                                    "A": a,
-                                    "precision_var": var,
-                                    "strategy": strat if dec else "none",
-                                    "zero_prob": p,
-                                    "constraint_length": cl,
-                                }
-                                yield idx, sc, label
-                                idx += 1
+        """Yield (grid_index, scenario, label-dict) in deterministic order.
+
+        The grid index seeds the trials, so the axis order below fixes every
+        sweep's output.
+        """
+        axes = {
+            "decoder": self.decoder_states or (base.decoder,),
+            "byzantine_count": self.byzantine_counts or (base.byzantine_count,),
+            "precision_var": self.precision_vars or (base.precision_var,),
+            "localization": self.strategies or (base.localization,),
+            "weak_zero_prob": self.zero_probs or (base.weak_zero_prob,),
+            "constraint_length": self.constraint_lengths or (base.constraint_length,),
+        }
+        overrides = {}
+        if self.trials is not None:
+            overrides["trials"] = self.trials
+        if self.master_seed is not None:
+            overrides["master_seed"] = self.master_seed
+        for idx, point in enumerate(itertools.product(*axes.values())):
+            changes = dict(zip(axes, point))
+            label = {
+                "decoder": changes["decoder"],
+                "A": changes["byzantine_count"],
+                "precision_var": changes["precision_var"],
+                "strategy": changes["localization"] if changes["decoder"] else "none",
+                "zero_prob": changes["weak_zero_prob"],
+                "constraint_length": changes["constraint_length"],
+            }
+            yield idx, base.with_updates(**changes, **overrides), label
 
 
-def _parse_tuple(raw: str, cast):
-    items = [tok.strip() for tok in raw.replace(";", ",").split(",")]
-    return tuple(cast(tok) for tok in items if tok)
+def _cast(hint, raw: str):
+    """Parse one config value into the type of a field annotation.
+
+    Handles int, float and str; bool through configparser's boolean words;
+    ``tuple[T, ...]`` as a comma- or semicolon-separated list; and ``X | None``,
+    where an empty value means None.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if not raw.strip():
+            return None
+        (hint,) = (arg for arg in args if arg is not type(None))
+        return _cast(hint, raw)
+    if typing.get_origin(hint) is tuple:
+        tokens = (tok.strip() for tok in raw.replace(";", ",").split(","))
+        return tuple(_cast(args[0], tok) for tok in tokens if tok)
+    if hint is bool:
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {raw!r}") from None
+    return hint(raw)
 
 
-_SCENARIO_CASTS = {
-    "n_workers": int, "k": int, "t": int, "beta": float, "sigma_pad": float,
-    "function": str, "input_rows": int, "input_cols": int,
-    "byzantine_count": int, "base_matrix": str, "weak_zero_prob": float,
-    "noise_mean_re": float, "noise_mean_im": float, "noise_var": float,
-    "precision_mode": str, "precision_var": float,
-    "error_count_mode": str, "rank_rel_tol": float,
-    "localization": str, "trials": int, "master_seed": int,
-}
-_SCENARIO_TUPLES = {"unreliable", "assignment", "byzantine_locations"}
+def _read_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
+    """Keyword arguments for ``cls`` from one config section."""
+    hints = typing.get_type_hints(cls)
+    fields = {}
+    for key, raw in parser[name].items():
+        if key not in hints:
+            raise ParameterError(f"unknown {name} key {key!r}")
+        try:
+            fields[key] = _cast(hints[key], raw)
+        except ValueError as exc:
+            raise ParameterError(f"[{name}] {key}: {exc}") from exc
+    return fields
 
 
 def load_config(path) -> tuple[Scenario, SweepSpec]:
@@ -205,48 +218,8 @@ def load_config(path) -> tuple[Scenario, SweepSpec]:
         raise FileNotFoundError(f"config file not found: {path}")
     if "scenario" not in parser:
         raise ParameterError("config needs a [scenario] section")
-
-    fields: dict = {}
-    section = parser["scenario"]
-    for key, raw in section.items():
-        if key in _SCENARIO_TUPLES:
-            fields[key] = _parse_tuple(raw, int) or None
-        elif key == "decoder":
-            fields[key] = section.getboolean(key)
-        elif key == "constraint_length":
-            fields[key] = int(raw) if raw.strip() else None
-        elif key in _SCENARIO_CASTS:
-            fields[key] = _SCENARIO_CASTS[key](raw)
-        else:
-            raise ParameterError(f"unknown scenario key {key!r}")
-    scenario = Scenario(**fields)
-
+    scenario = Scenario(**_read_section(parser, "scenario", Scenario))
     sweep = SweepSpec()
     if "sweep" in parser:
-        sec = parser["sweep"]
-        kwargs: dict = {}
-        for key, raw in sec.items():
-            if key == "byzantine_counts":
-                kwargs[key] = _parse_tuple(raw, int)
-            elif key == "precision_vars":
-                kwargs[key] = _parse_tuple(raw, float)
-            elif key == "strategies":
-                kwargs[key] = _parse_tuple(raw, str)
-            elif key == "zero_probs":
-                kwargs[key] = _parse_tuple(raw, float)
-            elif key == "constraint_lengths":
-                kwargs[key] = _parse_tuple(raw, int)
-            elif key == "decoder_states":
-                kwargs[key] = tuple(
-                    tok.lower() in ("1", "true", "yes", "on")
-                    for tok in raw.replace(";", ",").split(",")
-                    if tok.strip()
-                )
-            elif key == "trials":
-                kwargs[key] = int(raw)
-            elif key == "master_seed":
-                kwargs[key] = int(raw)
-            else:
-                raise ParameterError(f"unknown sweep key {key!r}")
-        sweep = SweepSpec(**kwargs)
+        sweep = SweepSpec(**_read_section(parser, "sweep", SweepSpec))
     return scenario, sweep

@@ -23,24 +23,6 @@ def complex_normal(rng: np.random.Generator, mean, var, size) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrustProfile:
-    """Partition of workers into reliable and unreliable sets."""
-
-    n_workers: int
-    unreliable: tuple
-
-    def __post_init__(self):
-        bad = [i for i in self.unreliable if not 0 <= i < self.n_workers]
-        if bad or len(set(self.unreliable)) != len(self.unreliable):
-            raise ParameterError("unreliable indices must be distinct and in 0..N-1")
-
-    @property
-    def reliable(self) -> tuple:
-        out = set(range(self.n_workers)) - set(self.unreliable)
-        return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
 class ByzantinePlan:
     """Adversary locations, per-location binary base matrices, and noise law.
 
@@ -64,14 +46,6 @@ class ByzantinePlan:
     @property
     def count(self) -> int:
         return len(self.locations)
-
-    def effective_base(self) -> np.ndarray:
-        """(u*h)-by-A matrix: column a is the row-major flattening of bases[a]."""
-        return self.bases.reshape(self.count, -1).T.copy()
-
-    def codeword_counts(self) -> np.ndarray:
-        """Errors per output entry (row weights of the effective base matrix)."""
-        return self.effective_base().sum(axis=1)
 
 
 def plan_from_effective_base(

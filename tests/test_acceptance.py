@@ -216,7 +216,7 @@ def test_criterion_8_assignment_optimizer():
     seeds = trial_seeds(80_240_810, 0, trials)
 
     def errors_for(subset):
-        sc = scenario.with_updates(assignment=tuple(subset), unreliable=tuple(subset))
+        sc = scenario.with_updates(unreliable=tuple(subset))
         return np.array([run_trial(sc, s).e_rel for s in seeds])
 
     chosen = errors_for(solution.subset)

@@ -10,10 +10,8 @@ from alcc_lab.assignment import (
     canonical_class,
     contiguous_subset,
     problem2_log_objective,
-    problem2_objective,
     relative_error_baseline,
     solve_assignment,
-    spaced_subset,
 )
 from alcc_lab.numeric import ParameterError
 from alcc_lab.scenario import Scenario
@@ -26,7 +24,6 @@ TABLE_PROBLEM = AssignmentProblem(
 class TestObjective:
     def test_degenerate_all_byzantine_is_zero(self):
         prob = AssignmentProblem(n_workers=7, unreliable_count=2, byzantine_count=2)
-        assert problem2_objective((0, 3), prob) == 0.0
         assert problem2_log_objective((0, 3), prob) == -math.inf
 
     def test_contiguous_worse_than_spread(self):
@@ -47,7 +44,7 @@ class TestObjective:
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ParameterError):
-            problem2_objective((0, 1), TABLE_PROBLEM)
+            problem2_log_objective((0, 1), TABLE_PROBLEM)
 
 
 class TestSolver:
@@ -116,11 +113,6 @@ class TestCanonicalClass:
 
     def test_contiguous_class(self):
         assert canonical_class((7, 8, 9, 10, 0), 11) == (0, 1, 2, 3, 4)
-
-    def test_spaced_family(self):
-        assert spaced_subset(11, 5, 2) == (0, 2, 4, 6, 8)
-        with pytest.raises(ParameterError):
-            spaced_subset(10, 6, 5)
 
 
 class TestEmpiricalBaseline:

@@ -5,7 +5,7 @@ import pytest
 
 from alcc_lab.bounds import (
     PepContext,
-    assignment_pair_bound,
+    assignment_pair_log_bound,
     confusability,
     dominant_term_bound,
     dominant_term_log_bound,
@@ -213,15 +213,19 @@ class TestConfusability:
             confusability([1], 2, 5, metric="manhattan")
 
 
+def pair_bound(support, probe, metric="integer"):
+    """The dominant term itself, exp of its log bound (N=11, eta=10, gamma 0.2)."""
+    return math.exp(assignment_pair_log_bound(support, probe, 11, 10.0, 0.2, 1.0,
+                                              metric=metric))
+
+
 class TestAssignmentPairBound:
     def test_zero_distance_gives_one(self):
-        assert assignment_pair_bound([3], 3, 11, 10.0, 0.2, 1.0) == 1.0
+        assert pair_bound([3], 3) == 1.0
 
     def test_rotation_invariance_under_chord_metric(self):
         support, probe = [1, 5], 8
-        base = assignment_pair_bound(support, probe, 11, 10.0, 0.2, 1.0,
-                                     metric="chord")
-        rotated = assignment_pair_bound([(q + 3) % 11 for q in support],
-                                        (probe + 3) % 11, 11, 10.0, 0.2, 1.0,
-                                        metric="chord")
+        base = pair_bound(support, probe, metric="chord")
+        rotated = pair_bound([(q + 3) % 11 for q in support], (probe + 3) % 11,
+                             metric="chord")
         assert abs(base - rotated) <= 1e-12

@@ -8,11 +8,9 @@ from alcc_lab.codec import (
     FUNCTIONS,
     GRAM,
     IDENTITY,
-    DatasetBatch,
     EncodingParams,
     InsufficientEvaluationsError,
     MetricError,
-    assign_shares,
     db,
     encode_shares,
     lagrange_basis,
@@ -38,10 +36,6 @@ class TestParams:
     def test_dimension_bound_enforced(self):
         with pytest.raises(ParameterError):
             EncodingParams(n_workers=5, k=5, t=3, degree=2)
-
-    def test_mapping_must_be_permutation(self):
-        with pytest.raises(ParameterError):
-            EncodingParams(n_workers=7, k=2, t=0, degree=2, mapping=(0, 0, 1, 2, 3, 4, 5))
 
 
 class TestLagrangeBasis:
@@ -76,25 +70,25 @@ class TestEncodeShares:
     def test_single_block_constant_polynomial(self):
         params = EncodingParams(n_workers=5, k=1, t=0, degree=1)
         rng = np.random.default_rng(0)
-        batch = make_batch(params, rng.standard_normal((1, 3, 2)), rng)
-        shares = encode_shares(batch, params)
-        for share in shares.values:
-            assert np.allclose(share, batch.blocks[0], atol=1e-12)
+        blocks = rng.standard_normal((1, 3, 2))
+        shares = encode_shares(make_batch(params, blocks, rng), params)
+        for share in shares:
+            assert np.allclose(share, blocks[0], atol=1e-12)
 
     def test_reinterpolation_recovers_blocks(self):
         params = EncodingParams(n_workers=9, k=3, t=1, degree=2, sigma_pad=1.0)
         rng = np.random.default_rng(1)
-        batch = make_batch(params, rng.standard_normal((3, 4, 2)), rng)
-        shares = encode_shares(batch, params)
+        blocks = rng.standard_normal((3, 4, 2))
+        shares = encode_shares(make_batch(params, blocks, rng), params)
         # fit the encoding polynomial from its N evaluations, read it at the nodes
         vand = params.eval_points[:, None] ** np.arange(params.nodes)
-        flat = shares.values.reshape(params.n_workers, -1)
+        flat = shares.reshape(params.n_workers, -1)
         coeffs = np.linalg.lstsq(vand, flat, rcond=None)[0]
         for r in range(params.k):
             z = params.encoding_nodes[r]
             rec = sum(coeffs[j] * z**j for j in range(params.nodes))
-            rel = np.linalg.norm(rec.reshape(4, 2) - batch.blocks[r])
-            assert rel <= 1e-6 * max(1.0, np.linalg.norm(batch.blocks[r]))
+            rel = np.linalg.norm(rec.reshape(4, 2) - blocks[r])
+            assert rel <= 1e-6 * max(1.0, np.linalg.norm(blocks[r]))
 
     def test_paper_setting_runs(self):
         params = EncodingParams(n_workers=31, k=5, t=3, degree=2,
@@ -102,34 +96,16 @@ class TestEncodeShares:
         rng = np.random.default_rng(2)
         batch = make_batch(params, rng.standard_normal((5, 20, 5)), rng)
         shares = encode_shares(batch, params)
-        assert shares.values.shape == (31, 20, 5)
+        assert batch.shape == (8, 20, 5)
+        assert shares.shape == (31, 20, 5)
         assert params.code_dimension == 15
 
     def test_padding_scale(self):
         params = EncodingParams(n_workers=31, k=5, t=3, degree=2, sigma_pad=1e3)
         rng = np.random.default_rng(3)
         batch = make_batch(params, rng.standard_normal((5, 50, 40)), rng)
-        observed = np.sqrt(np.mean(np.abs(batch.padding) ** 2))
+        observed = np.sqrt(np.mean(np.abs(batch[params.k:]) ** 2))
         assert np.isclose(observed, 1e3 / np.sqrt(3), rtol=0.05)
-
-
-class TestAssignShares:
-    def _shares(self):
-        params = small_params()
-        rng = np.random.default_rng(4)
-        batch = make_batch(params, rng.standard_normal((2, 2, 2)), rng)
-        return encode_shares(batch, params)
-
-    def test_identity_default(self):
-        assert assign_shares(self._shares()).tolist() == list(range(7))
-
-    def test_reverse(self):
-        mapping = tuple(reversed(range(7)))
-        assert assign_shares(self._shares(), mapping).tolist() == list(mapping)
-
-    def test_non_bijective_rejected(self):
-        with pytest.raises(ParameterError):
-            assign_shares(self._shares(), (0, 0, 1, 2, 3, 4, 5))
 
 
 class TestReconstruct:
@@ -137,10 +113,10 @@ class TestReconstruct:
     def test_identity_function_round_trip(self, n, k, t):
         params = EncodingParams(n_workers=n, k=k, t=t, degree=1, sigma_pad=1.0)
         rng = np.random.default_rng(5)
-        batch = make_batch(params, rng.standard_normal((k, 3, 2)), rng)
-        shares = encode_shares(batch, params)
-        estimate = reconstruct(IDENTITY.apply(shares.values), params)
-        assert relative_error(batch.blocks, estimate) <= 1e-8
+        blocks = rng.standard_normal((k, 3, 2))
+        shares = encode_shares(make_batch(params, blocks, rng), params)
+        estimate = reconstruct(IDENTITY.apply(shares), params)
+        assert relative_error(blocks, estimate) <= 1e-8
 
     def test_gram_function_matches_direct_oracle(self):
         params = small_params()  # k=2, t=0, degree=2, N=7, K=3
@@ -148,7 +124,7 @@ class TestReconstruct:
         blocks = rng.standard_normal((2, 4, 3))
         batch = make_batch(params, blocks, rng)
         shares = encode_shares(batch, params)
-        estimate = reconstruct(GRAM.apply(shares.values), params)
+        estimate = reconstruct(GRAM.apply(shares), params)
         oracle = GRAM.apply(blocks)
         assert relative_error(oracle, estimate) <= 1e-6
 
@@ -156,7 +132,7 @@ class TestReconstruct:
         params = EncodingParams(n_workers=9, k=2, t=1, degree=2, sigma_pad=1.0)
         rng = np.random.default_rng(7)
         batch = make_batch(params, rng.standard_normal((2, 3, 3)), rng)
-        returns = GRAM.apply(encode_shares(batch, params).values)
+        returns = GRAM.apply(encode_shares(batch, params))
         full = reconstruct(returns, params)
         keep = np.array([0, 1, 2, 4, 5, 6, 8])  # 7 >= K = 7
         subset = reconstruct(returns[keep], params, eval_indices=keep)
@@ -169,7 +145,7 @@ class TestReconstruct:
         for _ in range(10):
             blocks = rng.standard_normal((5, 20, 5))
             batch = make_batch(params, blocks, rng)
-            returns = GRAM.apply(encode_shares(batch, params).values)
+            returns = GRAM.apply(encode_shares(batch, params))
             oracle = GRAM.apply(blocks)
             clean_errs.append(relative_error(oracle, reconstruct(returns, params)))
             corrupted = returns.copy()
@@ -193,7 +169,7 @@ class TestCodewordStructure:
         params = EncodingParams(n_workers=31, k=5, t=3, degree=2, sigma_pad=1e6)
         rng = np.random.default_rng(9)
         batch = make_batch(params, rng.standard_normal((5, 20, 5)), rng)
-        returns = GRAM.apply(encode_shares(batch, params).values)
+        returns = GRAM.apply(encode_shares(batch, params))
         code = dft_code.build_code(31, params.code_dimension)
         rows = returns.reshape(31, -1).T
         syn = dft_code.syndrome(code, rows)
@@ -203,7 +179,7 @@ class TestCodewordStructure:
         params = EncodingParams(n_workers=9, k=2, t=1, degree=2, sigma_pad=1.0)
         rng = np.random.default_rng(10)
         batch = make_batch(params, rng.standard_normal((2, 3, 3)), rng)
-        returns = GRAM.apply(encode_shares(batch, params).values)
+        returns = GRAM.apply(encode_shares(batch, params))
         direct = reconstruct(returns, params)
         mapping = np.array([3, 1, 4, 0, 8, 2, 7, 5, 6])
         # worker mapping[i] holds evaluation i; invert before decoding

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alcc_lab.harness import (
     TRIAL_CSV_HEADER,
@@ -9,7 +13,13 @@ from alcc_lab.harness import (
     write_sweep_csv,
 )
 from alcc_lab.numeric import ParameterError
-from alcc_lab.scenario import Scenario, SweepSpec, load_config
+from alcc_lab.scenario import (
+    BASE_MATRIX_MODES,
+    LOCALIZATION_MODES,
+    Scenario,
+    SweepSpec,
+    load_config,
+)
 
 
 def clean_scenario(**overrides):
@@ -40,6 +50,20 @@ class TestScenario:
         with pytest.raises(ParameterError):
             Scenario(byzantine_count=3, unreliable=(0, 1))
 
+    def test_locations_must_match_count(self):
+        with pytest.raises(ParameterError, match="byzantine_count"):
+            Scenario(byzantine_count=3, byzantine_locations=(0, 4))
+        with pytest.raises(ParameterError, match="byzantine_count"):
+            Scenario(byzantine_count=0, byzantine_locations=(0,))
+
+    def test_locations_must_lie_in_unreliable_pool(self):
+        with pytest.raises(ParameterError, match="unreliable pool"):
+            Scenario(unreliable=(0, 1, 2, 3), byzantine_count=2,
+                     byzantine_locations=(1, 5))
+        sc = Scenario(unreliable=(0, 1, 2, 3), byzantine_count=2,
+                      byzantine_locations=(3, 1))
+        assert sc.byzantine_locations == (3, 1)
+
     def test_digest_stable_and_trial_invariant(self):
         a = Scenario(master_seed=1, trials=10)
         b = Scenario(master_seed=1, trials=999)
@@ -51,15 +75,6 @@ class TestScenario:
         assert Scenario().candidate_pool() == tuple(range(31))
         sc = Scenario(unreliable=(4, 2, 9))
         assert sc.candidate_pool() == (2, 4, 9)
-        sc = Scenario(unreliable=(2, 4, 9), assignment=(1, 5, 7))
-        assert sc.candidate_pool() == (1, 5, 7)
-
-    def test_trust_profile_partition(self):
-        profile = Scenario(unreliable=(2, 4, 9)).trust_profile()
-        assert profile.unreliable == (2, 4, 9)
-        assert 2 not in profile.reliable
-        assert len(profile.reliable) == 28
-        assert Scenario().trust_profile().reliable == ()
 
 
 class TestRunTrial:
@@ -158,6 +173,12 @@ class TestSweep:
         agg_b = (tmp_path / "b.csv.agg").read_bytes()
         assert agg_a == agg_b
 
+    def test_invalid_grid_point_fails_before_any_trial(self):
+        base = clean_scenario(byzantine_count=2, byzantine_locations=(0, 5))
+        rows = sweep(base, SweepSpec(byzantine_counts=(2, 3), trials=1))
+        with pytest.raises(ParameterError, match="byzantine_count"):
+            next(rows)
+
     def test_csv_header_contract(self, tmp_path):
         path = tmp_path / "out.csv"
         write_sweep_csv(clean_scenario(), self._spec(), path)
@@ -200,3 +221,106 @@ class TestConfigFiles:
         for cfg in sorted(cfg_dir.glob("*.cfg")):
             scenario, spec = load_config(cfg)
             assert scenario.n_workers >= scenario.code_dimension
+
+    @pytest.mark.parametrize("text,key", [
+        ("[scenario]\ndecoder = ture\n", "decoder"),
+        ("[scenario]\n[sweep]\ndecoder_states = true, ture\n", "decoder_states"),
+    ], ids=["scenario", "sweep"])
+    def test_misspelt_boolean_rejected(self, tmp_path, text, key):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ParameterError, match=key):
+            load_config(cfg)
+
+    def test_bad_number_names_its_key(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[scenario]\nn_workers = many\n")
+        with pytest.raises(ParameterError, match="n_workers"):
+            load_config(cfg)
+
+
+_TRUE_WORDS = ("true", "yes", "on", "1", "True", "YES")
+_FALSE_WORDS = ("false", "no", "off", "0", "False", "OFF")
+_floats = st.floats(-1e6, 1e6, allow_nan=False)
+_positive = st.floats(1e-9, 1e6)
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(11, 40))
+    unreliable = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1,
+                                           max_size=n, unique=True).map(tuple))
+    pool = list(range(n)) if unreliable is None else list(unreliable)
+    count = draw(st.integers(0, len(pool)))
+    locations = None
+    if count and draw(st.booleans()):
+        locations = tuple(draw(st.permutations(pool))[:count])
+    return Scenario(
+        n_workers=n,
+        k=draw(st.integers(1, 3)),
+        t=draw(st.integers(0, 2)),
+        beta=draw(_positive),
+        sigma_pad=draw(st.floats(0.0, 1e6)),
+        function=draw(st.sampled_from(("gram", "identity"))),
+        input_rows=draw(st.integers(1, 30)),
+        input_cols=draw(st.integers(1, 30)),
+        unreliable=unreliable,
+        byzantine_count=count,
+        byzantine_locations=locations,
+        base_matrix=draw(st.sampled_from(BASE_MATRIX_MODES)),
+        weak_zero_prob=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        noise_mean_re=draw(_floats),
+        noise_mean_im=draw(_floats),
+        noise_var=draw(_positive),
+        precision_mode=draw(st.sampled_from(("synthetic", "locator", "reduced"))),
+        precision_var=draw(st.floats(0.0, 1.0)),
+        decoder=draw(st.booleans()),
+        error_count_mode=draw(st.sampled_from(("oracle", "rank"))),
+        rank_rel_tol=draw(st.floats(1e-12, 0.5)),
+        localization=draw(st.sampled_from(LOCALIZATION_MODES)),
+        constraint_length=draw(st.none() | st.integers(1, 20)),
+        trials=draw(st.integers(1, 10_000)),
+        master_seed=draw(st.integers(0, 2**63)),
+    )
+
+
+sweep_specs = st.builds(
+    SweepSpec,
+    byzantine_counts=st.lists(st.integers(0, 8), max_size=4).map(tuple),
+    precision_vars=st.lists(st.floats(0.0, 1.0), max_size=4).map(tuple),
+    strategies=st.lists(st.sampled_from(LOCALIZATION_MODES), max_size=3).map(tuple),
+    zero_probs=st.lists(_positive, max_size=4).map(tuple),
+    constraint_lengths=st.lists(st.integers(1, 20), max_size=4).map(tuple),
+    decoder_states=st.lists(st.booleans(), max_size=2).map(tuple),
+    trials=st.none() | st.integers(1, 10_000),
+    master_seed=st.none() | st.integers(0, 2**63),
+)
+
+
+def _config_value(value, data) -> str:
+    """How a config file spells one field value, boolean words drawn at random."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ", ".join(_config_value(item, data) for item in value)
+    if isinstance(value, bool):
+        return data.draw(st.sampled_from(_TRUE_WORDS if value else _FALSE_WORDS))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _section(name, obj, data) -> str:
+    lines = [f"[{name}]"]
+    for field in dataclasses.fields(obj):
+        lines.append(f"{field.name} = {_config_value(getattr(obj, field.name), data)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(scenario=scenarios(), spec=sweep_specs, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_config_round_trip(tmp_path_factory, scenario, spec, data):
+    cfg = tmp_path_factory.mktemp("cfg") / "round.cfg"
+    cfg.write_text(_section("scenario", scenario, data) + _section("sweep", spec, data))
+    loaded, loaded_spec = load_config(cfg)
+    assert loaded == scenario
+    assert loaded_spec == spec
+    assert loaded.digest() == scenario.digest()

@@ -8,7 +8,6 @@ from alcc_lab.localization import (
     average_locators,
     independent_localize,
     joint_localize,
-    restricted_localize,
     root_metric,
 )
 from alcc_lab.numeric import ParameterError
@@ -58,13 +57,13 @@ class TestRestricted:
         rng = np.random.default_rng(0)
         poly = noisy(true_locator(code, [2, 8]), 0.1, rng)
         full = independent_localize(poly, 2, 15)
-        restricted = restricted_localize(poly, 2, 15, list(range(15)))
+        restricted = independent_localize(poly, 2, 15, candidates=list(range(15)))
         assert np.array_equal(full, restricted)
 
     def test_exact_inside_unreliable_set(self, code):
         unreliable = [3, 6, 9, 11, 14]
         poly = true_locator(code, [6, 11])
-        assert restricted_localize(poly, 2, 15, unreliable).tolist() == [6, 11]
+        assert independent_localize(poly, 2, 15, candidates=unreliable).tolist() == [6, 11]
 
     def test_neighbors_outside_the_set_cannot_be_reported(self, code):
         # independent localization sometimes picks a neighbor of the true
@@ -75,7 +74,7 @@ class TestRestricted:
         for _ in range(300):
             poly = noisy(true_locator(code, [3]), 0.1, rng)
             free = independent_localize(poly, 1, 15)
-            fixed = restricted_localize(poly, 1, 15, unreliable)
+            fixed = independent_localize(poly, 1, 15, candidates=unreliable)
             assert fixed[0] in unreliable
             if free[0] in (2, 4):
                 neighbor_hits += 1
@@ -214,6 +213,7 @@ def test_all_strategies_exact_when_noise_free():
             support = np.sort(rng.choice(n, size=size, replace=False))
             poly = true_locator(code, support)
             assert independent_localize(poly, size, n).tolist() == support.tolist()
-            assert restricted_localize(poly, size, n, support).tolist() == support.tolist()
+            restricted = independent_localize(poly, size, n, candidates=support)
+            assert restricted.tolist() == support.tolist()
             joint = joint_localize([poly], capability=v, n=n)
             assert np.array_equal(joint.per_poly[0], support)

@@ -11,7 +11,6 @@ from alcc_lab.numeric import (
     least_squares,
     numerical_rank,
     poly_eval,
-    trim_trailing_zeros,
 )
 
 
@@ -56,9 +55,10 @@ class TestLeastSquares:
             a = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
             b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             sol = least_squares(a, b)
+            residual = np.linalg.norm(a @ sol.x - b)
             for _ in range(100):
                 y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                assert sol.residual_norm <= np.linalg.norm(a @ y - b) + 1e-9
+                assert residual <= np.linalg.norm(a @ y - b) + 1e-9
 
     def test_rank_deficient_minimum_norm(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
@@ -127,16 +127,3 @@ class TestPolyEval:
         naive = sum(c * z**j for j, c in enumerate(coeffs))
         fast = poly_eval(coeffs, z)
         assert abs(fast - naive) <= 1e-12 * max(1.0, abs(naive))
-
-
-class TestTrim:
-    def test_trims_below_default_tolerance(self):
-        coeffs = np.array([1.0, 2.0, 1e-15, 0.0])
-        assert trim_trailing_zeros(coeffs).tolist() == [1.0, 2.0]
-
-    def test_keeps_constant(self):
-        assert trim_trailing_zeros(np.array([0.0 + 0j])).tolist() == [0.0]
-
-    def test_explicit_tolerance(self):
-        coeffs = np.array([1.0, 0.5, 0.01])
-        assert trim_trailing_zeros(coeffs, tol=0.1).size == 2

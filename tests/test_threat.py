@@ -6,7 +6,6 @@ from alcc_lab.numeric import ParameterError
 from alcc_lab.threat import (
     ByzantinePlan,
     PrecisionModel,
-    TrustProfile,
     complex_normal,
     design_strong_collusion,
     design_weak_collusion,
@@ -19,16 +18,6 @@ from alcc_lab.threat import (
 def all_one_plan(locations, u=3, h=3, **kwargs):
     bases = np.ones((len(locations), u, h), dtype=int)
     return ByzantinePlan(locations=tuple(locations), bases=bases, **kwargs)
-
-
-class TestTrustProfile:
-    def test_partition(self):
-        profile = TrustProfile(n_workers=7, unreliable=(1, 4, 6))
-        assert profile.reliable == (0, 2, 3, 5)
-
-    def test_bad_indices_rejected(self):
-        with pytest.raises(ParameterError):
-            TrustProfile(n_workers=5, unreliable=(1, 7))
 
 
 class TestInject:
@@ -89,8 +78,9 @@ class TestInject:
         rng = np.random.default_rng(9)
         b_eff = (rng.random((6, 2)) < 0.5).astype(int)
         plan = plan_from_effective_base(b_eff, [4, 9], u=2, h=3)
-        assert np.array_equal(plan.effective_base(), b_eff)
-        assert np.array_equal(plan.codeword_counts(), b_eff.sum(axis=1))
+        # bases[a] is column a of the effective base, in row-major (u, h) order
+        assert plan.bases.shape == (2, 2, 3)
+        assert np.array_equal(plan.bases.reshape(2, -1).T, b_eff)
 
 
 class TestStrongCollusion:
