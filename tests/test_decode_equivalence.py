@@ -1,0 +1,61 @@
+"""The decoder against a fixed reference: trial rows of three sweep grids.
+
+``data/decode_reference.csv`` holds the trial rows that ``harness.sweep``
+wrote for these grids, at two trials per point, when every codeword was still
+decoded on its own (one locator solve, localization and value recovery per
+codeword). The decoder now works on stacks of codewords, which may move the
+last bits of ``e_rel`` but must not change a detected support. The grids
+cover oracle counting with independent localization on all-one base matrices
+(byzantine), the joint search with constraint length 8 on weak-collusion
+bases (collusion), and locator-coefficient noise (joint_vs_independent,
+independent half only; its joint half takes tens of seconds).
+"""
+
+import csv
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from alcc_lab.harness import sweep
+from alcc_lab.scenario import load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = Path(__file__).resolve().parent / "data" / "decode_reference.csv"
+FIELDS = ("grid", "seed", "A", "sigma_p2", "strategy", "e_rel", "loc_correct")
+GRIDS = {
+    "byzantine_sweep": {},
+    "collusion_sweep": {},
+    "joint_vs_independent": {"strategies": ("independent",)},
+}
+
+
+def sweep_rows(grid: str) -> list:
+    """Trial rows of one config's grid at two trials per point, as FIELDS."""
+    base, spec = load_config(ROOT / "configs" / f"{grid}.cfg")
+    spec = dataclasses.replace(spec, trials=2, **GRIDS[grid])
+    rows = []
+    for kind, record in sweep(base, spec):
+        if kind == "trial":
+            _, seed, a, sigma, strategy, e_rel, _, loc = record.csv_row()
+            rows.append(dict(zip(FIELDS, (grid, seed, a, sigma, strategy, e_rel, loc))))
+    return rows
+
+
+def reference_rows(grid: str) -> list:
+    with open(REFERENCE, newline="") as fh:
+        return [row for row in csv.DictReader(fh) if row["grid"] == grid]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_matches_reference(grid):
+    expected = reference_rows(grid)
+    actual = sweep_rows(grid)
+    assert expected, f"no reference rows for {grid}"
+    assert len(actual) == len(expected)
+    for ref, row in zip(expected, actual):
+        for key in ("seed", "A", "sigma_p2", "strategy", "loc_correct"):
+            assert row[key] == ref[key], (grid, ref["seed"], key)
+        e_ref, e_new = float(ref["e_rel"]), float(row["e_rel"])
+        # locator-mode rows sit near 1e-13, so a purely relative tolerance is wrong
+        assert abs(e_new - e_ref) <= 1e-6 * e_ref + 1e-12, (grid, ref["seed"])
