@@ -14,11 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .bounds import assignment_pair_log_bound, gamma_bounds
-from .numeric import ParameterError
-
-
-class RuntimeGuardError(RuntimeError):
-    """A request would exceed the configured simulation budget."""
+from .numeric import ParameterError, RuntimeGuardError
 
 
 @dataclass(frozen=True)

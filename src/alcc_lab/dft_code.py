@@ -3,7 +3,9 @@
 The generator is the first K rows of the unitary DFT matrix and the parity
 check is the remaining N-K rows, so G H^dagger = 0 by unitarity. The decoder
 blocks are: syndrome projection, error-count estimation (Hankel rank),
-locator-polynomial solve, and error-value recovery/subtraction.
+locator-polynomial solve, and error-value recovery/subtraction. Each block
+takes one codeword (its syndrome, locator, ...) or a stack of them along
+leading axes; a stack shares one error count or one detected-set size.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numeric import (
     DimensionError,
@@ -54,11 +57,7 @@ def build_code(n: int, k: int) -> DftCode:
 
 
 def syndrome(code: DftCode, r) -> np.ndarray:
-    """Project received vector(s) onto the parity rows: s = r @ H^dagger.
-
-    Accepts a single length-N vector or a batch (..., N); the syndrome has
-    length N-K along the last axis.
-    """
+    """Project received words (..., N) onto the parity rows: s = r @ H^dagger, (..., N-K)."""
     r = as_finite_complex(r, "received")
     if r.shape[-1] != code.n:
         raise DimensionError(f"received length {r.shape[-1]} != N={code.n}")
@@ -66,36 +65,16 @@ def syndrome(code: DftCode, r) -> np.ndarray:
 
 
 def hankel_syndrome_matrix(code: DftCode, s) -> np.ndarray:
-    """v-by-v Hankel matrix whose rank counts the errors (rows s[i..i+v-1])."""
+    """(..., v, v) Hankel matrices whose rank counts the errors (rows s[i..i+v-1])."""
     s = np.asarray(s, dtype=complex)
     v = code.capability
     if s.shape[-1] < 2 * v - 1:
         raise DimensionError("syndrome too short for the Hankel window")
-    return np.stack([s[i : i + v] for i in range(v)])
+    return sliding_window_view(s, v, axis=-1)[..., :v, :]
 
 
-def estimate_error_count(
-    code: DftCode,
-    s,
-    mode: str = "rank",
-    rel_tol: float = 1e-6,
-    known_count: int | None = None,
-) -> int:
-    """Number of errors behind a syndrome.
-
-    mode="rank" returns the numerical rank of the Hankel syndrome matrix;
-    mode="oracle" passes through a known count (experiments treat the count
-    as perfectly estimated). Counts above the capability raise.
-    """
-    v = code.capability
-    if mode == "oracle":
-        if known_count is None:
-            raise ParameterError("oracle mode needs known_count")
-        if known_count > v:
-            raise CapabilityExceededError(f"count {known_count} exceeds v={v}")
-        return int(known_count)
-    if mode != "rank":
-        raise ParameterError(f"unknown error-count mode {mode!r}")
+def estimate_error_count(code: DftCode, s, rel_tol: float = 1e-6):
+    """Number of errors behind each syndrome: the numerical rank of its Hankel matrix."""
     return numerical_rank(hankel_syndrome_matrix(code, s), rel_tol)
 
 
@@ -109,22 +88,13 @@ class LocatorPolynomial:
     term.
     """
 
-    coeffs: np.ndarray
+    coeffs: np.ndarray  # (..., degree + 1)
     degree: int
-    cond: float = np.nan
+    cond: np.ndarray | float = np.nan  # (...)
 
     def __post_init__(self):
-        if self.coeffs.shape[0] != self.degree + 1:
+        if self.coeffs.shape[-1] != self.degree + 1:
             raise DimensionError("coefficient count must be degree + 1")
-
-    def perturbed(self, noise) -> "LocatorPolynomial":
-        """Copy with additive coefficient noise (models precision error)."""
-        noise = np.asarray(noise, dtype=complex)
-        if noise.shape != self.coeffs.shape:
-            raise DimensionError("noise must match the coefficient count")
-        return LocatorPolynomial(
-            coeffs=self.coeffs + noise, degree=self.degree, cond=self.cond
-        )
 
 
 def locator_polynomial(code: DftCode, s, count: int) -> LocatorPolynomial:
@@ -132,21 +102,16 @@ def locator_polynomial(code: DftCode, s, count: int) -> LocatorPolynomial:
 
     Row i (i = 0..2v-count-1) reads sum_j s[i+j] * g_{count-j} = -s[i+count]
     with g_0 = 1; the stacked system is solved by least squares, using every
-    available syndrome window.
+    available syndrome window. Every syndrome of a stack shares `count`.
     """
     s = np.asarray(s, dtype=complex)
     v = code.capability
     if not 1 <= count <= v:
         raise CapabilityExceededError(f"count must lie in 1..v={v}, got {count}")
-    rows = 2 * v - count
-    lhs = np.empty((rows, count), dtype=complex)
-    rhs = np.empty(rows, dtype=complex)
-    for i in range(rows):
-        lhs[i] = s[i : i + count]
-        rhs[i] = -s[i + count]
-    sol = least_squares(lhs, rhs)
+    windows = sliding_window_view(s[..., : 2 * v], count + 1, axis=-1)
+    sol = least_squares(windows[..., :count], -windows[..., count])
     # unknown order is (g_count, ..., g_1); flip into ascending coefficients
-    coeffs = np.concatenate([[1.0 + 0j], sol.x[::-1]])
+    coeffs = np.insert(sol.x[..., ::-1], 0, 1.0, axis=-1)
     return LocatorPolynomial(coeffs=coeffs, degree=count, cond=sol.cond)
 
 
@@ -160,23 +125,22 @@ def true_locator(code: DftCode, locations) -> LocatorPolynomial:
 
 
 def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
-    """Least-squares solve of s = e @ H^dagger restricted to the given columns."""
+    """Least-squares solve of s = e @ H^dagger on the columns in locations (..., count)."""
     locations = np.asarray(locations, dtype=int)
-    if locations.size > code.n - code.k:
+    if locations.shape[-1] > code.n - code.k:
         raise CapabilityExceededError(
-            f"{locations.size} locations exceed the {code.n - code.k} syndrome equations"
+            f"{locations.shape[-1]} locations exceed the {code.n - code.k} syndrome equations"
         )
-    if locations.size == 0:
-        return np.zeros(0, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    lhs = code.parity[:, locations].conj()  # (N-K, count): s_j = sum_a e_a conj(H[j, q_a])
+    if locations.shape[-1] == 0:
+        return np.zeros(locations.shape, dtype=complex)
+    # (..., N-K, count): s_j = sum_a e_a conj(H[j, q_a])
+    lhs = code.parity.conj().T[locations].swapaxes(-1, -2)
     return least_squares(lhs, s).x
 
 
 def correct_codeword(r, locations, values) -> np.ndarray:
-    """Subtract recovered error values at their locations."""
+    """Subtract recovered error values at their locations, per codeword of a stack."""
     r = np.asarray(r, dtype=complex).copy()
     locations = np.asarray(locations, dtype=int)
-    if locations.size:
-        r[locations] -= np.asarray(values, dtype=complex)
+    np.put_along_axis(r, locations, np.take_along_axis(r, locations, -1) - values, -1)
     return r

@@ -1,9 +1,10 @@
 """Seeded end-to-end trial runner, sweep driver, and CSV emission.
 
 One trial: draw data, encode, apply the worker function, inject Byzantine
-and precision noise, decode each output-entry codeword with the configured
+and precision noise, decode the output-entry codewords with the configured
 strategy, reconstruct, and report the relative error against the
-centralized computation.
+centralized computation. The codewords are decoded in stacks: one locator
+solve per distinct error count, one value recovery per detected-set size.
 """
 
 from __future__ import annotations
@@ -79,35 +80,62 @@ def _build_plan(scenario: Scenario, rng: np.random.Generator):
     return locations, b_eff
 
 
-def _localize_codewords(scenario, code, polys, counts, rng):
-    """Detected index set per codeword under the configured strategy."""
+def _groups(sizes):
+    """(size, rows) for each distinct positive size, rows ascending."""
+    for size in np.unique(sizes[sizes > 0]):
+        yield size, np.flatnonzero(sizes == size)
+
+
+def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
+    """Locator coefficients per codeword, (M, v+1), zero above each count."""
+    coeffs = np.zeros((counts.size, code.capability + 1), dtype=complex)
+    for count, rows in _groups(counts):
+        poly = dft_code.locator_polynomial(code, syndromes[rows], count)
+        coeffs[rows, : count + 1] = poly.coeffs
+    if scenario.precision_mode == "locator" and scenario.precision_var > 0:
+        # one draw per codeword, in codeword order, keeps each trial's random stream
+        for c in np.flatnonzero(counts):
+            noise = threat.complex_normal(rng, 0.0, scenario.precision_var, counts[c] + 1)
+            coeffs[c, : counts[c] + 1] += noise
+    return coeffs
+
+
+def _localize_codewords(scenario, code, coeffs, counts, rng) -> np.ndarray:
+    """(M, N) mask of the indices detected per codeword under the configured strategy."""
     n = scenario.n_workers
     pool = scenario.candidate_pool()
     restricted = pool if len(pool) < n else None
-    detected = [np.array([], dtype=int)] * len(counts)
-    active = [c for c in range(len(counts)) if counts[c] > 0]
-    if not active:
-        return detected
-
+    detected = np.zeros((counts.size, n), dtype=bool)
     if scenario.localization != "joint":
         # restricted localization only searches the unreliable pool
         cand = restricted if scenario.localization == "restricted" else None
-        for c in active:
-            detected[c] = localization.independent_localize(
-                polys[c], counts[c], n, candidates=cand
-            )
-    else:
+        for count, rows in _groups(counts):
+            poly = dft_code.LocatorPolynomial(coeffs[rows, : count + 1], count)
+            found = localization.independent_localize(poly, count, n, candidates=cand)
+            detected[rows[:, None], found] = True
+    elif counts.any():
+        active = np.flatnonzero(counts)
         result = localization.joint_localize(
-            [polys[c] for c in active],
+            [dft_code.LocatorPolynomial(coeffs[c, : counts[c] + 1], counts[c]) for c in active],
             capability=code.capability,
             n=n,
             constraint_length=scenario.constraint_length,
             candidates=restricted,
             rng=rng,
         )
-        for c, det in zip(active, result.per_poly):
-            detected[c] = det
+        rows = np.repeat(active, [found.size for found in result.per_poly])
+        detected[rows, np.concatenate(result.per_poly)] = True
     return detected
+
+
+def _correct_codewords(code, r_eff, syndromes, detected) -> np.ndarray:
+    """Subtract the recovered error values at every codeword's detected indices."""
+    corrected = r_eff.copy()
+    for size, rows in _groups(detected.sum(axis=1)):
+        found = np.nonzero(detected[rows])[1].reshape(rows.size, size)
+        values = dft_code.recover_error_values(code, syndromes[rows], found)
+        corrected[rows] = dft_code.correct_codeword(r_eff[rows], found, values)
+    return corrected
 
 
 def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
@@ -140,48 +168,26 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
     returns = threat.inject(results, plan, precision, rng)
 
     r_eff = returns.reshape(scenario.n_workers, m_rows).T  # (M, N)
-    loc_correct = True
     capability_exceeded = False
 
     if scenario.decoder:
         code = dft_code.build_code(scenario.n_workers, scenario.code_dimension)
         syndromes = dft_code.syndrome(code, r_eff)
-        true_counts = b_eff.sum(axis=1) if plan is not None else np.zeros(m_rows, int)
-        counts = np.zeros(m_rows, dtype=int)
-        for c in range(m_rows):
-            if scenario.error_count_mode == "oracle":
-                declared = int(true_counts[c])
-                if declared > code.capability:
-                    capability_exceeded = True
-                    declared = code.capability
-                counts[c] = declared
-            else:
-                counts[c] = dft_code.estimate_error_count(
-                    code, syndromes[c], mode="rank", rel_tol=scenario.rank_rel_tol
-                )
-
-        polys = [None] * m_rows
-        for c in range(m_rows):
-            if counts[c] == 0:
-                continue
-            poly = dft_code.locator_polynomial(code, syndromes[c], counts[c])
-            if scenario.precision_mode == "locator" and scenario.precision_var > 0:
-                poly = poly.perturbed(threat.complex_normal(
-                    rng, 0.0, scenario.precision_var, counts[c] + 1
-                ))
-            polys[c] = poly
-
-        detected = _localize_codewords(scenario, code, polys, counts, rng)
-        corrected = r_eff.copy()
-        for c in range(m_rows):
-            det = detected[c]
-            truth = locations[b_eff[c].astype(bool)] if plan is not None else np.array([], int)
-            if not np.array_equal(det, np.sort(truth)):
-                loc_correct = False
-            if det.size:
-                values = dft_code.recover_error_values(code, syndromes[c], det)
-                corrected[c] = dft_code.correct_codeword(corrected[c], det, values)
-        r_eff = corrected
+        if scenario.error_count_mode == "oracle":
+            true_counts = b_eff.sum(axis=1)
+            capability_exceeded = bool((true_counts > code.capability).any())
+            counts = np.minimum(true_counts, code.capability)
+        else:
+            counts = dft_code.estimate_error_count(
+                code, syndromes, rel_tol=scenario.rank_rel_tol
+            )
+        coeffs = _locators(scenario, code, syndromes, counts, rng)
+        detected = _localize_codewords(scenario, code, coeffs, counts, rng)
+        truth = np.zeros_like(detected)
+        if plan is not None:
+            truth[:, locations] = b_eff.astype(bool)
+        loc_correct = np.array_equal(detected, truth)
+        r_eff = _correct_codewords(code, r_eff, syndromes, detected)
     else:
         loc_correct = scenario.byzantine_count == 0
 

@@ -4,7 +4,8 @@ Roots are constrained to the N-th-roots-of-unity grid, so localization
 orders |g(gamma^q)|^2 over candidate indices instead of extracting roots.
 Three strategies: independent per polynomial, restricted to an unreliable
 index set (independent with a candidate set), and joint across all
-polynomials of one decoding round.
+polynomials of one decoding round. The independent strategy also takes a
+stack of locators that share one degree.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 _MAX_SUBSETS = 200_000
 
 from .dft_code import LocatorPolynomial
-from .numeric import ParameterError, poly_eval
+from .numeric import ParameterError, RuntimeGuardError, poly_eval
 
 
 def _candidate_array(n: int, candidates) -> np.ndarray:
@@ -33,7 +34,7 @@ def _candidate_array(n: int, candidates) -> np.ndarray:
 
 
 def root_metric(poly: LocatorPolynomial, n: int, candidates=None) -> np.ndarray:
-    """|g(gamma^q)|^2 for each candidate index q, in candidate order."""
+    """|g(gamma^q)|^2 for each candidate index q, (..., candidates) in candidate order."""
     cand = _candidate_array(n, candidates)
     points = np.exp(-2j * np.pi * cand / n)
     return np.abs(poly_eval(poly.coeffs, points)) ** 2
@@ -44,14 +45,15 @@ def independent_localize(
 ) -> np.ndarray:
     """Indices of the `count` smallest |g(gamma^q)|^2, ties to the smaller index.
 
-    Returns a sorted index array.
+    Returns sorted index arrays, (..., count) for a stack of locators.
     """
     cand = _candidate_array(n, candidates)
     if count > cand.size:
         raise ParameterError(f"cannot pick {count} of {cand.size} candidates")
     metric = root_metric(poly, n, cand)
-    order = np.argsort(metric, kind="stable")  # candidates ascending => stable tie-break
-    return np.sort(cand[order[:count]])
+    # candidates ascending => stable tie-break
+    order = np.argsort(metric, axis=-1, kind="stable")[..., :count]
+    return np.sort(cand[order], axis=-1)
 
 
 def average_locators(polys) -> LocatorPolynomial:
@@ -133,7 +135,7 @@ def joint_localize(
 
     subset_size = min(capability, working.size)
     if comb(working.size, subset_size) > _MAX_SUBSETS:
-        raise ParameterError(
+        raise RuntimeGuardError(
             f"joint search over C({working.size},{subset_size}) subsets is too "
             "large; pass a smaller constraint_length"
         )

@@ -1,7 +1,8 @@
 """Complex linear-algebra and polynomial kernels shared by every other module.
 
-All polynomials are 1-D complex arrays in ascending-degree order. All
-operations here are pure functions over immutable inputs.
+Polynomials are complex arrays in ascending-degree order along the last
+axis; leading axes stack independent problems. All operations here are pure
+functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ class DimensionError(ValueError):
 
 class ParameterError(ValueError):
     """A configuration value is outside its valid range."""
+
+
+class RuntimeGuardError(RuntimeError):
+    """A request would exceed the configured simulation budget."""
 
 
 def as_finite_complex(a, name: str = "array") -> np.ndarray:
@@ -39,52 +44,60 @@ def dft_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LstsqSolution:
-    """Least-squares solution plus conditioning metadata."""
+    """Least-squares solution plus conditioning metadata, one rank and cond per system."""
 
     x: np.ndarray
-    rank: int
-    cond: float
+    rank: np.ndarray
+    cond: np.ndarray
 
 
 def least_squares(a, b) -> LstsqSolution:
-    """Minimize ||a @ x - b||_2.
+    """Minimize ||a @ x - b||_2 for a (..., rows, cols) stack, rows >= cols.
 
-    Returns the minimum-norm solution for rank-deficient systems and a
-    condition estimate from the singular values. Requires at least as many
-    rows as columns.
+    ``b`` is (..., rows) or (..., rows, k). As in np.linalg.lstsq, which does
+    not take stacks, singular values <= eps * max(rows, cols) * s_max count
+    as zero (minimum-norm solution); cond is inf when s_min <= eps * s_max.
     """
     a = as_finite_complex(a, "lhs")
     b = as_finite_complex(b, "rhs")
-    if a.ndim != 2:
-        raise DimensionError("lhs must be a matrix")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"lhs has {a.shape[0]} rows but rhs has {b.shape[0]}")
-    if a.shape[0] < a.shape[1]:
+    vector = b.ndim == a.ndim - 1
+    rhs = b[..., None] if vector else b
+    if a.ndim < 2 or rhs.shape[-2] != a.shape[-2]:
+        raise DimensionError(f"lhs {a.shape} and rhs {b.shape} do not form linear systems")
+    rows, cols = a.shape[-2:]
+    if rows < cols:
         raise DimensionError("system must have rows >= cols")
-    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    if sv.size == 0 or sv[0] == 0.0:
-        cond = np.inf
-    elif sv[-1] <= np.finfo(float).eps * sv[0]:
-        cond = np.inf
-    else:
-        cond = float(sv[0] / sv[-1])
-    return LstsqSolution(x=x, rank=int(rank), cond=cond)
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    s_max, s_min = sv[..., 0], sv[..., -1]
+    eps = np.finfo(float).eps
+    kept = sv > eps * max(rows, cols) * s_max[..., None]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
+    x = vh.conj().swapaxes(-1, -2) @ (inv[..., None] * (u.conj().swapaxes(-1, -2) @ rhs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s_min > eps * s_max, s_max / s_min, np.inf)
+    return LstsqSolution(x=x[..., 0] if vector else x, rank=kept.sum(axis=-1), cond=cond)
 
 
-def numerical_rank(m, rel_tol: float) -> int:
-    """Count singular values above rel_tol times the largest one."""
+def numerical_rank(m, rel_tol: float):
+    """Count singular values above rel_tol times the largest one, per matrix of a stack."""
     if not 0.0 < rel_tol < 1.0:
         raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     m = as_finite_complex(m, "matrix")
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    return np.count_nonzero(sv > rel_tol * sv[..., :1], axis=-1)
 
 
 def poly_eval(coeffs, z):
-    """Horner evaluation of an ascending-order polynomial at scalar or array z."""
+    """Horner evaluation (np.polyval's recurrence) of ascending-order polynomials.
+
+    ``coeffs`` (..., d+1) at scalar or array z gives coeffs.shape[:-1] + z.shape.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size == 0:
+    if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
         raise ParameterError("polynomial needs at least one coefficient")
-    return np.polyval(coeffs[::-1], z)
+    z = np.asarray(z)
+    lift = (...,) + (np.newaxis,) * z.ndim
+    acc = np.zeros(coeffs.shape[:-1] + z.shape, dtype=complex)
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        acc = acc * z + c[lift]
+    return acc

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .codec import FUNCTIONS, EncodingParams
 from .numeric import ParameterError
+from .threat import PRECISION_MODES
 
 LOCALIZATION_MODES = ("independent", "restricted", "joint")
 BASE_MATRIX_MODES = ("all-one", "strong", "weak")
@@ -56,14 +57,25 @@ class Scenario:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.function not in FUNCTIONS:
-            raise ParameterError(f"unknown function {self.function!r}")
-        if self.localization not in LOCALIZATION_MODES:
-            raise ParameterError(f"localization must be one of {LOCALIZATION_MODES}")
-        if self.base_matrix not in BASE_MATRIX_MODES:
-            raise ParameterError(f"base_matrix must be one of {BASE_MATRIX_MODES}")
-        if self.error_count_mode not in ("oracle", "rank"):
-            raise ParameterError("error_count_mode must be 'oracle' or 'rank'")
+        choices = {"function": tuple(FUNCTIONS), "localization": LOCALIZATION_MODES,
+                   "base_matrix": BASE_MATRIX_MODES, "precision_mode": PRECISION_MODES,
+                   "error_count_mode": ("oracle", "rank")}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ParameterError(f"{name} must be one of {allowed}")
+        ranges = {
+            "precision_var": (self.precision_var >= 0, "be non-negative"),
+            "noise_var": (self.noise_var >= 0, "be non-negative"),
+            "weak_zero_prob": (0 < self.weak_zero_prob < 1, "lie in (0, 1)"),
+            "rank_rel_tol": (0 < self.rank_rel_tol < 1, "lie in (0, 1)"),
+            "constraint_length": (self.constraint_length is None
+                                  or self.constraint_length >= 1, "be at least 1"),
+            "trials": (self.trials >= 1, "be at least 1"),
+            "unreliable": (self.unreliable != (), "not be empty (None means every worker)"),
+        }
+        for name, (valid, rule) in ranges.items():
+            if not valid:
+                raise ParameterError(f"{name} must {rule}")
         for name in ("unreliable", "byzantine_locations"):
             idx = getattr(self, name)
             if idx is not None:

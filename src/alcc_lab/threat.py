@@ -61,7 +61,7 @@ def plan_from_effective_base(
     )
 
 
-_PRECISION_MODES = ("synthetic", "locator", "reduced")
+PRECISION_MODES = ("synthetic", "locator", "reduced")
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class PrecisionModel:
     variance: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in _PRECISION_MODES:
-            raise ParameterError(f"mode must be one of {_PRECISION_MODES}")
+        if self.mode not in PRECISION_MODES:
+            raise ParameterError(f"mode must be one of {PRECISION_MODES}")
         if self.variance < 0:
             raise ParameterError("variance must be non-negative")
 

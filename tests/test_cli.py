@@ -54,6 +54,19 @@ class TestSimulateCommand:
         rows = out.read_text().splitlines()
         assert len(rows) == 4
 
+    def test_joint_search_budget_exits_two(self, tmp_path, capsys):
+        # at this seed the independent detections of 8 weak colluders under
+        # heavy locator noise span 23 indices, and C(23, 8) is over the budget
+        cfg = tmp_path / "joint.cfg"
+        cfg.write_text(
+            "[scenario]\n"
+            "sigma_pad = 1\nbyzantine_count = 8\nbase_matrix = weak\n"
+            "weak_zero_prob = 0.3\nprecision_mode = locator\nprecision_var = 0.1\n"
+            "localization = joint\ntrials = 1\nmaster_seed = 0\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "guard:" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):

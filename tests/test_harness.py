@@ -50,6 +50,22 @@ class TestScenario:
         with pytest.raises(ParameterError):
             Scenario(byzantine_count=3, unreliable=(0, 1))
 
+    @pytest.mark.parametrize("field,value", [
+        ("unreliable", ()),
+        ("precision_mode", "exact"),
+        ("precision_var", -1e-3),
+        ("noise_var", -1.0),
+        ("weak_zero_prob", 0.0),
+        ("weak_zero_prob", 1.0),
+        ("rank_rel_tol", 0.0),
+        ("rank_rel_tol", 1.5),
+        ("constraint_length", 0),
+        ("trials", 0),
+    ])
+    def test_invalid_field_rejected_by_name(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            Scenario(**{field: value})
+
     def test_locations_must_match_count(self):
         with pytest.raises(ParameterError, match="byzantine_count"):
             Scenario(byzantine_count=3, byzantine_locations=(0, 4))

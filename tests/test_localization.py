@@ -20,7 +20,8 @@ def code():
 
 
 def noisy(poly, var, rng):
-    return poly.perturbed(complex_normal(rng, 0.0, var, poly.degree + 1))
+    noise = complex_normal(rng, 0.0, var, poly.degree + 1)
+    return LocatorPolynomial(coeffs=poly.coeffs + noise, degree=poly.degree)
 
 
 class TestIndependent:
