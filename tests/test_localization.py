@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from alcc_lab.dft_code import LocatorPolynomial, build_code, true_locator
 from alcc_lab.localization import (
+    JointLocalizationResult,
     average_locators,
     independent_localize,
     joint_localize,
@@ -22,6 +24,110 @@ def code():
 def noisy(poly, var, rng):
     noise = complex_normal(rng, 0.0, var, poly.degree + 1)
     return LocatorPolynomial(coeffs=poly.coeffs + noise, degree=poly.degree)
+
+
+def draw_joint_case(rng, n):
+    """Random joint-search inputs whose working set stays small.
+
+    Degrees are mixed; coefficients are rounded and partly zero, so root
+    metrics and subset scores tie exactly; a candidate set and constraint
+    thinning are each drawn at random (thinning always above capability 3).
+    """
+    capability = int(rng.integers(2, min(8, (n - 1) // 2) + 1))
+    polys = []
+    for _ in range(int(rng.integers(1, 7))):
+        degree = int(rng.integers(1, capability + 1))
+        coeffs = np.round(complex_normal(rng, 0.0, 2.0, degree + 1), 1)
+        coeffs[rng.random(degree + 1) < 0.3] = 0.0
+        polys.append(LocatorPolynomial(coeffs=coeffs, degree=degree))
+    candidates = None
+    if rng.random() < 0.5:
+        size = int(rng.integers(capability, n + 1))
+        candidates = rng.choice(n, size=size, replace=False)
+    constraint = None
+    if capability > 3 or rng.random() < 0.3:
+        constraint = int(rng.integers(capability, capability + 5))
+    return polys, capability, candidates, constraint
+
+
+def per_subset_joint_localize(polys, capability, n, constraint_length=None,
+                              candidates=None, rng=None):
+    """Reference joint search: one Python pass per capability-sized subset.
+
+    Returns the result and the number of other subsets that tie the winner.
+    """
+    cand = np.arange(n) if candidates is None else np.unique(candidates)
+    full_idx = [i for i, p in enumerate(polys) if p.degree == capability]
+    group = []
+    if full_idx:
+        averaged = average_locators([polys[i] for i in full_idx])
+        group.append((averaged, capability, full_idx))
+    for i, p in enumerate(polys):
+        if p.degree < capability:
+            group.append((p, p.degree, [i]))
+
+    initial = set()
+    for poly, degree, _ in group:
+        initial |= set(independent_localize(poly, degree, n, cand).tolist())
+    initial_union = np.array(sorted(initial))
+    working = initial_union
+    used = working.size
+    if constraint_length is not None:
+        used = min(max(1, constraint_length), working.size)
+        if used < working.size:
+            working = np.sort(rng.choice(working, size=used, replace=False))
+
+    subset_size = min(capability, working.size)
+    metrics = [root_metric(poly, n, working) for poly, _, _ in group]
+    best_obj, best_subset, best_picks, totals = np.inf, None, None, []
+    for subset in combinations(range(working.size), subset_size):
+        sel = np.array(subset)
+        total = 0.0
+        picks = []
+        for (_, degree, _), metric in zip(group, metrics):
+            vals = metric[sel]
+            order = np.argsort(vals, kind="stable")[: min(degree, vals.size)]
+            total += float(vals[order].sum())
+            picks.append(np.sort(working[sel[order]]))
+        totals.append(total)
+        if total < best_obj:
+            best_obj, best_subset, best_picks = total, working[sel], picks
+
+    per_poly = [None] * len(polys)
+    for (_, _, members), picked in zip(group, best_picks):
+        for i in members:
+            per_poly[i] = picked
+    union = np.array(sorted(set(np.concatenate(best_picks).tolist())))
+    result = JointLocalizationResult(
+        per_poly=per_poly,
+        union=union,
+        chosen_subset=best_subset,
+        objective=best_obj,
+        initial_union=initial_union,
+        constraint_used=used,
+        union_bound_violated=bool(initial_union.size > capability),
+        subsets_evaluated=len(totals),
+    )
+    return result, totals.count(best_obj) - 1
+
+
+def assert_same_array(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+
+
+def assert_same_result(actual, expected):
+    """Every JointLocalizationResult field equal, arrays in dtype and value."""
+    for f in dataclasses.fields(JointLocalizationResult):
+        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        if f.name == "per_poly":
+            assert len(a) == len(e)
+            for pa, pe in zip(a, e):
+                assert_same_array(pa, pe)
+        elif isinstance(e, np.ndarray):
+            assert_same_array(a, e)
+        else:
+            assert type(a) is type(e) and a == e, f.name
 
 
 class TestIndependent:
@@ -147,30 +253,33 @@ class TestJoint:
         assert first.constraint_used == 5
 
     def test_objective_is_certified_minimum(self):
-        # re-enumerate the search space independently and compare; the search
-        # scores the averaged full-degree polynomial plus each lower-degree one
+        # the search must return exactly what the per-subset reference loop
+        # returns, field for field, on a noisy round and on random inputs
         code = build_code(15, 7)
         rng = np.random.default_rng(5)
         support = np.array([2, 6, 10, 13])
         full = [noisy(true_locator(code, support), 0.5, rng) for _ in range(3)]
         low = [noisy(true_locator(code, support[:3]), 0.5, rng) for _ in range(2)]
         low.append(noisy(true_locator(code, support[:2]), 0.5, rng))
-        result = joint_localize(full + low, capability=4, n=15)
-        working = result.initial_union
-        assert working.size <= 12
-        scored = [average_locators(full)] + low
-        size = min(4, working.size)
-        best = np.inf
-        for subset in combinations(working.tolist(), size):
-            total = 0.0
-            for poly in scored:
-                metric = root_metric(poly, 15, np.array(subset))
-                total += float(np.sort(metric)[: poly.degree].sum())
-            best = min(best, total)
-        assert np.isclose(result.objective, best)
-        assert result.subsets_evaluated == len(
-            list(combinations(working.tolist(), size))
-        )
+        expected, _ = per_subset_joint_localize(full + low, 4, 15)
+        assert_same_result(joint_localize(full + low, capability=4, n=15), expected)
+
+        tied = 0
+        for n in (7, 11, 15, 31):
+            for _ in range(200):
+                polys, capability, candidates, constraint = draw_joint_case(rng, n)
+                seed = int(rng.integers(2**32))
+                expected, ties = per_subset_joint_localize(
+                    polys, capability, n, constraint, candidates,
+                    np.random.default_rng(seed),
+                )
+                result = joint_localize(
+                    polys, capability, n, constraint, candidates,
+                    np.random.default_rng(seed),
+                )
+                assert_same_result(result, expected)
+                tied += ties > 0
+        assert tied > 0  # the lexicographic tie-break was exercised
 
     def test_monte_carlo_joint_beats_independent(self):
         code = build_code(31, 15)
