@@ -124,6 +124,8 @@ def solve_assignment(
         return AssignmentSolution(subset, obj, log_obj, count, "exhaustive")
     if search != "beam":
         raise ParameterError(f"unknown search mode {search!r}")
+    if beam_width < 1:
+        raise ParameterError(f"beam_width must be at least 1, got {beam_width}")
 
     a = prob.byzantine_count
     frontier = [(i,) for i in range(n)]

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numeric import DimensionError, ParameterError, as_finite_complex, least_squares
+from .numeric import DimensionError, ParameterError, as_finite_complex, least_squares, poly_eval
 
 
 class InsufficientEvaluationsError(ValueError):
@@ -184,13 +184,8 @@ def reconstruct(
             coeffs = least_squares(vand, flat).x
 
     # evaluate the fitted polynomial back at the first k encoding nodes
-    out = np.empty((params.k, u * h), dtype=complex)
-    for j, z in enumerate(params.encoding_nodes[: params.k]):
-        acc = np.zeros(u * h, dtype=complex)
-        for c in range(kdim - 1, -1, -1):
-            acc = acc * z + coeffs[c]
-        out[j] = acc
-    return out.real.reshape(params.k, u, h)
+    out = poly_eval(coeffs.T, params.encoding_nodes[: params.k])  # (u*h, k)
+    return out.T.real.reshape(params.k, u, h)
 
 
 def relative_error(y_ref, y_est) -> float:

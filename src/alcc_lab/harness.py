@@ -171,7 +171,7 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
     capability_exceeded = False
 
     if scenario.decoder:
-        code = dft_code.build_code(scenario.n_workers, scenario.code_dimension)
+        code = dft_code.build_code(scenario.n_workers, params.code_dimension)
         syndromes = dft_code.syndrome(code, r_eff)
         if scenario.error_count_mode == "oracle":
             true_counts = b_eff.sum(axis=1)

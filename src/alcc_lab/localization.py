@@ -5,19 +5,21 @@ orders |g(gamma^q)|^2 over candidate indices instead of extracting roots.
 Three strategies: independent per polynomial, restricted to an unreliable
 index set (independent with a candidate set), and joint across all
 polynomials of one decoding round. The independent strategy also takes a
-stack of locators that share one degree.
+stack of locators that share one degree. The joint strategy scores all
+capability-sized subsets of its working set in one array pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
-# largest candidate-subset enumeration accepted before demanding a
-# constraint length; C(20, 8) sits just under this
+# largest subset count the joint search scores before demanding a constraint
+# length; its (S, size) index, metric and sorted arrays grow with it, and
+# C(20, 8) = 125,970 subsets of 8 take about 8 MB each
 _MAX_SUBSETS = 200_000
 
 from .dft_code import LocatorPolynomial
@@ -96,8 +98,9 @@ def joint_localize(
     lower-degree ones stay individual. Candidate roots are the union of the
     per-polynomial independent detections, optionally thinned to a random
     subset of size `constraint_length`. Every capability-sized subset of the
-    working set is scored by the summed smallest evaluations and the minimum
-    wins (ties to the lexicographically smallest subset).
+    working set is scored, in one array pass, by the summed smallest
+    evaluations of each scored polynomial, and the minimum wins (ties to the
+    lexicographically smallest subset).
 
     Returns detected sets aligned with the input polynomial order; inputs of
     degree `capability` all share the averaged polynomial's detection.
@@ -118,10 +121,9 @@ def joint_localize(
     for i in low_idx:
         group.append((polys[i], polys[i].degree, [i]))
 
-    initial = set()
-    for poly, degree, _ in group:
-        initial |= set(independent_localize(poly, degree, n, cand).tolist())
-    initial_union = np.array(sorted(initial))
+    initial_union = np.unique(np.concatenate(
+        [independent_localize(poly, degree, n, cand) for poly, degree, _ in group]
+    ))
 
     violated = initial_union.size > capability
     working = initial_union
@@ -134,44 +136,37 @@ def joint_localize(
             working = np.sort(rng.choice(working, size=used, replace=False))
 
     subset_size = min(capability, working.size)
-    if comb(working.size, subset_size) > _MAX_SUBSETS:
+    evaluated = comb(working.size, subset_size)
+    if evaluated > _MAX_SUBSETS:
         raise RuntimeGuardError(
             f"joint search over C({working.size},{subset_size}) subsets is too "
             "large; pass a smaller constraint_length"
         )
-    metrics = [root_metric(poly, n, working) for poly, _, _ in group]
-
-    best_obj = np.inf
-    best_subset = None
-    best_picks = None
-    evaluated = 0
-    for subset in combinations(range(working.size), subset_size):
-        sel = np.array(subset)
-        evaluated += 1
-        total = 0.0
-        picks = []
-        for (poly, degree, _), metric in zip(group, metrics):
-            vals = metric[sel]
-            take = min(degree, vals.size)
-            order = np.argsort(vals, kind="stable")[:take]
-            total += float(vals[order].sum())
-            picks.append(np.sort(working[sel[order]]))
-        if total < best_obj:  # strict: first (lexicographic) subset wins ties
-            best_obj = total
-            best_subset = working[sel]
-            best_picks = picks
+    # (S, size) positions into `working`, lexicographic
+    subsets = np.fromiter(
+        chain.from_iterable(combinations(range(working.size), subset_size)),
+        dtype=int, count=evaluated * subset_size,
+    ).reshape(evaluated, subset_size)
+    scores = np.zeros(evaluated)
+    for poly, degree, _ in group:
+        vals = root_metric(poly, n, working)[subsets]
+        vals.sort(axis=-1)
+        scores += vals[:, :degree].sum(axis=-1)
+    best = int(np.argmin(scores))  # first minimum: lexicographic tie-break
+    chosen = working[subsets[best]]
+    picks = [independent_localize(poly, min(degree, subset_size), n, chosen)
+             for poly, degree, _ in group]
 
     per_poly: list = [None] * len(polys)
-    for (_, _, members), picked in zip(group, best_picks):
+    for (_, _, members), picked in zip(group, picks):
         for i in members:
             per_poly[i] = picked
-    union = np.array(sorted(set(np.concatenate(best_picks).tolist()))) if best_picks else np.array([], dtype=int)
 
     return JointLocalizationResult(
         per_poly=per_poly,
-        union=union,
-        chosen_subset=best_subset,
-        objective=best_obj,
+        union=np.unique(np.concatenate(picks)),
+        chosen_subset=chosen,
+        objective=float(scores[best]),
         initial_union=initial_union,
         constraint_used=used,
         union_bound_violated=bool(violated),

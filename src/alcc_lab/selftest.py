@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from . import dft_code, localization
+from .numeric import ParameterError
 from .threat import complex_normal
 
 DEFAULT_CODES = ((7, 3), (11, 7), (15, 7))
@@ -66,6 +67,10 @@ def run_exhaustive_decode_check(
     seed: int = 2024,
     log=None,
 ) -> SelftestReport:
+    if values_per_support < 1:
+        raise ParameterError(
+            f"values_per_support must be at least 1, got {values_per_support}"
+        )
     rng = np.random.default_rng(seed)
     supports = 0
     decodes = 0

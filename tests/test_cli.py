@@ -101,6 +101,12 @@ class TestOptimizeAssignmentCommand:
                      "--count", "2"])
         assert code == 2
 
+    def test_zero_beam_width_exits_one(self, capsys):
+        code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
+                     "--search", "beam", "--beam-width", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: beam_width")
+
 
 class TestAttackDesignCommand:
     def test_strong_design_csv(self, tmp_path):
@@ -127,3 +133,9 @@ class TestSelftestCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "failures=0" in out
+
+    @pytest.mark.parametrize("values", ["0", "-1"])
+    def test_values_below_one_exit_one(self, values, capsys):
+        code = main(["selftest", "--values-per-support", values])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: values_per_support")

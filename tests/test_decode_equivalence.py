@@ -8,7 +8,8 @@ last bits of ``e_rel`` but must not change a detected support. The grids
 cover oracle counting with independent localization on all-one base matrices
 (byzantine), the joint search with constraint length 8 on weak-collusion
 bases (collusion), and locator-coefficient noise (joint_vs_independent,
-independent half only; its joint half takes tens of seconds).
+independent half only: its joint half took tens of seconds when the
+fixture was written).
 """
 
 import csv
