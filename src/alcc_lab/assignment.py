@@ -204,8 +204,18 @@ def relative_error_baseline(
     """
     from . import harness  # local import: harness sits above this module
 
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     if candidates is None:
-        candidates = list(combinations(range(prob.n_workers), prob.unreliable_count))
+        candidates = combinations(range(prob.n_workers), prob.unreliable_count)
+    candidates = [tuple(sorted(int(i) for i in subset)) for subset in candidates]
+    if not candidates:
+        raise ParameterError("the candidate list is empty")
+    for subset in candidates:
+        if len(subset) != prob.unreliable_count:
+            raise ParameterError(
+                f"candidate {subset} does not have {prob.unreliable_count} indices"
+            )
     total = len(candidates) * trials
     if total > max_simulations and not force:
         raise RuntimeGuardError(
@@ -215,7 +225,6 @@ def relative_error_baseline(
     seeds = harness.trial_seeds(seed, 0, trials)
     table = {}
     for subset in candidates:
-        subset = tuple(sorted(int(i) for i in subset))
         sc = scenario.with_updates(unreliable=subset)
         errors = [harness.run_trial(sc, s).e_rel for s in seeds]
         table[subset] = float(np.mean(errors))

@@ -128,6 +128,8 @@ def localization_upper_bound(
     objective rather than a certified bound on the empirical rate.
     """
     support = sorted(int(q) for q in support)
+    if len(set(support)) != len(support) or not all(0 <= q < n for q in support):
+        raise ParameterError(f"support must be distinct indices in 0..{n - 1}, got {support}")
     if not support:
         return UnionBound(value=0.0, raw_sum=0.0, pair_count=0)
     others = [j for j in range(n) if j not in support]

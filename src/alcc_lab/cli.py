@@ -118,6 +118,10 @@ def _cmd_bounds(args) -> int:
     sigmas = [float(tok) for tok in args.sigma_grid.split(",") if tok.strip()]
     if args.support:
         support = sorted(int(tok) for tok in args.support.split(","))
+        if len(support) != args.count:
+            raise ParameterError(
+                f"--support lists {len(support)} indices but --count is {args.count}"
+            )
     else:
         support = list(range(args.count))
     rows = [("n", "count", "eta", "sigma_p2", "union_surrogate", "dominant_term")]

@@ -90,7 +90,9 @@ class LocatorPolynomial:
 
     coeffs: np.ndarray  # (..., degree + 1)
     degree: int
-    cond: np.ndarray | float = np.nan  # (...)
+    # (...) Frobenius condition number ||A||_F ||pinv(A)||_F of the syndrome
+    # system, from the QR solve or, where lstsq would cut, the SVD; nan if unsolved
+    cond: np.ndarray | float = np.nan
 
     def __post_init__(self):
         if self.coeffs.shape[-1] != self.degree + 1:

@@ -44,38 +44,81 @@ def dft_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LstsqSolution:
-    """Least-squares solution plus conditioning metadata, one rank and cond per system."""
+    """Least-squares solution plus conditioning metadata, one rank and cond per system.
+
+    ``cond`` is the Frobenius condition number ||a||_F * ||pinv(a)||_F, which
+    lies in [kappa_2, cols * kappa_2]; it is inf for a system whose smallest
+    singular value is at most eps times its largest.
+    """
 
     x: np.ndarray
     rank: np.ndarray
     cond: np.ndarray
 
 
+_EPS = np.finfo(float).eps
+
+
 def least_squares(a, b) -> LstsqSolution:
     """Minimize ||a @ x - b||_2 for a (..., rows, cols) stack, rows >= cols.
 
-    ``b`` is (..., rows) or (..., rows, k). As in np.linalg.lstsq, which does
-    not take stacks, singular values <= eps * max(rows, cols) * s_max count
-    as zero (minimum-norm solution); cond is inf when s_min <= eps * s_max.
+    ``b`` is (..., rows) or (..., rows, k) with the same leading axes as ``a``.
+    Each system is solved by Householder QR, x = R^-1 Q^H b, and cond comes
+    from the same R^-1 as ||R||_F * ||R^-1||_F. Only the systems with cond >=
+    1 / (eps * max(rows, cols)), or with a zero or non-finite diagonal of R,
+    are solved again by SVD as np.linalg.lstsq (which does not take stacks)
+    solves them: singular values <= eps * max(rows, cols) * s_max count as
+    zero and x is the minimum-norm solution. Every system lstsq would cut
+    meets that test, so rank and x differ from the full-rank QR answer only
+    there.
     """
     a = as_finite_complex(a, "lhs")
     b = as_finite_complex(b, "rhs")
     vector = b.ndim == a.ndim - 1
     rhs = b[..., None] if vector else b
-    if a.ndim < 2 or rhs.shape[-2] != a.shape[-2]:
+    if a.ndim < 2 or rhs.shape[:-1] != a.shape[:-1]:
         raise DimensionError(f"lhs {a.shape} and rhs {b.shape} do not form linear systems")
     rows, cols = a.shape[-2:]
     if rows < cols:
         raise DimensionError("system must have rows >= cols")
+    # QR of [a | b] leaves R in its leading cols x cols block and Q^H b beside it
+    r_aug = np.linalg.qr(np.concatenate([a, rhs], axis=-1), mode="r")
+    r, qhb = r_aug[..., :cols, :cols], r_aug[..., :cols, cols:]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    singular = ~(np.isfinite(diag) & (diag != 0)).all(axis=-1)
+    if singular.any():
+        # an exactly singular R would make inv raise for the whole stack
+        r[singular] = np.eye(cols)
+    r_inv = np.linalg.inv(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = r_inv @ qhb
+        cond = np.asarray(np.sqrt(_frobenius_sq(r) * _frobenius_sq(r_inv)))
+    # written as a negation so that a NaN cond falls back too
+    fallback = singular | ~(cond < 1.0 / (_EPS * max(rows, cols)))
+    rank = np.full(a.shape[:-2], cols)
+    if fallback.any():
+        x[fallback], rank[fallback], cond[fallback] = _svd_least_squares(
+            a[fallback], rhs[fallback]
+        )
+    return LstsqSolution(x=x[..., 0] if vector else x, rank=rank, cond=cond)
+
+
+def _frobenius_sq(m):
+    return np.square(np.abs(m)).sum(axis=(-2, -1))
+
+
+def _svd_least_squares(a, rhs):
+    """np.linalg.lstsq's x and rank, and the Frobenius cond, for a stack with matrix rhs."""
+    rows, cols = a.shape[-2:]
     u, sv, vh = np.linalg.svd(a, full_matrices=False)
-    s_max, s_min = sv[..., 0], sv[..., -1]
-    eps = np.finfo(float).eps
-    kept = sv > eps * max(rows, cols) * s_max[..., None]
+    kept = sv > _EPS * max(rows, cols) * sv[..., :1]
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
     x = vh.conj().swapaxes(-1, -2) @ (inv[..., None] * (u.conj().swapaxes(-1, -2) @ rhs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(s_min > eps * s_max, s_max / s_min, np.inf)
-    return LstsqSolution(x=x[..., 0] if vector else x, rank=kept.sum(axis=-1), cond=cond)
+    well_posed = sv[..., -1] > _EPS * sv[..., 0]
+    # singular values relative to the largest lie in (eps, 1] where cond is finite
+    t = np.divide(sv, sv[..., :1], out=np.ones_like(sv), where=well_posed[..., None])
+    cond = np.where(well_posed, np.sqrt((t**2).sum(-1) * (t**-2.0).sum(-1)), np.inf)
+    return x, kept.sum(axis=-1), cond
 
 
 def numerical_rank(m, rel_tol: float):

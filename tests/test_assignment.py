@@ -149,3 +149,23 @@ class TestEmpiricalBaseline:
         )
         assert result.table[(0, 2, 5, 8, 10)] < result.table[(0, 1, 2, 3, 4)]
         assert result.subset == (0, 2, 5, 8, 10)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)
+        with pytest.raises(ParameterError, match="trials"):
+            relative_error_baseline(
+                prob, self._scenario(), trials=trials, seed=0, candidates=[(0, 1, 2)]
+            )
+
+    def test_candidate_of_wrong_size_rejected(self):
+        prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)
+        with pytest.raises(ParameterError, match="3 indices"):
+            relative_error_baseline(
+                prob, self._scenario(), trials=1, seed=0, candidates=[(0, 1, 2), (0, 1)]
+            )
+
+    def test_empty_candidate_list_rejected(self):
+        prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)
+        with pytest.raises(ParameterError, match="empty"):
+            relative_error_baseline(prob, self._scenario(), trials=1, seed=0, candidates=[])

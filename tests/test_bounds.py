@@ -133,6 +133,11 @@ class TestUnionBound:
         assert bound.value <= 1.0
         assert bound.clamped == (bound.raw_sum > 1.0)
 
+    @pytest.mark.parametrize("support", [[3, 3], [0, 11], [-1, 2]])
+    def test_repeated_or_out_of_range_support_rejected(self, support):
+        with pytest.raises(ParameterError, match="distinct indices"):
+            localization_upper_bound(11, support, 0.1, 10.0)
+
 
 class TestDominantTerm:
     def test_nondecreasing_in_count(self):

@@ -87,6 +87,25 @@ class TestBoundsCommand:
         assert rows[0][0] == "n"
         assert len(rows) == 3
 
+    def test_support_sets_the_rows(self, capsys):
+        code = main(["bounds", "--n", "11", "--count", "2", "--support", "0,3",
+                     "--sigma-grid", "1e-2"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("11,2,")
+
+    @pytest.mark.parametrize(
+        "count,support,message",
+        [("3", "0,1", "--support lists 2 indices but --count is 3"),
+         ("2", "3,3", "distinct indices in 0..10"),
+         ("2", "0,20", "distinct indices in 0..10")],
+    )
+    def test_bad_support_exits_one(self, capsys, count, support, message):
+        code = main(["bounds", "--n", "11", "--count", count, "--support", support,
+                     "--sigma-grid", "1e-2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestOptimizeAssignmentCommand:
     def test_reports_reported_class(self, capsys):

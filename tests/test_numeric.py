@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcc_lab import dft_code
+from alcc_lab import dft_code, numeric
 from alcc_lab.numeric import (
     DimensionError,
     ParameterError,
@@ -131,7 +131,7 @@ class TestLeastSquaresAgainstLstsq:
         rng = np.random.default_rng(11)
         rows, cols = 8, 4
         cutoff = EPS * max(rows, cols)
-        smallest = cutoff * np.array([1e10, 1e4, 30.0, 3.0, 0.1, 1e-3, 0.0])
+        smallest = cutoff * np.array([1e10, 1e4, 30.0, 3.0, 0.4, 0.1, 1e-3, 0.0])
         sv = np.repeat(np.geomspace(1.0, 1e-3, cols - 1)[None], 3 * smallest.size, 0)
         sv = np.column_stack([sv, np.tile(smallest, 3)])
         a = _with_singular_values(rng, sv, rows)
@@ -256,3 +256,27 @@ class TestPolyEval:
         naive = sum(c * z**j for j, c in enumerate(coeffs))
         fast = poly_eval(coeffs, z)
         assert abs(fast - naive) <= 1e-12 * max(1.0, abs(naive))
+
+
+class TestLeastSquaresPaths:
+    def test_only_cut_systems_are_solved_by_svd(self, monkeypatch):
+        solved = []
+        svd_solve = numeric._svd_least_squares
+
+        def spy(a, rhs):
+            solved.append(a.shape[0])
+            return svd_solve(a, rhs)
+
+        monkeypatch.setattr(numeric, "_svd_least_squares", spy)
+        rng = np.random.default_rng(16)
+        a = _crandn(rng, 8, 5, 3)
+        a[2, :, 1] = 0.0  # exactly singular R
+        a[5, :, 2] = a[5, :, 0]  # R diagonal at rounding level
+        least_squares(a, _crandn(rng, 8, 5))
+        assert solved == [2]
+
+    def test_cond_is_frobenius_condition_number(self):
+        rng = np.random.default_rng(17)
+        a = _crandn(rng, 20, 6, 4)
+        expected = [np.linalg.norm(m) * np.linalg.norm(np.linalg.pinv(m)) for m in a]
+        assert np.allclose(least_squares(a, _crandn(rng, 20, 6)).cond, expected, rtol=1e-10)
