@@ -207,21 +207,25 @@ def relative_error_baseline(
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     if candidates is None:
-        candidates = combinations(range(prob.n_workers), prob.unreliable_count)
-    candidates = [tuple(sorted(int(i) for i in subset)) for subset in candidates]
-    if not candidates:
-        raise ParameterError("the candidate list is empty")
-    for subset in candidates:
-        if len(subset) != prob.unreliable_count:
-            raise ParameterError(
-                f"candidate {subset} does not have {prob.unreliable_count} indices"
-            )
-    total = len(candidates) * trials
+        n_candidates = math.comb(prob.n_workers, prob.unreliable_count)
+    else:
+        candidates = [tuple(sorted(int(i) for i in subset)) for subset in candidates]
+        if not candidates:
+            raise ParameterError("the candidate list is empty")
+        for subset in candidates:
+            if len(subset) != prob.unreliable_count:
+                raise ParameterError(
+                    f"candidate {subset} does not have {prob.unreliable_count} indices"
+                )
+        n_candidates = len(candidates)
+    total = n_candidates * trials
     if total > max_simulations and not force:
         raise RuntimeGuardError(
             f"{total} simulations exceed the guard of {max_simulations}; "
             "pass force=True to override"
         )
+    if candidates is None:
+        candidates = combinations(range(prob.n_workers), prob.unreliable_count)
     seeds = harness.trial_seeds(seed, 0, trials)
     table = {}
     for subset in candidates:

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from alcc_lab import assignment as assignment_mod
 from alcc_lab.assignment import (
     AssignmentProblem,
     RuntimeGuardError,
@@ -129,6 +130,16 @@ class TestEmpiricalBaseline:
         prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
         with pytest.raises(RuntimeGuardError):
             relative_error_baseline(prob, self._scenario(), trials=1000, seed=0)
+
+    def test_guard_trips_before_listing_subsets(self, monkeypatch):
+        # C(40, 20) subsets would exhaust memory long before the guard
+        def refuse(*args):
+            raise AssertionError("subsets listed before the guard")
+
+        monkeypatch.setattr(assignment_mod, "combinations", refuse)
+        prob = AssignmentProblem(n_workers=40, unreliable_count=20, byzantine_count=2)
+        with pytest.raises(RuntimeGuardError):
+            relative_error_baseline(prob, self._scenario(), trials=1, seed=0)
 
     def test_no_adversary_is_non_discriminative(self):
         # without Byzantine noise every assignment produces the same trials

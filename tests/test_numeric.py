@@ -150,8 +150,9 @@ class TestLeastSquaresAgainstLstsq:
         a[3] = 0.0
         b = _crandn(rng, 4, 6)
         _assert_matches_lstsq(a, b)
-        assert least_squares(a, b).rank.tolist() == [2, 2, 1, 0]
-        assert least_squares(a, b).x[0, 1] == 0.0
+        sol = least_squares(a, b)
+        assert sol.rank.tolist() == [2, 2, 1, 0]
+        assert sol.x[0, 1] == 0.0
 
     def test_mixed_stack_rows_solve_as_alone(self):
         rng = np.random.default_rng(13)
