@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from alcc_lab.scenario import (
     SweepSpec,
     load_config,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def clean_scenario(**overrides):
@@ -86,6 +89,25 @@ class TestScenario:
         c = Scenario(master_seed=2, trials=10)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+    @pytest.mark.parametrize("source,expected", [
+        ("default", "f8fd6fcd4115"),
+        ("byzantine_sweep.cfg", "9208d8181b45"),
+        ("collusion_sweep.cfg", "3659f42e4d1b"),
+        ("joint_vs_independent.cfg", "139f1edb4abc"),
+        ("unreliable pool", "b9f01985ef0f"),
+    ])
+    def test_digest_is_pinned(self, source, expected):
+        # the trial and aggregate CSVs carry the digest, so it must not drift
+        if source == "default":
+            sc = Scenario()
+        elif source == "unreliable pool":
+            sc = Scenario(n_workers=11, k=2, t=2, unreliable=(6, 0, 2, 4),
+                          byzantine_count=2, byzantine_locations=(4, 2),
+                          localization="restricted")
+        else:
+            sc, _ = load_config(CONFIG_DIR / source)
+        assert sc.digest() == expected
 
     def test_candidate_pool_resolution(self):
         assert Scenario().candidate_pool() == tuple(range(31))
@@ -231,10 +253,7 @@ class TestConfigFiles:
             load_config(tmp_path / "nope.cfg")
 
     def test_shipped_configs_parse(self):
-        from pathlib import Path
-
-        cfg_dir = Path(__file__).resolve().parent.parent / "configs"
-        for cfg in sorted(cfg_dir.glob("*.cfg")):
+        for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             scenario, spec = load_config(cfg)
             assert scenario.n_workers >= scenario.code_dimension
 
