@@ -199,7 +199,8 @@ def relative_error_baseline(
 
     Runs `trials` seeded end-to-end simulations per candidate subset of the
     given scenario (the scenario's unreliable set is overridden per
-    candidate). Refuses to exceed `max_simulations` total runs unless forced.
+    candidate; every candidate's scenario is built, and so validated, before
+    the first trial). Refuses to exceed `max_simulations` total runs unless forced.
     Trial seeds are shared across candidates so the comparison is paired.
     """
     from . import harness  # local import: harness sits above this module
@@ -226,10 +227,16 @@ def relative_error_baseline(
         )
     if candidates is None:
         candidates = combinations(range(prob.n_workers), prob.unreliable_count)
+    # build, and so validate, every candidate's scenario before the first trial
+    scenarios = []
+    for subset in candidates:
+        try:
+            scenarios.append((subset, scenario.with_updates(unreliable=subset)))
+        except ParameterError as exc:
+            raise ParameterError(f"candidate {subset}: {exc}") from exc
     seeds = harness.trial_seeds(seed, 0, trials)
     table = {}
-    for subset in candidates:
-        sc = scenario.with_updates(unreliable=subset)
+    for subset, sc in scenarios:
         errors = [harness.run_trial(sc, s).e_rel for s in seeds]
         table[subset] = float(np.mean(errors))
     best = min(table, key=lambda k: (table[k], k))

@@ -1,10 +1,12 @@
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from alcc_lab import assignment as assignment_mod
+from alcc_lab import harness
 from alcc_lab.assignment import (
     AssignmentProblem,
     RuntimeGuardError,
@@ -175,6 +177,21 @@ class TestEmpiricalBaseline:
             relative_error_baseline(
                 prob, self._scenario(), trials=1, seed=0, candidates=[(0, 1, 2), (0, 1)]
             )
+
+    def test_invalid_candidate_fails_before_any_trial(self, monkeypatch):
+        calls = []
+
+        def counting_trial(sc, seed):
+            calls.append(sc.unreliable)
+            return SimpleNamespace(e_rel=1.0)
+
+        monkeypatch.setattr(harness, "run_trial", counting_trial)
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        scenario = self._scenario().with_updates(byzantine_count=2,
+                                                 byzantine_locations=(0, 1))
+        with pytest.raises(ParameterError, match="unreliable pool"):
+            relative_error_baseline(prob, scenario, trials=1, seed=0)
+        assert calls == []
 
     def test_empty_candidate_list_rejected(self):
         prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)
