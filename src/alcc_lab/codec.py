@@ -5,20 +5,22 @@ which is evaluated at the N-th roots of unity; workers apply a degree-D
 matrix polynomial to their share, and the master recovers the block outputs
 by interpolating the composed polynomial and evaluating it back at the
 encoding nodes.
+
+The share basis (the Lagrange basis over the encoding nodes, evaluated at
+the N roots of unity) depends only on the `EncodingParams`, so it is built
+once per distinct (frozen, hashable) `EncodingParams` value and shared,
+read-only, by every later encode.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numeric import DimensionError, ParameterError, as_finite_complex, least_squares, poly_eval
-
-
-class InsufficientEvaluationsError(ValueError):
-    """Fewer evaluations than the interpolation degree requires."""
+from .numeric import DimensionError, ParameterError, as_finite_complex, poly_eval
 
 
 class MetricError(ValueError):
@@ -129,6 +131,14 @@ def lagrange_basis(params: EncodingParams, z) -> np.ndarray:
     return out[0] if scalar else out
 
 
+@functools.lru_cache(maxsize=128)
+def _share_basis(params: EncodingParams) -> np.ndarray:
+    """Read-only (N, k+t) Lagrange basis at the N-th roots of unity, one per params."""
+    basis = lagrange_basis(params, params.eval_points)
+    basis.flags.writeable = False
+    return basis
+
+
 def encode_shares(batch, params: EncodingParams) -> np.ndarray:
     """Evaluate the encoding polynomial at the N-th roots of unity, (N, m, n)."""
     stacked = np.asarray(batch)
@@ -136,52 +146,23 @@ def encode_shares(batch, params: EncodingParams) -> np.ndarray:
         raise ParameterError(
             f"batch holds {stacked.shape[0]} matrices, expected {params.nodes}"
         )
-    basis = lagrange_basis(params, params.eval_points)  # (N, k+t)
-    return np.einsum("ir,rmn->imn", basis, stacked)
+    return np.einsum("ir,rmn->imn", _share_basis(params), stacked)
 
 
-def reconstruct(
-    returns,
-    params: EncodingParams,
-    eval_indices=None,
-) -> np.ndarray:
-    """Recover the k block outputs from worker returns.
+def reconstruct(returns, params: EncodingParams) -> np.ndarray:
+    """Recover the k block outputs from all N worker returns.
 
-    `returns` stacks per-evaluation output matrices as (count, u, h), aligned
-    with `eval_indices` (default: all N evaluations in order). With all N
-    evaluations present the interpolation is an inverse DFT truncated to K
-    coefficients; with a subset (at least K values) the Vandermonde system is
-    solved by least squares. Outputs are projected to their real part.
+    `returns` stacks the per-evaluation output matrices as (N, u, h), in
+    evaluation order. The interpolation is an inverse DFT truncated to K
+    coefficients. Outputs are projected to their real part.
     """
     returns = as_finite_complex(returns, "returns")
     if returns.ndim != 3:
         raise DimensionError("returns must be stacked as (count, u, h)")
-    n = params.n_workers
-    kdim = params.code_dimension
     count, u, h = returns.shape
-    flat = returns.reshape(count, u * h)
-
-    if eval_indices is None:
-        if count != n:
-            raise InsufficientEvaluationsError(
-                f"expected all {n} evaluations when no indices are given, got {count}"
-            )
-        coeffs = np.fft.ifft(flat, axis=0)[:kdim]  # (K, u*h)
-    else:
-        eval_indices = np.asarray(eval_indices, dtype=int)
-        if eval_indices.shape[0] != count:
-            raise DimensionError("eval_indices must match the number of returns")
-        if count < kdim:
-            raise InsufficientEvaluationsError(
-                f"need at least K={kdim} evaluations, got {count}"
-            )
-        if count == n and np.array_equal(np.sort(eval_indices), np.arange(n)):
-            order = np.argsort(eval_indices)
-            coeffs = np.fft.ifft(flat[order], axis=0)[:kdim]
-        else:
-            points = params.eval_points[eval_indices]
-            vand = points[:, None] ** np.arange(kdim)[None, :]
-            coeffs = least_squares(vand, flat).x
+    if count != params.n_workers:
+        raise DimensionError(f"expected all {params.n_workers} evaluations, got {count}")
+    coeffs = np.fft.ifft(returns.reshape(count, u * h), axis=0)[: params.code_dimension]
 
     # evaluate the fitted polynomial back at the first k encoding nodes
     out = poly_eval(coeffs.T, params.encoding_nodes[: params.k])  # (u*h, k)

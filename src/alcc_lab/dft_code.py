@@ -6,10 +6,15 @@ blocks are: syndrome projection, error-count estimation (Hankel rank),
 locator-polynomial solve, and error-value recovery/subtraction. Each block
 takes one codeword (its syndrome, locator, ...) or a stack of them along
 leading axes; a stack shares one error count or one detected-set size.
+
+A code depends only on (N, K), so `build_code` builds each one once and
+returns the same `DftCode`, with read-only generator and parity, to every
+caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +55,16 @@ class DftCode:
 
 
 def build_code(n: int, k: int) -> DftCode:
+    """The (N, K) DFT code, built on the first call for (n, k) and shared after."""
+    return _cached_code(n, k)
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_code(n: int, k: int) -> DftCode:
     if not 1 <= k < n:
         raise ParameterError(f"need 1 <= K < N, got N={n}, K={k}")
     w = dft_matrix(n)
+    w.flags.writeable = False  # generator and parity are views of w
     return DftCode(n=n, k=k, generator=w[:k], parity=w[k:])
 
 

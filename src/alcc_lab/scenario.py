@@ -132,11 +132,20 @@ class Scenario:
         return dataclasses.replace(self, **changes)
 
     def digest(self) -> str:
-        """Stable short hash identifying the scenario (excludes trial count)."""
-        items = dataclasses.asdict(self)
-        items.pop("trials")
-        canonical = ";".join(f"{k}={items[k]!r}" for k in sorted(items))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        """Stable short hash identifying the scenario (excludes trial count).
+
+        Hashes ``name=repr(value)`` over the sorted field names; computed on
+        the first call and kept on the (frozen) instance.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            canonical = ";".join(f"{name}={getattr(self, name)!r}" for name in _DIGEST_FIELDS)
+            cached = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+            object.__setattr__(self, "_digest", cached)
+        return cached
+
+
+_DIGEST_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(Scenario) if f.name != "trials"))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ class ByzantinePlan:
             raise ParameterError("byzantine locations must be distinct")
         if self.bases.shape[0] != len(self.locations):
             raise ParameterError("one base matrix per byzantine location required")
-        if not np.isin(self.bases, (0, 1)).all():
+        if not ((self.bases == 0) | (self.bases == 1)).all():
             raise ParameterError("base matrices must be binary")
 
     @property

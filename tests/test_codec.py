@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcc_lab import dft_code
+from alcc_lab import codec, dft_code
 from alcc_lab.codec import (
     FUNCTIONS,
     GRAM,
     IDENTITY,
     EncodingParams,
-    InsufficientEvaluationsError,
     MetricError,
     db,
     encode_shares,
@@ -18,7 +17,7 @@ from alcc_lab.codec import (
     reconstruct,
     relative_error,
 )
-from alcc_lab.numeric import ParameterError
+from alcc_lab.numeric import DimensionError, ParameterError
 
 
 def small_params(**overrides):
@@ -64,6 +63,16 @@ class TestLagrangeBasis:
         radius = 2 * params.beta * np.sqrt(rng.uniform())
         z = radius * np.exp(2j * np.pi * rng.uniform())
         assert abs(lagrange_basis(params, z).sum() - 1.0) <= 1e-9
+
+
+class TestShareBasisCache:
+    def test_basis_is_built_once_per_params_and_read_only(self):
+        params = small_params()
+        basis = codec._share_basis(params)
+        assert codec._share_basis(small_params()) is basis
+        np.testing.assert_array_equal(basis, lagrange_basis(params, params.eval_points))
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
 
 
 class TestEncodeShares:
@@ -128,16 +137,6 @@ class TestReconstruct:
         oracle = GRAM.apply(blocks)
         assert relative_error(oracle, estimate) <= 1e-6
 
-    def test_subset_path_matches_full_path(self):
-        params = EncodingParams(n_workers=9, k=2, t=1, degree=2, sigma_pad=1.0)
-        rng = np.random.default_rng(7)
-        batch = make_batch(params, rng.standard_normal((2, 3, 3)), rng)
-        returns = GRAM.apply(encode_shares(batch, params))
-        full = reconstruct(returns, params)
-        keep = np.array([0, 1, 2, 4, 5, 6, 8])  # 7 >= K = 7
-        subset = reconstruct(returns[keep], params, eval_indices=keep)
-        assert relative_error(full, subset) <= 1e-6
-
     def test_uncorrected_errors_degrade_at_least_20db(self):
         params = EncodingParams(n_workers=31, k=5, t=3, degree=2, sigma_pad=1.0)
         rng = np.random.default_rng(8)
@@ -157,10 +156,10 @@ class TestReconstruct:
         gap_db = db(np.mean(noisy_errs)) - db(np.mean(clean_errs))
         assert gap_db >= 20.0
 
-    def test_insufficient_evaluations_rejected(self):
+    def test_partial_returns_rejected(self):
         params = small_params()
-        with pytest.raises(InsufficientEvaluationsError):
-            reconstruct(np.zeros((2, 3, 3)), params, eval_indices=[0, 1])
+        with pytest.raises(DimensionError, match="all 7 evaluations"):
+            reconstruct(np.zeros((2, 3, 3)), params)
 
 
 class TestCodewordStructure:

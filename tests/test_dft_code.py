@@ -50,6 +50,13 @@ class TestBuildCode:
         with pytest.raises(ParameterError):
             build_code(7, 7)
 
+    def test_repeated_build_returns_one_read_only_code(self):
+        code = build_code(15, 7)
+        assert build_code(15, 7) is code
+        for arr in (code.generator, code.parity):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
 
 class TestSyndrome:
     def test_zero_vector(self, code_15_7):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcc_lab import codec, dft_code
 from alcc_lab.harness import (
     TRIAL_CSV_HEADER,
     run_trial,
@@ -155,6 +156,18 @@ class TestRunTrial:
         two = run_trial(sc, seed=77)
         assert one.e_rel == two.e_rel
         assert one.csv_row() == two.csv_row()
+
+    @pytest.mark.parametrize("localization", ["independent", "joint"])
+    def test_cached_constants_do_not_change_records(self, localization):
+        def fields(record):
+            return dataclasses.replace(record, wall_time=0.0)
+
+        overrides = dict(byzantine_count=3, precision_var=1e-8, localization=localization)
+        before = [fields(run_trial(clean_scenario(**overrides), seed)) for seed in (3, 4)]
+        codec._share_basis.cache_clear()
+        dft_code._cached_code.cache_clear()
+        after = [fields(run_trial(clean_scenario(**overrides), seed)) for seed in (3, 4)]
+        assert after == before
 
     def test_restricted_strategy_stays_in_pool(self):
         pool = (0, 3, 6, 9, 12, 15, 18, 21)
