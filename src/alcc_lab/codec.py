@@ -6,10 +6,12 @@ matrix polynomial to their share, and the master recovers the block outputs
 by interpolating the composed polynomial and evaluating it back at the
 encoding nodes.
 
-The share basis (the Lagrange basis over the encoding nodes, evaluated at
-the N roots of unity) depends only on the `EncodingParams`, so it is built
-once per distinct (frozen, hashable) `EncodingParams` value and shared,
-read-only, by every later encode.
+Both steps are fixed linear maps of the `EncodingParams`: encoding is the
+(N, k+t) share basis (the Lagrange basis over the encoding nodes, evaluated
+at the N roots of unity), and reconstruction is the (k, N) map that takes
+the inverse DFT, keeps K coefficients and evaluates them at the first k
+encoding nodes. Each is built once per distinct (frozen, hashable)
+`EncodingParams` value, shared read-only, and applied as one matrix product.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class EncodingParams:
     def __post_init__(self):
         if self.k < 1 or self.t < 0 or self.degree < 1:
             raise ParameterError("need k >= 1, t >= 0, degree >= 1")
-        if self.beta <= 0 or self.sigma_pad < 0:
-            raise ParameterError("beta must be positive and sigma_pad non-negative")
+        if not (0 < self.beta < np.inf and 0 <= self.sigma_pad < np.inf):
+            raise ParameterError("beta must be positive and sigma_pad non-negative, both finite")
         if self.code_dimension > self.n_workers:
             raise ParameterError(
                 f"code dimension K={self.code_dimension} exceeds N={self.n_workers}"
@@ -146,15 +148,32 @@ def encode_shares(batch, params: EncodingParams) -> np.ndarray:
         raise ParameterError(
             f"batch holds {stacked.shape[0]} matrices, expected {params.nodes}"
         )
-    return np.einsum("ir,rmn->imn", _share_basis(params), stacked)
+    flat = _share_basis(params) @ stacked.reshape(params.nodes, -1)
+    return flat.reshape((params.n_workers,) + stacked.shape[1:])
+
+
+@functools.lru_cache(maxsize=128)
+def _reconstruct_map(params: EncodingParams) -> np.ndarray:
+    """Read-only (k, N) map from the N returns to the composed polynomial at the k data nodes.
+
+    Column j is the polynomial interpolated from the j-th unit return (its
+    inverse DFT cut to K coefficients), evaluated at the first k encoding nodes.
+    """
+    n = params.n_workers
+    coeffs = np.fft.ifft(np.eye(n), axis=0)[: params.code_dimension]  # (K, N)
+    recon = poly_eval(coeffs.T, params.encoding_nodes[: params.k]).T
+    recon.flags.writeable = False
+    return recon
 
 
 def reconstruct(returns, params: EncodingParams) -> np.ndarray:
     """Recover the k block outputs from all N worker returns.
 
     `returns` stacks the per-evaluation output matrices as (N, u, h), in
-    evaluation order. The interpolation is an inverse DFT truncated to K
-    coefficients. Outputs are projected to their real part.
+    evaluation order. One product with the cached (k, N) reconstruction map
+    interpolates the composed polynomial (inverse DFT, K coefficients) and
+    evaluates it at the first k encoding nodes. Outputs are projected to
+    their real part.
     """
     returns = as_finite_complex(returns, "returns")
     if returns.ndim != 3:
@@ -162,11 +181,8 @@ def reconstruct(returns, params: EncodingParams) -> np.ndarray:
     count, u, h = returns.shape
     if count != params.n_workers:
         raise DimensionError(f"expected all {params.n_workers} evaluations, got {count}")
-    coeffs = np.fft.ifft(returns.reshape(count, u * h), axis=0)[: params.code_dimension]
-
-    # evaluate the fitted polynomial back at the first k encoding nodes
-    out = poly_eval(coeffs.T, params.encoding_nodes[: params.k])  # (u*h, k)
-    return out.T.real.reshape(params.k, u, h)
+    out = _reconstruct_map(params) @ returns.reshape(count, u * h)
+    return out.real.reshape(params.k, u, h)
 
 
 def relative_error(y_ref, y_est) -> float:

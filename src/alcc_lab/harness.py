@@ -7,9 +7,9 @@ centralized computation. The codewords are decoded in stacks: one locator
 solve per distinct error count, one value recovery per detected-set size.
 
 What a trial shares with the other trials of its scenario is built once:
-the encode basis is cached per `EncodingParams` (see `codec`), the DFT code
-per (N, K) (see `dft_code.build_code`), and the digest on the `Scenario`
-instance. Every draw is still made per trial, from the trial's own seed.
+the encode basis and the reconstruction map are cached per `EncodingParams`
+(see `codec`), the DFT code per (N, K) (see `dft_code.build_code`), and the
+digest on the `Scenario` instance. Every draw is still made per trial, from the trial's own seed.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 Roots are constrained to the N-th-roots-of-unity grid, so localization
 orders |g(gamma^q)|^2 over candidate indices instead of extracting roots.
+On that grid the locator values are the length-N DFT of the zero-padded
+coefficients, so one FFT scores every index of a stack of locators.
 Three strategies: independent per polynomial, restricted to an unreliable
 index set (independent with a candidate set), and joint across all
 polynomials of one decoding round. The independent strategy also takes a
-stack of locators that share one degree. The joint strategy scores all
-capability-sized subsets of its working set in one array pass.
+stack of locators that share one degree. The joint strategy builds one
+metric matrix for all its locators and scores all capability-sized subsets
+of its working set in one array pass.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 _MAX_SUBSETS = 200_000
 
 from .dft_code import LocatorPolynomial
-from .numeric import ParameterError, RuntimeGuardError, poly_eval
+from .numeric import ParameterError, RuntimeGuardError
 
 
 def _candidate_array(n: int, candidates) -> np.ndarray:
@@ -35,11 +38,33 @@ def _candidate_array(n: int, candidates) -> np.ndarray:
     return cand
 
 
+def _grid_metric(coeffs, n: int) -> np.ndarray:
+    """|g(gamma^q)|^2 at every q = 0..n-1 for a stack of ascending coefficient rows.
+
+    On the grid gamma^q = exp(-2j*pi*q/n) a locator's values are the length-n
+    DFT of its zero-padded coefficients.
+    """
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[-1] > n:
+        raise ParameterError(
+            f"a degree-{coeffs.shape[-1] - 1} locator has more coefficients than N={n}"
+        )
+    return np.abs(np.fft.fft(coeffs, n, axis=-1)) ** 2
+
+
 def root_metric(poly: LocatorPolynomial, n: int, candidates=None) -> np.ndarray:
-    """|g(gamma^q)|^2 for each candidate index q, (..., candidates) in candidate order."""
+    """|g(gamma^q)|^2 for each candidate index q, (..., candidates), candidates ascending."""
     cand = _candidate_array(n, candidates)
-    points = np.exp(-2j * np.pi * cand / n)
-    return np.abs(poly_eval(poly.coeffs, points)) ** 2
+    return _grid_metric(poly.coeffs, n)[..., cand]
+
+
+def _smallest(metric, cand, count: int) -> np.ndarray:
+    """Sorted candidates holding the `count` smallest metric values, ties to the smaller."""
+    if count > cand.size:
+        raise ParameterError(f"cannot pick {count} of {cand.size} candidates")
+    # candidates ascending => stable tie-break
+    order = np.argsort(metric, axis=-1, kind="stable")[..., :count]
+    return np.sort(cand[order], axis=-1)
 
 
 def independent_localize(
@@ -50,12 +75,7 @@ def independent_localize(
     Returns sorted index arrays, (..., count) for a stack of locators.
     """
     cand = _candidate_array(n, candidates)
-    if count > cand.size:
-        raise ParameterError(f"cannot pick {count} of {cand.size} candidates")
-    metric = root_metric(poly, n, cand)
-    # candidates ascending => stable tie-break
-    order = np.argsort(metric, axis=-1, kind="stable")[..., :count]
-    return np.sort(cand[order], axis=-1)
+    return _smallest(root_metric(poly, n, cand), cand, count)
 
 
 def average_locators(polys) -> LocatorPolynomial:
@@ -121,8 +141,15 @@ def joint_localize(
     for i in low_idx:
         group.append((polys[i], polys[i].degree, [i]))
 
+    # one (P, N) metric matrix: every scored locator, zero-padded, in one FFT
+    padded = np.zeros((len(group), capability + 1), dtype=complex)
+    for row, (poly, degree, _) in zip(padded, group):
+        row[: degree + 1] = poly.coeffs
+    metric = _grid_metric(padded, n)
+    degrees = [degree for _, degree, _ in group]
+
     initial_union = np.unique(np.concatenate(
-        [independent_localize(poly, degree, n, cand) for poly, degree, _ in group]
+        [_smallest(m[cand], cand, d) for m, d in zip(metric, degrees)]
     ))
 
     violated = initial_union.size > capability
@@ -148,14 +175,14 @@ def joint_localize(
         dtype=int, count=evaluated * subset_size,
     ).reshape(evaluated, subset_size)
     scores = np.zeros(evaluated)
-    for poly, degree, _ in group:
-        vals = root_metric(poly, n, working)[subsets]
+    for m, degree in zip(metric[:, working], degrees):
+        vals = m[subsets]
         vals.sort(axis=-1)
         scores += vals[:, :degree].sum(axis=-1)
     best = int(np.argmin(scores))  # first minimum: lexicographic tie-break
     chosen = working[subsets[best]]
-    picks = [independent_localize(poly, min(degree, subset_size), n, chosen)
-             for poly, degree, _ in group]
+    picks = [_smallest(m[chosen], chosen, min(d, subset_size))
+             for m, d in zip(metric, degrees)]
 
     per_poly: list = [None] * len(polys)
     for (_, _, members), picked in zip(group, picks):

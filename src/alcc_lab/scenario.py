@@ -12,6 +12,7 @@ import configparser
 import dataclasses
 import hashlib
 import itertools
+import math
 import typing
 from dataclasses import dataclass
 
@@ -63,7 +64,14 @@ class Scenario:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ParameterError(f"{name} must be one of {allowed}")
+        for name in ("beta", "sigma_pad", "noise_mean_re", "noise_mean_im",
+                     "noise_var", "precision_var"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         ranges = {
+            "input_rows": (self.input_rows >= 1, "be at least 1"),
+            "input_cols": (self.input_cols >= 1, "be at least 1"),
+            "byzantine_count": (self.byzantine_count >= 0, "be non-negative"),
             "precision_var": (self.precision_var >= 0, "be non-negative"),
             "noise_var": (self.noise_var >= 0, "be non-negative"),
             "weak_zero_prob": (0 < self.weak_zero_prob < 1, "lie in (0, 1)"),
@@ -71,6 +79,7 @@ class Scenario:
             "constraint_length": (self.constraint_length is None
                                   or self.constraint_length >= 1, "be at least 1"),
             "trials": (self.trials >= 1, "be at least 1"),
+            "master_seed": (self.master_seed >= 0, "be non-negative"),
             "unreliable": (self.unreliable != (), "not be empty (None means every worker)"),
         }
         for name, (valid, rule) in ranges.items():

@@ -55,7 +55,7 @@ def plan_from_effective_base(
     b_eff = np.asarray(b_eff)
     if b_eff.shape != (u * h, len(locations)):
         raise ParameterError(f"effective base must be {(u * h, len(locations))}")
-    bases = np.stack([b_eff[:, a].reshape(u, h) for a in range(len(locations))])
+    bases = b_eff.T.reshape(len(locations), u, h)
     return ByzantinePlan(
         locations=tuple(locations), bases=bases, noise_mean=noise_mean, noise_var=noise_var
     )
@@ -94,18 +94,25 @@ def inject(
 
     Byzantine draws are made in ascending location order, then precision
     noise is applied, so outputs are bit-reproducible for a given rng state.
+    The Byzantine noise of all A locations is one (A, 2, u, h) draw: location
+    by location, the real then the imaginary parts, the same stream as A
+    `complex_normal` draws of one (u, h) block each.
     """
     out = np.asarray(results, dtype=complex).copy()
     n = out.shape[0]
     if plan is not None and plan.count:
-        if max(plan.locations) >= n or min(plan.locations) < 0:
+        locations = np.asarray(plan.locations)
+        if locations.max() >= n or locations.min() < 0:
             raise ParameterError("plan locations must lie in 0..N-1")
-        order = np.argsort(np.asarray(plan.locations))
-        for a in order:
-            q = plan.locations[a]
-            mask = plan.bases[a].astype(bool)
-            noise = complex_normal(rng, plan.noise_mean, plan.noise_var, out.shape[1:])
-            out[q][mask] += noise[mask]
+        order = np.argsort(locations)
+        locations = locations[order]
+        draws = rng.standard_normal((plan.count, 2) + out.shape[1:])
+        noise = plan.noise_mean + np.sqrt(plan.noise_var / 2.0) * (
+            draws[:, 0] + 1j * draws[:, 1]
+        )
+        hit = out[locations]
+        np.add(hit, noise, out=hit, where=plan.bases[order].astype(bool))
+        out[locations] = hit
     if precision.mode == "synthetic" and precision.variance > 0:
         out += complex_normal(rng, 0.0, precision.variance, out.shape)
     elif precision.mode == "reduced":

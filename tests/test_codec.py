@@ -36,6 +36,14 @@ class TestParams:
         with pytest.raises(ParameterError):
             EncodingParams(n_workers=5, k=5, t=3, degree=2)
 
+    @pytest.mark.parametrize("field,value", [
+        ("beta", float("nan")), ("beta", float("inf")),
+        ("sigma_pad", float("nan")), ("sigma_pad", float("inf")),
+    ])
+    def test_non_finite_scale_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            small_params(**{field: value})
+
 
 class TestLagrangeBasis:
     def test_single_node_is_one(self):
@@ -73,6 +81,16 @@ class TestShareBasisCache:
         np.testing.assert_array_equal(basis, lagrange_basis(params, params.eval_points))
         with pytest.raises(ValueError):
             basis[0, 0] = 0.0
+
+
+class TestReconstructMapCache:
+    def test_map_is_built_once_per_params_and_read_only(self):
+        params = small_params()
+        recon = codec._reconstruct_map(params)
+        assert codec._reconstruct_map(small_params()) is recon
+        assert recon.shape == (params.k, params.n_workers)
+        with pytest.raises(ValueError):
+            recon[0, 0] = 0.0
 
 
 class TestEncodeShares:

@@ -65,6 +65,19 @@ class TestScenario:
         ("rank_rel_tol", 1.5),
         ("constraint_length", 0),
         ("trials", 0),
+        # each below used to build and then fail inside run_trial: negative
+        # dimensions, a zero reference, non-finite returns, a negative seed
+        ("byzantine_count", -1),
+        ("input_rows", 0),
+        ("input_cols", 0),
+        ("beta", float("nan")),
+        ("beta", float("inf")),
+        ("sigma_pad", float("inf")),
+        ("noise_mean_re", float("nan")),
+        ("noise_mean_im", float("inf")),
+        ("noise_var", float("inf")),
+        ("precision_var", float("inf")),
+        ("master_seed", -1),
     ])
     def test_invalid_field_rejected_by_name(self, field, value):
         with pytest.raises(ParameterError, match=field):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from alcc_lab.codec import EncodingParams, _share_basis, encode_shares, reconstruct
 from alcc_lab.dft_code import LocatorPolynomial
 from alcc_lab.localization import root_metric
-from alcc_lab.numeric import poly_eval
+from alcc_lab.numeric import ParameterError, poly_eval
 
 EPS = np.finfo(float).eps
 # largest ratio |new - ref| / (eps ||map|| ||input||) seen over 3,000 draws:
@@ -123,3 +123,11 @@ def test_root_metric_candidates_index_the_full_grid(n):
     full = root_metric(poly, n)
     # candidates come back ascending (np.unique), whatever order they were given in
     assert np.array_equal(root_metric(poly, n, cand), full[:, np.sort(cand)])
+
+
+@pytest.mark.parametrize("n,degree", [(7, 7), (7, 9), (31, 31)])
+def test_root_metric_rejects_degree_at_least_n(n, degree):
+    # an FFT of length n would silently drop the coefficients above degree n-1
+    poly = LocatorPolynomial(coeffs=np.ones(degree + 1, dtype=complex), degree=degree)
+    with pytest.raises(ParameterError, match="more coefficients"):
+        root_metric(poly, n)

@@ -74,6 +74,34 @@ class TestInject:
         assert out.dtype == complex
         assert np.array_equal(out, results.astype(np.complex64).astype(complex))
 
+    def test_one_draw_matches_per_location_draws_bit_for_bit(self):
+        # reference: one complex_normal block per location, ascending, added on
+        # the mask; the stream must stay aligned for the precision noise after it
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n, u, h = int(rng.integers(3, 32)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            count = int(rng.integers(1, n + 1))
+            locations = rng.choice(n, size=count, replace=False)
+            bases = (rng.random((count, u, h)) < 0.6).astype(int)
+            plan = ByzantinePlan(tuple(locations.tolist()), bases,
+                                 noise_mean=complex(*rng.standard_normal(2)),
+                                 noise_var=float(rng.uniform(0, 1e3)))
+            results = complex_normal(rng, 0.0, 1.0, (n, u, h))
+            precision = PrecisionModel("synthetic", 1e-3)
+
+            ref_rng = np.random.default_rng(seed + 1)
+            expected = results.copy()
+            for a in np.argsort(locations):
+                mask = bases[a].astype(bool)
+                noise = complex_normal(ref_rng, plan.noise_mean, plan.noise_var, (u, h))
+                expected[locations[a]][mask] += noise[mask]
+            expected += complex_normal(ref_rng, 0.0, 1e-3, expected.shape)
+
+            got_rng = np.random.default_rng(seed + 1)
+            out = inject(results, plan, precision, got_rng)
+            assert out.tobytes() == expected.tobytes()
+            assert got_rng.bytes(16) == ref_rng.bytes(16)
+
     def test_effective_base_round_trip(self):
         rng = np.random.default_rng(9)
         b_eff = (rng.random((6, 2)) < 0.5).astype(int)
