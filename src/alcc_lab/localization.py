@@ -44,7 +44,6 @@ def _grid_metric(coeffs, n: int) -> np.ndarray:
     On the grid gamma^q = exp(-2j*pi*q/n) a locator's values are the length-n
     DFT of its zero-padded coefficients.
     """
-    coeffs = np.asarray(coeffs)
     if coeffs.shape[-1] > n:
         raise ParameterError(
             f"a degree-{coeffs.shape[-1] - 1} locator has more coefficients than N={n}"
