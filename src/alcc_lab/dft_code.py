@@ -6,6 +6,8 @@ blocks are: syndrome projection, error-count estimation (Hankel rank),
 locator-polynomial solve, and error-value recovery/subtraction. Each block
 takes one codeword (its syndrome, locator, ...) or a stack of them along
 leading axes; a stack shares one error count or one detected-set size.
+Value recovery and correction also take one detected set shared by the
+whole stack, which makes the recovery one system with a column per syndrome.
 
 A code depends only on (N, K), so `build_code` builds each one once and
 returns the same `DftCode`, with read-only generator and parity, to every
@@ -116,17 +118,27 @@ def locator_polynomial(code: DftCode, s, count: int) -> LocatorPolynomial:
 
     Row i (i = 0..2v-count-1) reads sum_j s[i+j] * g_{count-j} = -s[i+count]
     with g_0 = 1; the stacked system is solved by least squares, using every
-    available syndrome window. Every syndrome of a stack shares `count`.
+    available syndrome window. Every syndrome of a stack shares `count`, but
+    each is still its own system.
     """
     s = np.asarray(s, dtype=complex)
     v = code.capability
     if not 1 <= count <= v:
         raise CapabilityExceededError(f"count must lie in 1..v={v}, got {count}")
-    windows = sliding_window_view(s[..., : 2 * v], count + 1, axis=-1)
+    windows = s[..., _window_index(v, count)]
     sol = least_squares(windows[..., :count], -windows[..., count])
     # unknown order is (g_count, ..., g_1); flip into ascending coefficients
-    coeffs = np.insert(sol.x[..., ::-1], 0, 1.0, axis=-1)
+    g0 = np.ones(sol.x.shape[:-1] + (1,), dtype=complex)
+    coeffs = np.concatenate([g0, sol.x[..., ::-1]], axis=-1)
     return LocatorPolynomial(coeffs=coeffs, degree=count, cond=sol.cond)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_index(v: int, count: int) -> np.ndarray:
+    """Read-only (2v-count, count+1) positions of the syndrome windows, row i at i..i+count."""
+    index = np.arange(2 * v - count)[:, None] + np.arange(count + 1)
+    index.flags.writeable = False
+    return index
 
 
 def true_locator(code: DftCode, locations) -> LocatorPolynomial:
@@ -139,13 +151,28 @@ def true_locator(code: DftCode, locations) -> LocatorPolynomial:
 
 
 def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
-    """Least-squares solve of s = e @ H^dagger on the columns in locations (..., count)."""
+    """Least-squares solve of s = e @ H^dagger on the detected columns, (..., count).
+
+    ``locations`` (..., count) gives each syndrome of ``s`` (..., N-K) its own
+    set and system. ``locations`` (count,) is one set shared by every syndrome:
+    one (N-K, count) system, solved once with the syndromes as right-hand-side
+    columns.
+    """
     locations = np.asarray(locations, dtype=int)
-    if locations.shape[-1] > code.n - code.k:
+    count = locations.shape[-1]
+    if count > code.n - code.k:
         raise CapabilityExceededError(
-            f"{locations.shape[-1]} locations exceed the {code.n - code.k} syndrome equations"
+            f"{count} locations exceed the {code.n - code.k} syndrome equations"
         )
-    if locations.shape[-1] == 0:
+    if locations.ndim == 1:
+        s = np.asarray(s, dtype=complex)
+        if count == 0:
+            return np.zeros(s.shape[:-1] + (0,), dtype=complex)
+        # (N-K, count): s_j = sum_a e_a conj(H[j, q_a]); one column per syndrome
+        lhs = code.parity[:, locations].conj()
+        x = least_squares(lhs, s.reshape(-1, s.shape[-1]).T).x
+        return x.T.reshape(s.shape[:-1] + (count,))
+    if count == 0:
         return np.zeros(locations.shape, dtype=complex)
     # (..., N-K, count): s_j = sum_a e_a conj(H[j, q_a])
     lhs = code.parity.conj().T[locations].swapaxes(-1, -2)
@@ -153,8 +180,15 @@ def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
 
 
 def correct_codeword(r, locations, values) -> np.ndarray:
-    """Subtract recovered error values at their locations, per codeword of a stack."""
+    """Subtract recovered error values at their locations, per codeword of a stack.
+
+    ``locations`` is (..., count), one set per codeword, or (count,), one set
+    shared by every codeword.
+    """
     r = np.asarray(r, dtype=complex).copy()
     locations = np.asarray(locations, dtype=int)
-    np.put_along_axis(r, locations, np.take_along_axis(r, locations, -1) - values, -1)
+    if locations.ndim == 1:
+        r[..., locations] -= values
+    else:
+        np.put_along_axis(r, locations, np.take_along_axis(r, locations, -1) - values, -1)
     return r

@@ -4,7 +4,10 @@ One trial: draw data, encode, apply the worker function, inject Byzantine
 and precision noise, decode the output-entry codewords with the configured
 strategy, reconstruct, and report the relative error against the
 centralized computation. The codewords are decoded in stacks: one locator
-solve per distinct error count, one value recovery per detected-set size.
+call per distinct error count, one value-recovery call per detected-set
+size. Each locator in a call is its own system; a value-recovery call whose
+codewords all share one detected set, as under all-one base matrices, solves
+one system for all of them, and otherwise one per codeword.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
@@ -86,8 +89,8 @@ def _build_plan(scenario: Scenario, rng: np.random.Generator):
 
 
 def _groups(sizes):
-    """(size, rows) for each distinct positive size, rows ascending."""
-    for size in np.unique(sizes[sizes > 0]):
+    """(size, rows) for each distinct positive size, sizes and rows ascending."""
+    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         yield size, np.flatnonzero(sizes == size)
 
 
@@ -138,6 +141,8 @@ def _correct_codewords(code, r_eff, syndromes, detected) -> np.ndarray:
     corrected = r_eff.copy()
     for size, rows in _groups(detected.sum(axis=1)):
         found = np.nonzero(detected[rows])[1].reshape(rows.size, size)
+        if (found == found[0]).all():
+            found = found[0]  # one set for every codeword: one system
         values = dft_code.recover_error_values(code, syndromes[rows], found)
         corrected[rows] = dft_code.correct_codeword(r_eff[rows], found, values)
     return corrected

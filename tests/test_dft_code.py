@@ -296,5 +296,11 @@ def test_value_recovery_on_a_shared_support_matches_lstsq(case):
     tol = (C_VALUE_RECOVERY * EPS * np.linalg.norm(np.linalg.pinv(lhs))
            * np.linalg.norm(s, axis=-1, keepdims=True))
     tiled = recover_error_values(code, s, np.tile(support, (len(s), 1)))
-    assert tiled.shape == expected.shape
-    assert (np.abs(tiled - expected) <= tol).all()
+    shared = recover_error_values(code, s, support)
+    for values in (tiled, shared):
+        assert values.shape == expected.shape
+        assert (np.abs(values - expected) <= tol).all()
+    # leading axes of a stack are flattened into the columns, in order
+    stacked = recover_error_values(code, np.stack([s, s]), support)
+    flat = recover_error_values(code, np.concatenate([s, s]), support)
+    assert np.array_equal(stacked, flat.reshape(2, *shared.shape))
