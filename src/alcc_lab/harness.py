@@ -191,6 +191,9 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
             counts = dft_code.estimate_error_count(
                 code, syndromes, rel_tol=scenario.rank_rel_tol
             )
+            if scenario.localization != "independent":
+                # restricted and joint pick only from the pool, so never more than it holds
+                counts = np.minimum(counts, len(scenario.candidate_pool()))
         coeffs = _locators(scenario, code, syndromes, counts, rng)
         detected = _localize_codewords(scenario, code, coeffs, counts, rng)
         truth = np.zeros_like(detected)

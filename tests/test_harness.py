@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcc_lab import codec, dft_code
+from alcc_lab import codec, dft_code, harness
 from alcc_lab.harness import (
     TRIAL_CSV_HEADER,
     run_trial,
@@ -193,6 +193,31 @@ class TestRunTrial:
         )
         record = run_trial(sc, seed=13)
         assert record.strategy == "restricted"
+
+    @pytest.mark.parametrize("localization,constraint_length", [
+        ("independent", None), ("restricted", None), ("joint", 8), ("joint", None),
+    ])
+    def test_rank_counts_fit_a_small_pool(self, monkeypatch, localization, constraint_length):
+        # at this noise the Hankel rank reads up to v = 8 errors, twice the pool
+        pool = (0, 5, 10, 15)
+        sc = Scenario(n_workers=31, k=5, t=3, sigma_pad=1.0, unreliable=pool,
+                      byzantine_count=2, error_count_mode="rank", precision_var=1e-6,
+                      localization=localization, constraint_length=constraint_length)
+        seen = []
+
+        def spy(scenario, code, syndromes, counts, rng):
+            seen.append(counts.max())
+            return locators(scenario, code, syndromes, counts, rng)
+
+        locators = harness._locators
+        monkeypatch.setattr(harness, "_locators", spy)
+        records = [run_trial(sc, seed) for seed in range(5)]
+        assert all(np.isfinite(r.e_rel) for r in records)
+        if localization == "independent":
+            # it searches all N indices, so its counts stay as estimated
+            assert max(seen) > len(pool)
+        else:
+            assert max(seen) == len(pool)
 
     def test_joint_strategy_runs_with_weak_bases(self):
         sc = clean_scenario(
