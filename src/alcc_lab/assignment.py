@@ -7,6 +7,7 @@ candidate sets by simulated relative error instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -59,7 +60,8 @@ def _support_iter(subset, a: int, prob: AssignmentProblem, rng):
 def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
     """Log of the expected max-over-probes confusability term for one subset.
 
-    Computed with log-sum-exp so that tiny terms still rank correctly.
+    Computed with log-sum-exp so that tiny terms still rank correctly. Each
+    (support, probe) bound is computed once per problem and looked up after.
     """
     subset = tuple(sorted(int(i) for i in subset))
     if len(subset) != prob.unreliable_count:
@@ -68,20 +70,33 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
     if len(subset) == a:
         return -math.inf  # no non-Byzantine probe exists; degenerate zero
     gmax = prob.resolved_gamma_max()
-    exps = []
-    for support in _support_iter(subset, a, prob, rng):
-        probes = [j for j in subset if j not in support]
-        best = max(
-            assignment_pair_log_bound(
+    table = _pair_log_bounds(prob.n_workers, prob.eta, gmax, prob.sigma_p_sq, prob.metric)
+
+    def bound(support, j):
+        value = table.get((support, j))
+        if value is None:
+            value = table[support, j] = assignment_pair_log_bound(
                 support, j, prob.n_workers, prob.eta, gmax, prob.sigma_p_sq, prob.metric
             )
-            for j in probes
-        )
-        exps.append(best)
+        return value
+
+    exps = [max(bound(support, j) for j in subset if j not in support)
+            for support in _support_iter(subset, a, prob, rng)]
     peak = max(exps)
     if peak == -math.inf:
         return -math.inf
     return peak + math.log(sum(math.exp(e - peak) for e in exps)) - math.log(len(exps))
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_log_bounds(n: int, eta: float, gamma_max: float, sigma_p_sq: float,
+                     metric: str) -> dict:
+    """Table of log bounds per (support, probe), filled as scans first reach each pair.
+
+    The bound depends on a problem only through these arguments, so every
+    subset of a scan, and every partial problem of a beam search, shares one.
+    """
+    return {}
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ confusability terms used by the share-assignment optimizer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -210,8 +211,12 @@ def strong_collusion_objective(
     return share * full_term + (m_rows - omega) * share * reduced_term
 
 
+@functools.lru_cache(maxsize=64)
 def gamma_bounds(n: int, a: int, eta: float) -> tuple[float, float]:
-    """Exhaustive (min, max) of kappa/(1+kappa) over index gaps 1..n-1."""
+    """Exhaustive (min, max) of kappa/(1+kappa) over index gaps 1..n-1.
+
+    Cached: an assignment scan resolves it once for every subset it scores.
+    """
     ratios = []
     for gap in range(1, n):
         kap = kappa(n, a, gap, eta)

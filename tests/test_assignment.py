@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 from types import SimpleNamespace
@@ -100,6 +101,40 @@ class TestSolver:
             if beam.log_objective <= exact.log_objective + 1e-9:
                 hits += 1
         assert hits >= 0.9 * trials
+
+    @pytest.mark.parametrize("search", ["exhaustive", "beam"])
+    def test_shared_bound_table_gives_the_per_subset_solution(self, monkeypatch, search):
+        # solved in turn, so each problem finds the others' tables in the cache
+        problems = [TABLE_PROBLEM] + [dataclasses.replace(TABLE_PROBLEM, **change) for change in (
+            {"metric": "chord"}, {"sigma_p_sq": 0.5}, {"eta": 5.0}, {"gamma_max": 0.7},
+            {"unreliable_count": 4},
+            {"byzantine_count": 3, "exhaustive_expectation_limit": 5, "expectation_samples": 7},
+        )]
+
+        def solve(prob):
+            return solve_assignment(prob, search=search, beam_width=8,
+                                    rng=np.random.default_rng(3))
+
+        shared = [solve(prob) for prob in problems]
+        # a fresh table per subset recomputes every bound, as each scan once did
+        monkeypatch.setattr(assignment_mod, "_pair_log_bounds", lambda *key: {})
+        # subset, objective, log_objective and evaluated, bit for bit
+        assert [solve(prob) for prob in problems] == shared
+
+    def test_each_pair_bound_is_computed_once(self, monkeypatch):
+        calls = []
+        bound = assignment_mod.assignment_pair_log_bound
+
+        def spy(*args):
+            calls.append(args[:2])
+            return bound(*args)
+
+        assignment_mod._pair_log_bounds.cache_clear()
+        monkeypatch.setattr(assignment_mod, "assignment_pair_log_bound", spy)
+        solve_assignment(TABLE_PROBLEM)
+        solve_assignment(TABLE_PROBLEM, search="beam")
+        # C(11, 2) supports times 9 probes outside each
+        assert len(calls) == len(set(calls)) == 55 * 9
 
     def test_exhaustive_guard_trips(self):
         prob = AssignmentProblem(n_workers=40, unreliable_count=20,
