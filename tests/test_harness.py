@@ -233,6 +233,106 @@ class TestRunTrial:
         assert np.isfinite(record.e_rel)
 
 
+class TestSharedValueRecovery:
+    """Value recovery in a trial: one system per shared detected set, else one per codeword."""
+
+    ALL_ONE = dict(byzantine_count=3, precision_var=1e-8)
+    WEAK = dict(byzantine_count=4, base_matrix="weak", weak_zero_prob=0.4, precision_var=1e-8)
+    JOINT = dict(byzantine_count=3, localization="joint", precision_mode="locator",
+                 precision_var=1e-3)
+
+    @staticmethod
+    def spy_systems(monkeypatch):
+        """(locations, systems solved) for every value-recovery call of a trial."""
+        calls = []
+        recover, lstsq = dft_code.recover_error_values, dft_code.least_squares
+
+        def counting(code, s, locations):
+            def spy(a, b):
+                calls.append((np.asarray(locations), int(np.prod(np.shape(a)[:-2]))))
+                return lstsq(a, b)
+
+            with monkeypatch.context() as m:
+                m.setattr(dft_code, "least_squares", spy)
+                return recover(code, s, locations)
+
+        monkeypatch.setattr(dft_code, "recover_error_values", counting)
+        return calls
+
+    def test_all_one_trial_solves_one_system(self, monkeypatch):
+        calls = self.spy_systems(monkeypatch)
+        record = run_trial(clean_scenario(**self.ALL_ONE), seed=3)
+        assert record.loc_correct
+        # all 25 codewords hold the same three errors
+        assert [(loc.shape, systems) for loc, systems in calls] == [((3,), 1)]
+
+    def test_weak_trial_solves_one_system_per_codeword_of_a_mixed_group(self, monkeypatch):
+        calls = self.spy_systems(monkeypatch)
+        run_trial(clean_scenario(**self.WEAK), seed=3)
+        mixed = [(loc, systems) for loc, systems in calls if loc.ndim == 2]
+        assert mixed
+        for loc, systems in calls:
+            if loc.ndim == 1:
+                assert systems == 1
+            else:
+                assert (loc != loc[0]).any(axis=-1).any()
+                assert systems == len(loc)
+
+    @pytest.mark.parametrize("overrides", [ALL_ONE, WEAK, JOINT], ids=["all-one", "weak", "joint"])
+    def test_records_match_the_per_codeword_path(self, monkeypatch, overrides):
+        from test_dft_code import C_VALUE_RECOVERY, EPS
+
+        sc = clean_scenario(**overrides)
+        seen = []
+        correct_codewords, relative_error = harness._correct_codewords, codec.relative_error
+
+        def spy_correct(code, r_eff, syndromes, detected):
+            corrected = correct_codewords(code, r_eff, syndromes, detected)
+            seen.append({"s": syndromes, "detected": detected, "corrected": corrected})
+            return corrected
+
+        def spy_error(reference, estimate):
+            seen[-1]["reference"] = reference
+            return relative_error(reference, estimate)
+
+        monkeypatch.setattr(harness, "_correct_codewords", spy_correct)
+        monkeypatch.setattr(codec, "relative_error", spy_error)
+        seeds = range(6)
+        shared = [run_trial(sc, seed) for seed in seeds]
+
+        # route every detected set through the per-codeword path: tile it over its stack
+        recover, correct = dft_code.recover_error_values, dft_code.correct_codeword
+
+        def tiled(locations, words):
+            locations = np.asarray(locations)
+            if locations.ndim > 1:
+                return locations
+            return np.broadcast_to(locations, np.shape(words)[:-1] + locations.shape)
+
+        monkeypatch.setattr(dft_code, "recover_error_values",
+                            lambda code, s, loc: recover(code, s, tiled(loc, s)))
+        monkeypatch.setattr(dft_code, "correct_codeword",
+                            lambda r, loc, values: correct(r, tiled(loc, r), values))
+        per_codeword = [run_trial(sc, seed) for seed in seeds]
+
+        code = dft_code.build_code(sc.n_workers, sc.code_dimension)
+        recon = np.linalg.norm(codec._reconstruct_map(sc.encoding()))
+        for one, other, new, old in zip(shared, per_codeword, seen[: len(seeds)], seen[len(seeds):]):
+            assert np.array_equal(new["detected"], old["detected"])
+            # the pinned value-recovery tolerance, per corrected entry
+            tol = np.zeros(new["detected"].shape)
+            for row, (s, mask) in enumerate(zip(new["s"], new["detected"])):
+                if mask.any():
+                    pinv = np.linalg.norm(np.linalg.pinv(code.parity[:, mask].conj()))
+                    tol[row, mask] = C_VALUE_RECOVERY * EPS * pinv * np.linalg.norm(s)
+            assert (np.abs(new["corrected"] - old["corrected"]) <= tol).all()
+            # e_rel = ||ref - Re(recon @ corrected)|| / ||ref||, plus its own rounding
+            bound = recon * np.linalg.norm(tol) / np.linalg.norm(new["reference"])
+            assert abs(one.e_rel - other.e_rel) <= bound + 8 * EPS * one.e_rel
+            unrounded = dict(e_rel=0.0, e_rel_db=0.0, wall_time=0.0)
+            assert dataclasses.replace(one, **unrounded) == dataclasses.replace(other, **unrounded)
+
+
 class TestSeeds:
     def test_deterministic_and_distinct(self):
         one = trial_seeds(5, 0, 4)
