@@ -164,16 +164,14 @@ def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
         raise CapabilityExceededError(
             f"{count} locations exceed the {code.n - code.k} syndrome equations"
         )
+    if count == 0:
+        return np.zeros(np.shape(s)[:-1] + (0,), dtype=complex)
     if locations.ndim == 1:
         s = np.asarray(s, dtype=complex)
-        if count == 0:
-            return np.zeros(s.shape[:-1] + (0,), dtype=complex)
         # (N-K, count): s_j = sum_a e_a conj(H[j, q_a]); one column per syndrome
         lhs = code.parity[:, locations].conj()
         x = least_squares(lhs, s.reshape(-1, s.shape[-1]).T).x
         return x.T.reshape(s.shape[:-1] + (count,))
-    if count == 0:
-        return np.zeros(locations.shape, dtype=complex)
     # (..., N-K, count): s_j = sum_a e_a conj(H[j, q_a])
     lhs = code.parity.conj().T[locations].swapaxes(-1, -2)
     return least_squares(lhs, s).x
