@@ -95,6 +95,8 @@ def _pair_log_bounds(n: int, eta: float, gamma_max: float, sigma_p_sq: float,
 
     The bound depends on a problem only through these arguments, so every
     subset of a scan, and every partial problem of a beam search, shares one.
+    A table holds at most C(N, A) * (N - A) entries; the 8 most recently used
+    tables are kept.
     """
     return {}
 

@@ -133,7 +133,7 @@ def locator_polynomial(code: DftCode, s, count: int) -> LocatorPolynomial:
     return LocatorPolynomial(coeffs=coeffs, degree=count, cond=sol.cond)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _window_index(v: int, count: int) -> np.ndarray:
     """Read-only (2v-count, count+1) positions of the syndrome windows, row i at i..i+count."""
     index = np.arange(2 * v - count)[:, None] + np.arange(count + 1)
