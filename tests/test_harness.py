@@ -22,6 +22,7 @@ from alcc_lab.scenario import (
     SweepSpec,
     load_config,
 )
+from test_dft_code import C_VALUE_RECOVERY, EPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -280,8 +281,6 @@ class TestSharedValueRecovery:
 
     @pytest.mark.parametrize("overrides", [ALL_ONE, WEAK, JOINT], ids=["all-one", "weak", "joint"])
     def test_records_match_the_per_codeword_path(self, monkeypatch, overrides):
-        from test_dft_code import C_VALUE_RECOVERY, EPS
-
         sc = clean_scenario(**overrides)
         seen = []
         correct_codewords, relative_error = harness._correct_codewords, codec.relative_error
