@@ -281,3 +281,85 @@ class TestLeastSquaresPaths:
         a = _crandn(rng, 20, 6, 4)
         expected = [np.linalg.norm(m) * np.linalg.norm(np.linalg.pinv(m)) for m in a]
         assert np.allclose(least_squares(a, _crandn(rng, 20, 6)).cond, expected, rtol=1e-10)
+
+
+def _reference_least_squares(a, b):
+    """The stacked QR solver as written with np.linalg.qr(mode="r"), kept as the pin.
+
+    R and Q^H b come from the triangular factor of [a | b]; the systems
+    lstsq would cut are solved again by SVD with lstsq's cut-off.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    vector = b.ndim == a.ndim - 1
+    rhs = b[..., None] if vector else b
+    rows, cols = a.shape[-2:]
+    r_aug = np.linalg.qr(np.concatenate([a, rhs], axis=-1), mode="r")
+    r, qhb = r_aug[..., :cols, :cols], r_aug[..., :cols, cols:]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    singular = ~(np.isfinite(diag) & (diag != 0)).all(axis=-1)
+    if singular.any():
+        r[singular] = np.eye(cols)
+    r_inv = np.linalg.inv(r)
+    frob_sq = lambda m: np.square(np.abs(m)).sum(axis=(-2, -1))  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = r_inv @ qhb
+        cond = np.asarray(np.sqrt(frob_sq(r) * frob_sq(r_inv)))
+    fallback = singular | ~(cond < 1.0 / (EPS * max(rows, cols)))
+    rank = np.full(a.shape[:-2], cols)
+    if fallback.any():
+        sub_a, sub_rhs = a[fallback], rhs[fallback]
+        u, sv, vh = np.linalg.svd(sub_a, full_matrices=False)
+        kept = sv > EPS * max(rows, cols) * sv[..., :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
+        x[fallback] = vh.conj().swapaxes(-1, -2) @ (
+            inv[..., None] * (u.conj().swapaxes(-1, -2) @ sub_rhs))
+        rank[fallback] = kept.sum(axis=-1)
+        well_posed = sv[..., -1] > EPS * sv[..., 0]
+        t = np.divide(sv, sv[..., :1], out=np.ones_like(sv), where=well_posed[..., None])
+        cond[fallback] = np.where(
+            well_posed, np.sqrt((t**2).sum(-1) * (t**-2.0).sum(-1)), np.inf)
+    return x[..., 0] if vector else x, rank, cond
+
+
+# how a system of the pinned stacks is made degenerate
+_DEFECTS = ("none", "zero column", "repeated column", "rank one", "zero", "graded")
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lead=st.lists(st.integers(0, 3), min_size=0, max_size=2),
+    cols=st.integers(1, 6),
+    extra_rows=st.integers(0, 10),
+    rhs_cols=st.one_of(st.none(), st.integers(1, 4)),
+    defects=st.lists(st.sampled_from(_DEFECTS), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_least_squares_is_pinned_bit_for_bit(seed, lead, cols, extra_rows, rhs_cols, defects):
+    """x, rank and cond equal the mode="r" solver's bit for bit, SVD fallback included."""
+    rng = np.random.default_rng(seed)
+    rows = cols + extra_rows
+    lead = tuple(lead)
+    a = _crandn(rng, *lead, rows, cols)
+    for idx in np.ndindex(lead):
+        defect = defects[int(rng.integers(len(defects)))]
+        j = int(rng.integers(cols))
+        if defect == "zero column":
+            a[idx][:, j] = 0.0
+        elif defect == "repeated column" and cols > 1:
+            a[idx][:, j] = a[idx][:, (j + 1) % cols]
+        elif defect == "rank one":
+            a[idx] = np.outer(_crandn(rng, rows), _crandn(rng, cols))
+        elif defect == "zero":
+            a[idx] = 0.0
+        elif defect == "graded":
+            # a column scaled across lstsq's cut-off, from kept to cut
+            a[idx][:, j] *= 10.0 ** -rng.uniform(10, 18)
+    rhs_shape = lead + (rows,) + (() if rhs_cols is None else (rhs_cols,))
+    b = _crandn(rng, *rhs_shape)
+
+    sol = least_squares(a, b)
+    x, rank, cond = _reference_least_squares(a, b)
+    assert sol.x.shape == x.shape and sol.x.tobytes() == x.tobytes()
+    assert sol.rank.shape == rank.shape and np.array_equal(sol.rank, rank)
+    assert sol.cond.shape == cond.shape and sol.cond.tobytes() == cond.tobytes()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -76,12 +78,15 @@ class TestInject:
 
     def test_one_draw_matches_per_location_draws_bit_for_bit(self):
         # reference: one complex_normal block per location, ascending, added on
-        # the mask; the stream must stay aligned for the precision noise after it
-        for seed in range(50):
+        # the mask; the stream must stay aligned for the precision noise after it.
+        # Plans list their locations as drawn, sorted, or sorted in reverse.
+        for seed, arrange in itertools.product(range(50), ("drawn", "ascending", "descending")):
             rng = np.random.default_rng(seed)
             n, u, h = int(rng.integers(3, 32)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
             count = int(rng.integers(1, n + 1))
             locations = rng.choice(n, size=count, replace=False)
+            if arrange != "drawn":
+                locations = np.sort(locations)[:: 1 if arrange == "ascending" else -1]
             bases = (rng.random((count, u, h)) < 0.6).astype(int)
             plan = ByzantinePlan(tuple(locations.tolist()), bases,
                                  noise_mean=complex(*rng.standard_normal(2)),
