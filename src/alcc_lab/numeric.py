@@ -7,6 +7,7 @@ functions over immutable inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +65,18 @@ def least_squares(a, b) -> LstsqSolution:
 
     ``b`` is (..., rows) or (..., rows, k) with the same leading axes as ``a``.
     Each system is solved by Householder QR, x = R^-1 Q^H b, and cond comes
-    from the same R^-1 as ||R||_F * ||R^-1||_F. Only the systems with cond >=
-    1 / (eps * max(rows, cols)), or with a zero or non-finite diagonal of R,
-    are solved again by SVD as np.linalg.lstsq (which does not take stacks)
-    solves them: singular values <= eps * max(rows, cols) * s_max count as
-    zero and x is the minimum-norm solution. Every system lstsq would cut
-    meets that test, so rank and x differ from the full-rank QR answer only
-    there.
+    from the same R^-1 as ||R||_F * ||R^-1||_F. One ``np.linalg.qr(mode="raw")``
+    of [a | b] holds R and Q^H b in the upper triangle of its factored array;
+    the Householder vectors below R's diagonal are zeroed through a read-only
+    mask cached per ``cols``. Only the systems with cond >= 1 / (eps *
+    max(rows, cols)), or with a zero or non-finite diagonal of R, are solved
+    again by SVD as np.linalg.lstsq (which does not take stacks) solves them:
+    singular values <= eps * max(rows, cols) * s_max count as zero and x is
+    the minimum-norm solution. Every system lstsq would cut meets that test,
+    so rank and x differ from the full-rank QR answer only there.
     """
-    a = as_finite_complex(a, "lhs")
-    b = as_finite_complex(b, "rhs")
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     vector = b.ndim == a.ndim - 1
     rhs = b[..., None] if vector else b
     if a.ndim < 2 or rhs.shape[:-1] != a.shape[:-1]:
@@ -81,9 +84,15 @@ def least_squares(a, b) -> LstsqSolution:
     rows, cols = a.shape[-2:]
     if rows < cols:
         raise DimensionError("system must have rows >= cols")
-    # QR of [a | b] leaves R in its leading cols x cols block and Q^H b beside it
-    r_aug = np.linalg.qr(np.concatenate([a, rhs], axis=-1), mode="r")
-    r, qhb = r_aug[..., :cols, :cols], r_aug[..., :cols, cols:]
+    augmented = np.concatenate([a, rhs], axis=-1)
+    if not np.isfinite(augmented).all():
+        as_finite_complex(a, "lhs")
+        as_finite_complex(b, "rhs")
+    # raw mode returns the factored [a | b] transposed: R in its leading
+    # cols x cols block, Householder vectors below it, and Q^H b beside it
+    factored = np.linalg.qr(augmented, mode="raw")[0].swapaxes(-1, -2)
+    r, qhb = factored[..., :cols, :cols], factored[..., :cols, cols:]
+    np.copyto(r, 0, where=_strict_lower(cols))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     singular = ~(np.isfinite(diag) & (diag != 0)).all(axis=-1)
     if singular.any():
@@ -101,6 +110,14 @@ def least_squares(a, b) -> LstsqSolution:
             a[fallback], rhs[fallback]
         )
     return LstsqSolution(x=x[..., 0] if vector else x, rank=rank, cond=cond)
+
+
+@functools.lru_cache(maxsize=128)
+def _strict_lower(cols: int) -> np.ndarray:
+    """Read-only (cols, cols) mask of the entries below the diagonal."""
+    mask = np.tri(cols, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _frobenius_sq(m):
