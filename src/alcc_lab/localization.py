@@ -20,13 +20,13 @@ from math import comb
 
 import numpy as np
 
+from .dft_code import LocatorPolynomial
+from .numeric import ParameterError, RuntimeGuardError
+
 # largest subset count the joint search scores before demanding a constraint
 # length; its (S, size) index, metric and sorted arrays grow with it, and
 # C(20, 8) = 125,970 subsets of 8 take about 8 MB each
 _MAX_SUBSETS = 200_000
-
-from .dft_code import LocatorPolynomial
-from .numeric import ParameterError, RuntimeGuardError
 
 
 def _candidate_array(n: int, candidates) -> np.ndarray:
@@ -57,13 +57,17 @@ def root_metric(poly: LocatorPolynomial, n: int, candidates=None) -> np.ndarray:
     return _grid_metric(poly.coeffs, n)[..., cand]
 
 
-def _smallest(metric, cand, count: int) -> np.ndarray:
-    """Sorted candidates holding the `count` smallest metric values, ties to the smaller."""
-    if count > cand.size:
-        raise ParameterError(f"cannot pick {count} of {cand.size} candidates")
+def _smallest(metric, count: int, cand=None) -> np.ndarray:
+    """Sorted candidates holding the `count` smallest metric values, ties to the smaller.
+
+    ``cand`` (ascending) names the candidate at each metric position; None
+    means the positions themselves.
+    """
+    if count > metric.shape[-1]:
+        raise ParameterError(f"cannot pick {count} of {metric.shape[-1]} candidates")
     # candidates ascending => stable tie-break
     order = np.argsort(metric, axis=-1, kind="stable")[..., :count]
-    return np.sort(cand[order], axis=-1)
+    return np.sort(order if cand is None else cand[order], axis=-1)
 
 
 def independent_localize(
@@ -73,8 +77,11 @@ def independent_localize(
 
     Returns sorted index arrays, (..., count) for a stack of locators.
     """
+    metric = _grid_metric(poly.coeffs, n)
+    if candidates is None:
+        return _smallest(metric, count)
     cand = _candidate_array(n, candidates)
-    return _smallest(root_metric(poly, n, cand), cand, count)
+    return _smallest(metric[..., cand], count, cand)
 
 
 def average_locators(polys) -> LocatorPolynomial:
@@ -148,7 +155,7 @@ def joint_localize(
     degrees = [degree for _, degree, _ in group]
 
     initial_union = np.unique(np.concatenate(
-        [_smallest(m[cand], cand, d) for m, d in zip(metric, degrees)]
+        [_smallest(m[cand], d, cand) for m, d in zip(metric, degrees)]
     ))
 
     violated = initial_union.size > capability
@@ -180,7 +187,7 @@ def joint_localize(
         scores += vals[:, :degree].sum(axis=-1)
     best = int(np.argmin(scores))  # first minimum: lexicographic tie-break
     chosen = working[subsets[best]]
-    picks = [_smallest(m[chosen], chosen, min(d, subset_size))
+    picks = [_smallest(m[chosen], min(d, subset_size), chosen)
              for m, d in zip(metric, degrees)]
 
     per_poly: list = [None] * len(polys)
