@@ -7,12 +7,17 @@ centralized computation. The codewords are decoded in stacks: one locator
 call per distinct error count, one value-recovery call per detected-set
 size. Each locator in a call is its own system; a value-recovery call whose
 codewords all share one detected set, as under all-one base matrices, solves
-one system for all of them, and otherwise one per codeword.
+one system for all of them, and otherwise one per codeword. When every
+codeword has the same count, as under oracle counts on all-one bases, the
+one stack is a view of the whole (M, ...) arrays, not a gathered copy.
+Localization returns the detected sets as index arrays per set size, and
+value recovery takes them as they are.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
 (see `codec`), the DFT code per (N, K) (see `dft_code.build_code`), and the
-digest on the `Scenario` instance. Every draw is still made per trial, from the trial's own seed.
+encoding parameters and the digest on the `Scenario` instance. Every draw
+is still made per trial, from the trial's own seed.
 """
 
 from __future__ import annotations
@@ -89,7 +94,16 @@ def _build_plan(scenario: Scenario, rng: np.random.Generator):
 
 
 def _groups(sizes):
-    """(size, rows) for each distinct positive size, sizes and rows ascending."""
+    """(size, rows) for each distinct positive size, sizes and rows ascending.
+
+    When every codeword has the same positive size, as under oracle counts on
+    all-one bases, rows is ``slice(None)``: the stack is read and written as
+    a view, with no gather or scatter. Otherwise rows is an index array.
+    """
+    first = sizes[0]
+    if first > 0 and (sizes == first).all():
+        yield first, slice(None)
+        return
     for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         yield size, np.flatnonzero(sizes == size)
 
@@ -108,39 +122,48 @@ def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
     return coeffs
 
 
-def _localize_codewords(scenario, code, coeffs, counts, rng) -> np.ndarray:
-    """(M, N) mask of the indices detected per codeword under the configured strategy."""
+def _localize_codewords(scenario, code, coeffs, counts, rng) -> list:
+    """Indices detected under the configured strategy, as (rows, found) per set size.
+
+    Groups come from `_groups` over the detected-set sizes; ``found`` holds
+    the sorted indices detected in each of the group's codewords, (rows, size).
+    """
     n = scenario.n_workers
     pool = scenario.candidate_pool()
     restricted = pool if len(pool) < n else None
-    detected = np.zeros((counts.size, n), dtype=bool)
     if scenario.localization != "joint":
-        # restricted localization only searches the unreliable pool
+        # restricted localization only searches the unreliable pool; each
+        # locator detects exactly its count
         cand = restricted if scenario.localization == "restricted" else None
-        for count, rows in _groups(counts):
-            poly = dft_code.LocatorPolynomial(coeffs[rows, : count + 1], count)
-            found = localization.independent_localize(poly, count, n, candidates=cand)
-            detected[rows[:, None], found] = True
-    elif counts.any():
-        active = np.flatnonzero(counts)
-        result = localization.joint_localize(
-            [dft_code.LocatorPolynomial(coeffs[c, : counts[c] + 1], counts[c]) for c in active],
-            capability=code.capability,
-            n=n,
-            constraint_length=scenario.constraint_length,
-            candidates=restricted,
-            rng=rng,
-        )
-        rows = np.repeat(active, [found.size for found in result.per_poly])
-        detected[rows, np.concatenate(result.per_poly)] = True
-    return detected
+        return [
+            (rows, localization.independent_localize(
+                dft_code.LocatorPolynomial(coeffs[rows, : count + 1], count), count, n,
+                candidates=cand))
+            for count, rows in _groups(counts)
+        ]
+    if not counts.any():
+        return []
+    active = np.flatnonzero(counts)
+    result = localization.joint_localize(
+        [dft_code.LocatorPolynomial(coeffs[c, : counts[c] + 1], counts[c]) for c in active],
+        capability=code.capability,
+        n=n,
+        constraint_length=scenario.constraint_length,
+        candidates=restricted,
+        rng=rng,
+    )
+    per_codeword = dict(zip(active.tolist(), result.per_poly))
+    sizes = np.zeros_like(counts)
+    sizes[active] = [found.size for found in result.per_poly]
+    codewords = np.arange(counts.size)
+    return [(rows, np.stack([per_codeword[c] for c in codewords[rows]]))
+            for _, rows in _groups(sizes)]
 
 
-def _correct_codewords(code, r_eff, syndromes, detected) -> np.ndarray:
+def _correct_codewords(code, r_eff, syndromes, groups) -> np.ndarray:
     """Subtract the recovered error values at every codeword's detected indices."""
     corrected = r_eff.copy()
-    for size, rows in _groups(detected.sum(axis=1)):
-        found = np.nonzero(detected[rows])[1].reshape(rows.size, size)
+    for rows, found in groups:
         if (found == found[0]).all():
             found = found[0]  # one set for every codeword: one system
         values = dft_code.recover_error_values(code, syndromes[rows], found)
@@ -195,12 +218,16 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
                 # restricted and joint pick only from the pool, so never more than it holds
                 counts = np.minimum(counts, len(scenario.candidate_pool()))
         coeffs = _locators(scenario, code, syndromes, counts, rng)
-        detected = _localize_codewords(scenario, code, coeffs, counts, rng)
+        groups = _localize_codewords(scenario, code, coeffs, counts, rng)
+        detected = np.zeros(r_eff.shape, dtype=bool)
+        codewords = np.arange(m_rows)
+        for rows, found in groups:
+            detected[codewords[rows, None], found] = True
         truth = np.zeros_like(detected)
         if plan is not None:
             truth[:, locations] = b_eff.astype(bool)
         loc_correct = np.array_equal(detected, truth)
-        r_eff = _correct_codewords(code, r_eff, syndromes, detected)
+        r_eff = _correct_codewords(code, r_eff, syndromes, groups)
     else:
         loc_correct = scenario.byzantine_count == 0
 

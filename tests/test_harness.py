@@ -285,8 +285,13 @@ class TestSharedValueRecovery:
         seen = []
         correct_codewords, relative_error = harness._correct_codewords, codec.relative_error
 
-        def spy_correct(code, r_eff, syndromes, detected):
-            corrected = correct_codewords(code, r_eff, syndromes, detected)
+        def spy_correct(code, r_eff, syndromes, groups):
+            corrected = correct_codewords(code, r_eff, syndromes, groups)
+            # the (M, N) mask of the detected indices, from each group's found sets
+            detected = np.zeros(r_eff.shape, dtype=bool)
+            codewords = np.arange(r_eff.shape[0])
+            for rows, found in groups:
+                detected[codewords[rows, None], found] = True
             seen.append({"s": syndromes, "detected": detected, "corrected": corrected})
             return corrected
 
