@@ -98,20 +98,21 @@ def inject(
     by location, the real then the imaginary parts, the same stream as A
     `complex_normal` draws of one (u, h) block each.
     """
-    out = np.asarray(results, dtype=complex).copy()
+    out = np.array(results, dtype=complex)
     n = out.shape[0]
     if plan is not None and plan.count:
-        locations = np.asarray(plan.locations)
-        if locations.max() >= n or locations.min() < 0:
+        if max(plan.locations) >= n or min(plan.locations) < 0:
             raise ParameterError("plan locations must lie in 0..N-1")
-        order = np.argsort(locations)
-        locations = locations[order]
+        locations, bases = np.asarray(plan.locations), plan.bases
+        if list(plan.locations) != sorted(plan.locations):
+            order = np.argsort(locations)
+            locations, bases = locations[order], bases[order]
         draws = rng.standard_normal((plan.count, 2) + out.shape[1:])
         noise = plan.noise_mean + np.sqrt(plan.noise_var / 2.0) * (
             draws[:, 0] + 1j * draws[:, 1]
         )
         hit = out[locations]
-        np.add(hit, noise, out=hit, where=plan.bases[order].astype(bool))
+        np.add(hit, noise, out=hit, where=bases.astype(bool))
         out[locations] = hit
     if precision.mode == "synthetic" and precision.variance > 0:
         out += complex_normal(rng, 0.0, precision.variance, out.shape)
