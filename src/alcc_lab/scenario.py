@@ -100,17 +100,19 @@ class Scenario:
                 raise ParameterError("byzantine_locations must match byzantine_count")
             if not set(self.byzantine_locations) <= set(pool):
                 raise ParameterError("byzantine_locations must lie in the unreliable pool")
-        self.encoding()  # validates K <= N
-
-    def encoding(self) -> EncodingParams:
-        return EncodingParams(
+        # building the encoding validates K <= N; it is kept for `encoding`
+        object.__setattr__(self, "_encoding", EncodingParams(
             n_workers=self.n_workers,
             k=self.k,
             t=self.t,
             degree=FUNCTIONS[self.function].degree,
             beta=self.beta,
             sigma_pad=self.sigma_pad,
-        )
+        ))
+
+    def encoding(self) -> EncodingParams:
+        """The scenario's (frozen) encoding parameters, built once with the scenario."""
+        return self._encoding
 
     def candidate_pool(self) -> tuple:
         """Evaluation indices that unreliable workers hold."""
