@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import assignment_pair_log_bound, gamma_bounds
+from .bounds import assignment_pair_log_bound, check_noise_parameters, gamma_bounds
 from .numeric import ParameterError, RuntimeGuardError
 
 
@@ -38,6 +38,7 @@ class AssignmentProblem:
             raise ParameterError("need 0 < unreliable count <= N")
         if self.byzantine_count > self.unreliable_count:
             raise ParameterError("byzantine count cannot exceed the unreliable count")
+        check_noise_parameters(self.eta, self.sigma_p_sq)
 
     def resolved_gamma_max(self) -> float:
         if self.gamma_max is not None:

@@ -18,6 +18,13 @@ import numpy as np
 from .numeric import ParameterError
 
 
+def check_noise_parameters(eta: float, sigma_p_sq: float) -> None:
+    """Raise ParameterError, naming the field, unless both are finite and positive."""
+    for name, value in (("eta", eta), ("sigma_p_sq", sigma_p_sq)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+
+
 def kappa(n: int, a: int, index_gap: int, eta: float) -> float:
     """kappa = 2 / (eta * sum_{l=1..a} (1 - cos(l * 2*pi*gap/n)))."""
     if not 1 <= index_gap <= n - 1:
@@ -128,6 +135,7 @@ def localization_upper_bound(
     The per-pair term is a lower bound, so this composite is a surrogate
     objective rather than a certified bound on the empirical rate.
     """
+    check_noise_parameters(eta, sigma_p_sq)
     support = sorted(int(q) for q in support)
     if len(set(support)) != len(support) or not all(0 <= q < n for q in support):
         raise ParameterError(f"support must be distinct indices in 0..{n - 1}, got {support}")
@@ -158,8 +166,7 @@ def dominant_term_log_bound(
     """log of a_c times the nearest-neighbor (gap 1) pairwise surrogate."""
     if a_c < 1:
         raise ParameterError("degree must be at least 1")
-    if sigma_p_sq <= 0.0:
-        raise ParameterError("log bound needs sigma_p_sq > 0")
+    check_noise_parameters(eta, sigma_p_sq)
     kap = kappa(n, a_c, 1, eta)
     ratio = kap / (1.0 + kap)
     return math.log(a_c) + math.log(ratio) - eta * c_sq * ratio / (4.0 * sigma_p_sq)
@@ -193,8 +200,7 @@ def strong_collusion_objective(
         raise ParameterError("omega must lie in 0..m_rows")
     if v < 2:
         raise ParameterError("need v >= 2 so that degree v-1 rows exist")
-    if sigma_p_sq <= 0.0:
-        raise ParameterError("objective needs sigma_p_sq > 0")
+    check_noise_parameters(eta, sigma_p_sq)
     kap2 = kappa(n, v - 1, 1, eta)
     ratio2 = kap2 / (1.0 + kap2)
     reduced_term = (v - 1) * ratio2 * math.exp(

@@ -50,6 +50,13 @@ class TestObjective:
         with pytest.raises(ParameterError):
             problem2_log_objective((0, 1), TABLE_PROBLEM)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["eta", "sigma_p_sq"])
+    def test_bad_noise_parameter_rejected_by_name(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite and positive"):
+            AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2,
+                              **{field: value})
+
 
 class TestSolver:
     def test_whole_range_is_single_candidate(self):

@@ -186,6 +186,27 @@ class TestStrongCollusionObjective:
             strong_collusion_objective(10, 8, 11, 31, 0.01, 10.0)
 
 
+BAD_NOISE_VALUES = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestNoiseParameterChecks:
+    """Every entry point that takes eta and sigma_p_sq rejects them unless finite and positive."""
+
+    ENTRY_POINTS = {
+        "union": lambda eta, var: localization_upper_bound(11, [0, 3], var, eta),
+        "dominant": lambda eta, var: dominant_term_bound(2, 11, var, eta),
+        "strong": lambda eta, var: strong_collusion_objective(10, 8, 1, 31, var, eta),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", BAD_NOISE_VALUES)
+    @pytest.mark.parametrize("field", ["eta", "sigma_p_sq"])
+    def test_rejected_by_name(self, entry, value, field):
+        args = {"eta": 10.0, "sigma_p_sq": 0.01, field: value}
+        with pytest.raises(ParameterError, match=f"^{field} must be finite and positive"):
+            self.ENTRY_POINTS[entry](args["eta"], args["sigma_p_sq"])
+
+
 class TestGammaBounds:
     def test_max_is_nearest_gap(self):
         lo, hi = gamma_bounds(31, 2, 10.0)

@@ -107,6 +107,18 @@ class TestBoundsCommand:
         assert err.startswith("error: ") and message in err
 
 
+    @pytest.mark.parametrize(
+        "flags,field",
+        [(["--eta", "-1"], "eta"), (["--sigma-grid", "nan"], "sigma_p_sq")],
+        ids=["negative-eta", "nan-sigma"],
+    )
+    def test_bad_noise_parameter_exits_one(self, capsys, flags, field):
+        assert main(["bounds", "--n", "11", "--count", "2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be finite and positive")
+        assert captured.out == ""
+
+
 class TestOptimizeAssignmentCommand:
     def test_reports_reported_class(self, capsys):
         code = main(["optimize-assignment", "--n", "11", "--mu", "5",
@@ -119,6 +131,18 @@ class TestOptimizeAssignmentCommand:
         code = main(["optimize-assignment", "--n", "40", "--mu", "20",
                      "--count", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [(["--eta", "0"], "eta"), (["--sigma-p2", "-1"], "sigma_p_sq")],
+        ids=["zero-eta", "negative-sigma"],
+    )
+    def test_bad_noise_parameter_exits_one(self, capsys, flags, field):
+        code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be finite and positive")
+        assert captured.out == ""
 
     def test_zero_beam_width_exits_one(self, capsys):
         code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
