@@ -52,9 +52,12 @@ def _grid_metric(coeffs, n: int) -> np.ndarray:
 
 
 def root_metric(poly: LocatorPolynomial, n: int, candidates=None) -> np.ndarray:
-    """|g(gamma^q)|^2 for each candidate index q, (..., candidates), candidates ascending."""
-    cand = _candidate_array(n, candidates)
-    return _grid_metric(poly.coeffs, n)[..., cand]
+    """|g(gamma^q)|^2 for each candidate index q, (..., candidates), candidates ascending.
+
+    Without candidates, every index q = 0..n-1 is one, with no gather.
+    """
+    metric = _grid_metric(poly.coeffs, n)
+    return metric if candidates is None else metric[..., _candidate_array(n, candidates)]
 
 
 def _smallest(metric, count: int, cand=None) -> np.ndarray:
@@ -77,11 +80,8 @@ def independent_localize(
 
     Returns sorted index arrays, (..., count) for a stack of locators.
     """
-    metric = _grid_metric(poly.coeffs, n)
-    if candidates is None:
-        return _smallest(metric, count)
-    cand = _candidate_array(n, candidates)
-    return _smallest(metric[..., cand], count, cand)
+    cand = None if candidates is None else _candidate_array(n, candidates)
+    return _smallest(root_metric(poly, n, cand), count, cand)
 
 
 def average_locators(polys) -> LocatorPolynomial:
