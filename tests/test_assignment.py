@@ -205,6 +205,22 @@ class TestEmpiricalBaseline:
         assert result.table[(0, 2, 5, 8, 10)] < result.table[(0, 1, 2, 3, 4)]
         assert result.subset == (0, 2, 5, 8, 10)
 
+    def test_table_matches_a_subset_major_loop_bit_for_bit(self):
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        scenario = self._scenario().with_updates(byzantine_count=2)
+        candidates = [(0, 1, 2, 3, 4), (0, 2, 5, 8, 10), (1, 3, 5, 7, 9), (2, 4, 6, 8, 10)]
+        result = relative_error_baseline(prob, scenario, trials=3, seed=7,
+                                         candidates=candidates)
+        seeds = harness.trial_seeds(7, 0, 3)
+        table = {}
+        for subset in candidates:
+            sc = scenario.with_updates(unreliable=subset)
+            table[subset] = float(np.mean([harness.run_trial(sc, s).e_rel for s in seeds]))
+        assert list(result.table) == candidates
+        assert [v.hex() for v in result.table.values()] == [v.hex() for v in table.values()]
+        best = min(table, key=lambda k: (table[k], k))
+        assert (result.subset, result.mean_error, result.simulations) == (best, table[best], 12)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_rejected(self, trials):
         prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)

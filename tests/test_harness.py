@@ -234,6 +234,45 @@ class TestRunTrial:
         assert np.isfinite(record.e_rel)
 
 
+class TestSharedPrefix:
+    """Consecutive trials of one seed and encoding share data, shares and worker results."""
+
+    # elementwise square: degree 2 like gram, so only the function name tells them apart
+    SQUARE = codec.MatrixPolynomial("square", 2, lambda x: x * x)
+    BASE = dict(n_workers=11, k=3, t=1, sigma_pad=1.0, input_rows=4, input_cols=4,
+                byzantine_count=2, precision_var=0.005, localization="restricted",
+                unreliable=(0, 1, 2, 3, 4))
+
+    @staticmethod
+    def fresh(monkeypatch, sc, seed):
+        """The trial run with nothing kept from the trial before it."""
+        monkeypatch.setattr(harness, "_last_prefix", None, raising=False)
+        return run_trial(sc, seed)
+
+    def test_interleaved_trials_match_fresh_trials(self, monkeypatch):
+        monkeypatch.setitem(codec.FUNCTIONS, self.SQUARE.name, self.SQUARE)
+        a = Scenario(**self.BASE)
+        b = a.with_updates(unreliable=(0, 2, 5, 8, 10))
+        # each differs from `a` in one field the shared part depends on
+        others = [a.with_updates(**change) for change in (
+            dict(beta=1.2), dict(sigma_pad=2.0), dict(input_rows=3), dict(input_cols=3),
+            dict(function="square"), dict(decoder=False), dict(byzantine_count=0),
+        )]
+        s1, s2 = 101, 202
+        sequence = [(a, s1), (b, s1), (a, s2), (b, s1), (a, s1)]
+        for other in others:
+            sequence += [(other, s1), (a, s1)]
+        sequence += [(b, s2), (b, s2)]
+        monkeypatch.setattr(harness, "_last_prefix", None, raising=False)
+        run = [run_trial(sc, seed) for sc, seed in sequence]
+        alone = [self.fresh(monkeypatch, sc, seed) for sc, seed in sequence]
+        for got, want in zip(run, alone):
+            assert dataclasses.replace(got, wall_time=0.0) == dataclasses.replace(
+                want, wall_time=0.0)
+        # the sequence changes the worker results, not only the threat
+        assert len({r.e_rel for r in alone}) > len(sequence) // 2
+
+
 class TestSharedValueRecovery:
     """Value recovery in a trial: one system per shared detected set, else one per codeword."""
 
