@@ -220,6 +220,10 @@ def relative_error_baseline(
     candidate; every candidate's scenario is built, and so validated, before
     the first trial). Refuses to exceed `max_simulations` total runs unless forced.
     Trial seeds are shared across candidates so the comparison is paired.
+    The scan runs seed-major, every candidate at one seed before the next
+    seed, so consecutive trials share their data, encoding and worker
+    results (see `harness`); each candidate's errors are still averaged in
+    seed order, which gives the same table as a candidate-major loop.
     """
     from . import harness  # local import: harness sits above this module
 
@@ -252,11 +256,13 @@ def relative_error_baseline(
             scenarios.append((subset, scenario.with_updates(unreliable=subset)))
         except ParameterError as exc:
             raise ParameterError(f"candidate {subset}: {exc}") from exc
-    seeds = harness.trial_seeds(seed, 0, trials)
+    errors = [[] for _ in scenarios]
+    for s in harness.trial_seeds(seed, 0, trials):
+        for (_, sc), found in zip(scenarios, errors):
+            found.append(harness.run_trial(sc, s).e_rel)
     table = {}
-    for subset, sc in scenarios:
-        errors = [harness.run_trial(sc, s).e_rel for s in seeds]
-        table[subset] = float(np.mean(errors))
+    for (subset, _), found in zip(scenarios, errors):
+        table[subset] = float(np.mean(found))
     best = min(table, key=lambda k: (table[k], k))
     return BaselineResult(
         subset=best, mean_error=table[best], table=table, simulations=total
