@@ -224,6 +224,7 @@ def relative_error_baseline(
     seed, so consecutive trials share their data, encoding and worker
     results (see `harness`); each candidate's errors are still averaged in
     seed order, which gives the same table as a candidate-major loop.
+    The scenario must have the problem's `n_workers` and `byzantine_count`.
     """
     from . import harness  # local import: harness sits above this module
 
@@ -247,6 +248,12 @@ def relative_error_baseline(
             f"{total} simulations exceed the guard of {max_simulations}; "
             "pass force=True to override"
         )
+    for name in ("n_workers", "byzantine_count"):
+        if getattr(scenario, name) != getattr(prob, name):
+            raise ParameterError(
+                f"scenario {name}={getattr(scenario, name)} contradicts the problem's "
+                f"{getattr(prob, name)}"
+            )
     if candidates is None:
         candidates = combinations(range(prob.n_workers), prob.unreliable_count)
     # build, and so validate, every candidate's scenario before the first trial

@@ -187,7 +187,7 @@ class TestEmpiricalBaseline:
 
     def test_no_adversary_is_non_discriminative(self):
         # without Byzantine noise every assignment produces the same trials
-        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=0)
         candidates = [(0, 1, 2, 3, 4), (0, 2, 5, 8, 10), (1, 3, 5, 7, 9)]
         result = relative_error_baseline(
             prob, self._scenario(), trials=4, seed=1, candidates=candidates
@@ -248,6 +248,25 @@ class TestEmpiricalBaseline:
         scenario = self._scenario().with_updates(byzantine_count=2,
                                                  byzantine_locations=(0, 1))
         with pytest.raises(ParameterError, match="unreliable pool"):
+            relative_error_baseline(prob, scenario, trials=1, seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("n_workers", dict(n_workers=31, k=5, t=3, byzantine_count=3)),
+        ("byzantine_count", dict(byzantine_count=3)),
+    ])
+    def test_scenario_contradicting_the_problem_rejected(self, monkeypatch, field, overrides):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("unreachable")
+
+        monkeypatch.setattr(harness, "run_trial", spy)
+        monkeypatch.setattr(Scenario, "with_updates", spy)
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        scenario = dataclasses.replace(self._scenario(), **overrides)
+        with pytest.raises(ParameterError, match=field):
             relative_error_baseline(prob, scenario, trials=1, seed=0)
         assert calls == []
 
