@@ -80,8 +80,11 @@ def independent_localize(
 
     Returns sorted index arrays, (..., count) for a stack of locators.
     """
-    cand = None if candidates is None else _candidate_array(n, candidates)
-    return _smallest(root_metric(poly, n, cand), count, cand)
+    metric = _grid_metric(poly.coeffs, n)
+    if candidates is None:
+        return _smallest(metric, count)
+    cand = _candidate_array(n, candidates)
+    return _smallest(metric[..., cand], count, cand)
 
 
 def average_locators(polys) -> LocatorPolynomial:
