@@ -93,12 +93,16 @@ def least_squares(a, b) -> LstsqSolution:
     factored = np.linalg.qr(augmented, mode="raw")[0].swapaxes(-1, -2)
     r, qhb = factored[..., :cols, :cols], factored[..., :cols, cols:]
     np.copyto(r, 0, where=_strict_lower(cols))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    singular = ~(np.isfinite(diag) & (diag != 0)).all(axis=-1)
-    if singular.any():
-        # an exactly singular R would make inv raise for the whole stack
+    try:
+        r_inv = np.linalg.inv(r)
+        singular = False
+    except np.linalg.LinAlgError:
+        # an exactly singular R makes inv raise for the whole stack: give the
+        # systems with a zero or non-finite diagonal an identity R, and the SVD
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        singular = ~(np.isfinite(diag) & (diag != 0)).all(axis=-1)
         r[singular] = np.eye(cols)
-    r_inv = np.linalg.inv(r)
+        r_inv = np.linalg.inv(r)
     with np.errstate(over="ignore", invalid="ignore"):
         x = r_inv @ qhb
         cond = np.asarray(np.sqrt(_frobenius_sq(r) * _frobenius_sq(r_inv)))
