@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alcc_lab import assignment as assignment_mod
-from alcc_lab import harness
+from alcc_lab import codec, harness
 from alcc_lab.assignment import (
     AssignmentProblem,
     RuntimeGuardError,
@@ -220,6 +220,21 @@ class TestEmpiricalBaseline:
         assert [v.hex() for v in result.table.values()] == [v.hex() for v in table.values()]
         best = min(table, key=lambda k: (table[k], k))
         assert (result.subset, result.mean_error, result.simulations) == (best, table[best], 12)
+
+    def test_scan_draws_and_encodes_once_per_seed(self, monkeypatch):
+        calls = []
+        for name in ("make_batch", "encode_shares"):
+            def spy(*args, _name=name, _fn=getattr(codec, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(codec, name, spy)
+        monkeypatch.setattr(harness, "_last_prefix", None)
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        scenario = self._scenario().with_updates(byzantine_count=2)
+        candidates = [(0, 1, 2, 3, 4), (0, 2, 5, 8, 10), (1, 3, 5, 7, 9)]
+        relative_error_baseline(prob, scenario, trials=4, seed=3, candidates=candidates)
+        assert calls == ["make_batch", "encode_shares"] * 4
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_rejected(self, trials):
