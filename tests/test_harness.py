@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +273,34 @@ class TestSharedPrefix:
                 want, wall_time=0.0)
         # the sequence changes the worker results, not only the threat
         assert len({r.e_rel for r in alone}) > len(sequence) // 2
+
+    def test_threads_interleaving_seeds_match_fresh_trials(self, monkeypatch):
+        a = Scenario(**self.BASE)
+        b = a.with_updates(unreliable=(0, 2, 5, 8, 10))
+        pairs = [(sc, seed) for seed in (5, 6) for sc in (a, b)]
+        want = [dataclasses.replace(self.fresh(monkeypatch, sc, seed), wall_time=0.0)
+                for sc, seed in pairs]
+        failures = []
+
+        def work(offset):
+            for i in range(40):
+                j = (offset + i) % len(pairs)
+                got = dataclasses.replace(run_trial(*pairs[j]), wall_time=0.0)
+                if got != want[j]:
+                    failures.append(pairs[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestSharedValueRecovery:
