@@ -267,9 +267,7 @@ def relative_error_baseline(
     for s in harness.trial_seeds(seed, 0, trials):
         for (_, sc), found in zip(scenarios, errors):
             found.append(harness.run_trial(sc, s).e_rel)
-    table = {}
-    for (subset, _), found in zip(scenarios, errors):
-        table[subset] = float(np.mean(found))
+    table = {subset: float(np.mean(found)) for (subset, _), found in zip(scenarios, errors)}
     best = min(table, key=lambda k: (table[k], k))
     return BaselineResult(
         subset=best, mean_error=table[best], table=table, simulations=total
