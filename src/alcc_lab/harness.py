@@ -18,6 +18,16 @@ the encode basis and the reconstruction map are cached per `EncodingParams`
 (see `codec`), the DFT code per (N, K) (see `dft_code.build_code`), and the
 encoding parameters and the digest on the `Scenario` instance. Every draw
 is still made per trial, from the trial's own seed.
+
+Consecutive trials of one seed also share their prefix: the data blocks,
+padding, shares, worker results and centralized reference depend only on
+the seed, the `EncodingParams`, the function and the input shape, not on
+the threat, the unreliable pool or the decoder. `run_trial` keeps the last
+trial's prefix (read-only) with the generator state after its draws; a trial
+with the same key reuses it and makes every later draw from the same stream,
+so its record is the one a fresh run gives. Paired scans over the same seeds,
+such as `assignment.relative_error_baseline`, run seed-major to share it;
+sweeps, whose seeds never repeat, pay only a missed comparison.
 """
 
 from __future__ import annotations
