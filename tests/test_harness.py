@@ -248,14 +248,15 @@ class TestSharedPrefix:
     @staticmethod
     def fresh(monkeypatch, sc, seed):
         """The trial run with nothing kept from the trial before it."""
-        monkeypatch.setattr(harness, "_last_prefix", None, raising=False)
+        monkeypatch.setattr(harness, "_last_prefix", None)
         return run_trial(sc, seed)
 
     def test_interleaved_trials_match_fresh_trials(self, monkeypatch):
         monkeypatch.setitem(codec.FUNCTIONS, self.SQUARE.name, self.SQUARE)
         a = Scenario(**self.BASE)
         b = a.with_updates(unreliable=(0, 2, 5, 8, 10))
-        # each differs from `a` in one field the shared part depends on
+        # each differs from `a` in one field: the first five change the shared
+        # part, the last two only what the trial does after it
         others = [a.with_updates(**change) for change in (
             dict(beta=1.2), dict(sigma_pad=2.0), dict(input_rows=3), dict(input_cols=3),
             dict(function="square"), dict(decoder=False), dict(byzantine_count=0),
@@ -265,7 +266,7 @@ class TestSharedPrefix:
         for other in others:
             sequence += [(other, s1), (a, s1)]
         sequence += [(b, s2), (b, s2)]
-        monkeypatch.setattr(harness, "_last_prefix", None, raising=False)
+        monkeypatch.setattr(harness, "_last_prefix", None)
         run = [run_trial(sc, seed) for sc, seed in sequence]
         alone = [self.fresh(monkeypatch, sc, seed) for sc, seed in sequence]
         for got, want in zip(run, alone):
@@ -280,7 +281,7 @@ class TestSharedPrefix:
         pairs = [(sc, seed) for seed in (5, 6) for sc in (a, b)]
         want = [dataclasses.replace(self.fresh(monkeypatch, sc, seed), wall_time=0.0)
                 for sc, seed in pairs]
-        failures = []
+        failures, finished = [], []
 
         def work(offset):
             for i in range(40):
@@ -288,6 +289,7 @@ class TestSharedPrefix:
                 got = dataclasses.replace(run_trial(*pairs[j]), wall_time=0.0)
                 if got != want[j]:
                     failures.append(pairs[j])
+            finished.append(offset)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -300,6 +302,7 @@ class TestSharedPrefix:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(6))
         assert failures == []
 
 
