@@ -38,11 +38,6 @@ def kappa(n: int, a: int, index_gap: int, eta: float) -> float:
     return 2.0 / (eta * total)
 
 
-def sigma_diff_sq(sigma_p_sq: float, a: int, theta_d: float) -> float:
-    """Variance of the evaluation difference: sigma_p^2 * (a - sum cos(l*theta))."""
-    return sigma_p_sq * (a - sum(math.cos(l * theta_d) for l in range(1, a + 1)))
-
-
 def locator_gain(n: int, support, probe: int) -> complex:
     """Locator value at the probe root for a g_0 = 1 locator on the support.
 

@@ -92,34 +92,14 @@ def estimate_error_count(code: DftCode, s, rel_tol: float = 1e-6):
     return numerical_rank(hankel_syndrome_matrix(code, s), rel_tol)
 
 
-@dataclass(frozen=True)
-class LocatorPolynomial:
-    """Error-locator polynomial, ascending coefficients.
+def locator_polynomial(code: DftCode, s, count: int) -> np.ndarray:
+    """Solve the syndrome recursion for the locator coefficients, (..., count+1).
 
-    Its roots among gamma^q mark the corrupted evaluation indices. The
-    declared degree equals the error count used to build it. Solved locators
-    are normalized to g_0 = 1; noisy copies may carry a perturbed constant
-    term.
-    """
-
-    coeffs: np.ndarray  # (..., degree + 1)
-    degree: int
-    # (...) Frobenius condition number ||A||_F ||pinv(A)||_F of the syndrome
-    # system, from the QR solve or, where lstsq would cut, the SVD; nan if unsolved
-    cond: np.ndarray | float = np.nan
-
-    def __post_init__(self):
-        if self.coeffs.shape[-1] != self.degree + 1:
-            raise DimensionError("coefficient count must be degree + 1")
-
-
-def locator_polynomial(code: DftCode, s, count: int) -> LocatorPolynomial:
-    """Solve the syndrome recursion for the locator coefficients.
-
-    Row i (i = 0..2v-count-1) reads sum_j s[i+j] * g_{count-j} = -s[i+count]
-    with g_0 = 1; the stacked system is solved by least squares, using every
-    available syndrome window. Every syndrome of a stack shares `count`, but
-    each is still its own system.
+    The locator's roots among gamma^q mark the corrupted evaluation indices;
+    its coefficients are ascending, with g_0 = 1. Row i (i = 0..2v-count-1)
+    reads sum_j s[i+j] * g_{count-j} = -s[i+count]; the stacked system is
+    solved by least squares, using every available syndrome window. Every
+    syndrome of a stack shares `count`, but each is still its own system.
     """
     s = np.asarray(s, dtype=complex)
     v = code.capability
@@ -129,8 +109,7 @@ def locator_polynomial(code: DftCode, s, count: int) -> LocatorPolynomial:
     sol = least_squares(windows[..., :count], -windows[..., count])
     # unknown order is (g_count, ..., g_1); flip into ascending coefficients
     g0 = np.ones(sol.x.shape[:-1] + (1,), dtype=complex)
-    coeffs = np.concatenate([g0, sol.x[..., ::-1]], axis=-1)
-    return LocatorPolynomial(coeffs=coeffs, degree=count, cond=sol.cond)
+    return np.concatenate([g0, sol.x[..., ::-1]], axis=-1)
 
 
 @functools.lru_cache(maxsize=128)
@@ -139,15 +118,6 @@ def _window_index(v: int, count: int) -> np.ndarray:
     index = np.arange(2 * v - count)[:, None] + np.arange(count + 1)
     index.flags.writeable = False
     return index
-
-
-def true_locator(code: DftCode, locations) -> LocatorPolynomial:
-    """Noise-free locator with roots exactly at the given evaluation indices."""
-    locations = np.asarray(locations, dtype=int)
-    coeffs = np.array([1.0 + 0j])
-    for q in locations:
-        coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / code.roots[q]]))
-    return LocatorPolynomial(coeffs=coeffs, degree=locations.size)
 
 
 def recover_error_values(code: DftCode, s, locations) -> np.ndarray:

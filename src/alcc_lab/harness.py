@@ -10,8 +10,11 @@ codewords all share one detected set, as under all-one base matrices, solves
 one system for all of them, and otherwise one per codeword. When every
 codeword has the same count, as under oracle counts on all-one bases, the
 one stack is a view of the whole (M, ...) arrays, not a gathered copy.
-Localization returns the detected sets as index arrays per set size, and
-value recovery takes them as they are.
+The locators are one (M, v+1) coefficient matrix, zero above each count:
+independent localization reads a count's rows as one stack, and the joint
+search takes the rows of positive count with their counts. Localization
+returns the detected sets as index arrays per set size, and value recovery
+takes them as they are.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
@@ -122,8 +125,7 @@ def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
     """Locator coefficients per codeword, (M, v+1), zero above each count."""
     coeffs = np.zeros((counts.size, code.capability + 1), dtype=complex)
     for count, rows in _groups(counts):
-        poly = dft_code.locator_polynomial(code, syndromes[rows], count)
-        coeffs[rows, : count + 1] = poly.coeffs
+        coeffs[rows, : count + 1] = dft_code.locator_polynomial(code, syndromes[rows], count)
     if scenario.precision_mode == "locator" and scenario.precision_var > 0:
         # one draw per codeword, in codeword order, keeps each trial's random stream
         for c in np.flatnonzero(counts):
@@ -147,15 +149,14 @@ def _localize_codewords(scenario, code, coeffs, counts, rng) -> list:
         cand = restricted if scenario.localization == "restricted" else None
         return [
             (rows, localization.independent_localize(
-                dft_code.LocatorPolynomial(coeffs[rows, : count + 1], count), count, n,
-                candidates=cand))
+                coeffs[rows, : count + 1], count, n, candidates=cand))
             for count, rows in _groups(counts)
         ]
     if not counts.any():
         return []
     active = np.flatnonzero(counts)
     result = localization.joint_localize(
-        [dft_code.LocatorPolynomial(coeffs[c, : counts[c] + 1], counts[c]) for c in active],
+        coeffs[active], counts[active],
         capability=code.capability,
         n=n,
         constraint_length=scenario.constraint_length,

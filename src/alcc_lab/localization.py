@@ -1,15 +1,17 @@
 """Error-localization strategies for noisy locator polynomials.
 
-Roots are constrained to the N-th-roots-of-unity grid, so localization
-orders |g(gamma^q)|^2 over candidate indices instead of extracting roots.
-On that grid the locator values are the length-N DFT of the zero-padded
-coefficients, so one FFT scores every index of a stack of locators.
-Three strategies: independent per polynomial, restricted to an unreliable
-index set (independent with a candidate set), and joint across all
+A locator is an array of ascending coefficients, g_0 = 1; a stack of them is
+(..., degree+1). Roots are constrained to the N-th-roots-of-unity grid, so
+localization orders |g(gamma^q)|^2 over candidate indices instead of
+extracting roots. On that grid the locator values are the length-N DFT of the
+zero-padded coefficients, so one FFT scores every index of a stack of
+locators. Three strategies: independent per polynomial, restricted to an
+unreliable index set (independent with a candidate set), and joint across all
 polynomials of one decoding round. The independent strategy also takes a
-stack of locators that share one degree. The joint strategy builds one
-metric matrix for all its locators and scores all capability-sized subsets
-of its working set in one array pass.
+stack of locators that share one degree. The joint strategy takes a (P, v+1)
+coefficient matrix, zero above each row's degree, with its (P,) degrees; it
+builds one metric matrix for all its locators and scores all capability-sized
+subsets of its working set in one array pass.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .dft_code import LocatorPolynomial
-from .numeric import ParameterError, RuntimeGuardError
+from .numeric import DimensionError, ParameterError, RuntimeGuardError
 
 # largest subset count the joint search scores before demanding a constraint
 # length; its (S, size) index, metric and sorted arrays grow with it, and
@@ -51,15 +52,6 @@ def _grid_metric(coeffs, n: int) -> np.ndarray:
     return np.abs(np.fft.fft(coeffs, n, axis=-1)) ** 2
 
 
-def root_metric(poly: LocatorPolynomial, n: int, candidates=None) -> np.ndarray:
-    """|g(gamma^q)|^2 for each candidate index q, (..., candidates), candidates ascending.
-
-    Without candidates, every index q = 0..n-1 is one, with no gather.
-    """
-    metric = _grid_metric(poly.coeffs, n)
-    return metric if candidates is None else metric[..., _candidate_array(n, candidates)]
-
-
 def _smallest(metric, count: int, cand=None) -> np.ndarray:
     """Sorted candidates holding the `count` smallest metric values, ties to the smaller.
 
@@ -73,30 +65,17 @@ def _smallest(metric, count: int, cand=None) -> np.ndarray:
     return np.sort(order if cand is None else cand[order], axis=-1)
 
 
-def independent_localize(
-    poly: LocatorPolynomial, count: int, n: int, candidates=None
-) -> np.ndarray:
+def independent_localize(coeffs, count: int, n: int, candidates=None) -> np.ndarray:
     """Indices of the `count` smallest |g(gamma^q)|^2, ties to the smaller index.
 
-    Returns sorted index arrays, (..., count) for a stack of locators.
+    ``coeffs`` is one locator (degree+1,) or a stack (..., degree+1). Returns
+    sorted index arrays, (..., count) for a stack of locators.
     """
-    metric = _grid_metric(poly.coeffs, n)
+    metric = _grid_metric(coeffs, n)
     if candidates is None:
         return _smallest(metric, count)
     cand = _candidate_array(n, candidates)
     return _smallest(metric[..., cand], count, cand)
-
-
-def average_locators(polys) -> LocatorPolynomial:
-    """Coefficient-wise mean of locators that all share one declared degree."""
-    polys = list(polys)
-    if not polys:
-        raise ParameterError("need at least one polynomial to average")
-    degree = polys[0].degree
-    if any(p.degree != degree for p in polys):
-        raise ParameterError("all averaged polynomials must share one degree")
-    coeffs = np.mean([p.coeffs for p in polys], axis=0)
-    return LocatorPolynomial(coeffs=coeffs, degree=degree)
 
 
 @dataclass(frozen=True)
@@ -114,7 +93,8 @@ class JointLocalizationResult:
 
 
 def joint_localize(
-    polys,
+    coeffs,
+    degrees,
     capability: int,
     n: int,
     constraint_length: int | None = None,
@@ -123,42 +103,44 @@ def joint_localize(
 ) -> JointLocalizationResult:
     """Solve for a common root support across all locator polynomials.
 
-    Degree-`capability` polynomials are averaged into a single polynomial;
-    lower-degree ones stay individual. Candidate roots are the union of the
-    per-polynomial independent detections, optionally thinned to a random
-    subset of size `constraint_length`. Every capability-sized subset of the
-    working set is scored, in one array pass, by the summed smallest
-    evaluations of each scored polynomial, and the minimum wins (ties to the
+    ``coeffs`` (P, capability+1) holds one locator per row, zero above its
+    entry of ``degrees`` (P,). Degree-`capability` rows are averaged into a
+    single locator; lower-degree ones stay individual. Candidate roots are the
+    union of the per-locator independent detections, optionally thinned to a
+    random subset of size `constraint_length`. Every capability-sized subset
+    of the working set is scored, in one array pass, by the summed smallest
+    evaluations of each scored locator, and the minimum wins (ties to the
     lexicographically smallest subset).
 
-    Returns detected sets aligned with the input polynomial order; inputs of
-    degree `capability` all share the averaged polynomial's detection.
+    Returns detected sets aligned with the input rows; rows of degree
+    `capability` all share the averaged locator's detection.
     """
-    polys = list(polys)
-    if not polys:
-        raise ParameterError("joint localization needs at least one polynomial")
-    if any(p.degree > capability for p in polys):
-        raise ParameterError("polynomial degree exceeds the stated capability")
+    coeffs = np.asarray(coeffs, dtype=complex)
+    degrees = np.asarray(degrees, dtype=int)
+    if degrees.size == 0:
+        raise ParameterError("joint localization needs at least one locator")
+    if not ((degrees >= 0) & (degrees <= capability)).all():
+        raise ParameterError("locator degrees must lie in 0..capability")
+    if degrees.ndim != 1 or coeffs.shape != (degrees.size, capability + 1):
+        raise DimensionError(
+            f"{degrees.size} locators of capability {capability} need "
+            f"({degrees.size}, {capability + 1}) coefficients, got {coeffs.shape}"
+        )
+    if (coeffs[np.arange(capability + 1) > degrees[:, None]] != 0).any():
+        raise ParameterError("a locator has a nonzero coefficient above its degree")
     cand = _candidate_array(n, candidates)
 
-    full_idx = [i for i, p in enumerate(polys) if p.degree == capability]
-    low_idx = [i for i, p in enumerate(polys) if p.degree < capability]
-    group: list[tuple[LocatorPolynomial, int, list]] = []
-    if full_idx:
-        averaged = average_locators([polys[i] for i in full_idx])
-        group.append((averaged, capability, full_idx))
-    for i in low_idx:
-        group.append((polys[i], polys[i].degree, [i]))
-
-    # one (P, N) metric matrix: every scored locator, zero-padded, in one FFT
-    padded = np.zeros((len(group), capability + 1), dtype=complex)
-    for row, (poly, degree, _) in zip(padded, group):
-        row[: degree + 1] = poly.coeffs
-    metric = _grid_metric(padded, n)
-    degrees = [degree for _, degree, _ in group]
+    # one (P, N) metric matrix in one FFT: the averaged full-degree locator
+    # first, then the lower-degree ones in input order
+    full = degrees == capability
+    scored, scored_degrees = coeffs[~full], degrees[~full]
+    if full.any():
+        scored = np.concatenate([coeffs[full].mean(axis=0, keepdims=True), scored])
+        scored_degrees = np.concatenate([[capability], scored_degrees])
+    metric = _grid_metric(scored, n)
 
     initial_union = np.unique(np.concatenate(
-        [_smallest(m[cand], d, cand) for m, d in zip(metric, degrees)]
+        [_smallest(m[cand], d, cand) for m, d in zip(metric, scored_degrees)]
     ))
 
     violated = initial_union.size > capability
@@ -184,22 +166,18 @@ def joint_localize(
         dtype=int, count=evaluated * subset_size,
     ).reshape(evaluated, subset_size)
     scores = np.zeros(evaluated)
-    for m, degree in zip(metric[:, working], degrees):
+    for m, degree in zip(metric[:, working], scored_degrees):
         vals = m[subsets]
         vals.sort(axis=-1)
         scores += vals[:, :degree].sum(axis=-1)
     best = int(np.argmin(scores))  # first minimum: lexicographic tie-break
     chosen = working[subsets[best]]
     picks = [_smallest(m[chosen], min(d, subset_size), chosen)
-             for m, d in zip(metric, degrees)]
-
-    per_poly: list = [None] * len(polys)
-    for (_, _, members), picked in zip(group, picks):
-        for i in members:
-            per_poly[i] = picked
-
+             for m, d in zip(metric, scored_degrees)]
+    # input row -> scored row; the averaged locator, when there is one, is row 0
+    scored_row = np.where(full, 0, np.cumsum(~full) - (not full.any()))
     return JointLocalizationResult(
-        per_poly=per_poly,
+        per_poly=[picks[r] for r in scored_row],
         union=np.unique(np.concatenate(picks)),
         chosen_subset=chosen,
         objective=float(scores[best]),

@@ -109,6 +109,11 @@ class Scenario:
             beta=self.beta,
             sigma_pad=self.sigma_pad,
         ))
+        if self.decoder and self.code_dimension == self.n_workers:
+            raise ParameterError(
+                f"decoder needs a code dimension below n_workers={self.n_workers}, but k="
+                f"{self.k}, t={self.t} and function={self.function!r} give {self.code_dimension}"
+            )
 
     def encoding(self) -> EncodingParams:
         """The scenario's (frozen) encoding parameters, built once with the scenario."""
@@ -248,6 +253,9 @@ def load_config(path) -> tuple[Scenario, SweepSpec]:
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    for name in parser.sections():
+        if name not in ("scenario", "sweep"):
+            raise ParameterError(f"unknown config section [{name}]; use [scenario] and [sweep]")
     if "scenario" not in parser:
         raise ParameterError("config needs a [scenario] section")
     scenario = Scenario(**_read_section(parser, "scenario", Scenario))

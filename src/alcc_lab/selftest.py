@@ -51,8 +51,8 @@ def _failed_decodes(code, clean, support, rel_tol, rng) -> int:
     np.put_along_axis(received, support, np.take_along_axis(received, support, -1) + values, -1)
     syn = dft_code.syndrome(code, received)
     ok = dft_code.estimate_error_count(code, syn, rel_tol=rel_tol) == size
-    poly = dft_code.locator_polynomial(code, syn, size)
-    detected = localization.independent_localize(poly, size, code.n)
+    coeffs = dft_code.locator_polynomial(code, syn, size)
+    detected = localization.independent_localize(coeffs, size, code.n)
     ok &= (detected == support).all(axis=-1)
     values = dft_code.recover_error_values(code, syn, detected)
     corrected = dft_code.correct_codeword(received, detected, values)

@@ -15,10 +15,14 @@ from alcc_lab.bounds import (
     locator_gain,
     pep_context_from_support,
     pep_lower_bound,
-    sigma_diff_sq,
     strong_collusion_objective,
 )
 from alcc_lab.numeric import ParameterError
+
+
+def sigma_diff_sq(sigma_p_sq: float, a: int, theta_d: float) -> float:
+    """Reference variance of the evaluation difference: sigma_p^2 * (a - sum cos(l*theta))."""
+    return sigma_p_sq * (a - sum(math.cos(l * theta_d) for l in range(1, a + 1)))
 
 
 class TestKappa:

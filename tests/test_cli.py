@@ -37,6 +37,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_misnamed_sweep_section_exits_one(self, tmp_path, capsys):
+        # misnamed, the section used to be skipped: the sweep exited 0 after
+        # running only the base point
+        cfg = tmp_path / "case.cfg"
+        write_tiny_config(cfg)
+        cfg.write_text(cfg.read_text().replace("[sweep]", "[Sweep]"))
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "[Sweep]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, tmp_path):
         code = main(["sweep", "--config", str(tmp_path / "ghost.cfg"),
                      "--out", str(tmp_path / "x.csv")])

@@ -86,6 +86,16 @@ class TestScenario:
         with pytest.raises(ParameterError, match=field):
             Scenario(**{field: value})
 
+    def test_decoder_needs_code_dimension_below_n_workers(self):
+        # gram doubles the degree: k=1, t=1 give a code dimension of 3 = N
+        with pytest.raises(ParameterError, match=r"decoder.*n_workers=3.*k=1, t=1"):
+            Scenario(n_workers=3, k=1, t=1)
+        assert Scenario(n_workers=3, k=1, t=1, decoder=False).capability == 0
+        # capability 0 (K = N-1) decodes: every count is zero, nothing is corrected
+        sc = Scenario(n_workers=4, k=1, t=1, sigma_pad=1.0, precision_var=0.0)
+        assert sc.capability == 0
+        assert run_trial(sc, seed=1).loc_correct
+
     def test_locations_must_match_count(self):
         with pytest.raises(ParameterError, match="byzantine_count"):
             Scenario(byzantine_count=3, byzantine_locations=(0, 4))
@@ -442,6 +452,17 @@ class TestSweep:
         base = clean_scenario(byzantine_count=2, byzantine_locations=(0, 5))
         rows = sweep(base, SweepSpec(byzantine_counts=(2, 3), trials=1))
         with pytest.raises(ParameterError, match="byzantine_count"):
+            next(rows)
+
+    def test_decoder_at_code_dimension_n_fails_before_any_row(self, tmp_path):
+        cfg = tmp_path / "square.cfg"
+        cfg.write_text(
+            "[scenario]\nn_workers = 3\nk = 1\nt = 1\ndecoder = false\n"
+            "[sweep]\ndecoder_states = false, true\ntrials = 1\n"
+        )
+        base, spec = load_config(cfg)
+        rows = sweep(base, spec)
+        with pytest.raises(ParameterError, match="decoder"):
             next(rows)
 
     def test_csv_header_contract(self, tmp_path):

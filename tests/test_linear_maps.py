@@ -19,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcc_lab.codec import EncodingParams, _share_basis, encode_shares, reconstruct
-from alcc_lab.dft_code import LocatorPolynomial
-from alcc_lab.localization import root_metric
+from alcc_lab.localization import _grid_metric, independent_localize
 from alcc_lab.numeric import ParameterError, poly_eval
 
 EPS = np.finfo(float).eps
@@ -105,7 +104,7 @@ def test_root_metric_matches_horner_at_roots_of_unity(n, data):
     rng = np.random.default_rng(seed)
     stack = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
     coeffs = complex_draws(rng, stack + (degree + 1,))
-    metric = root_metric(LocatorPolynomial(coeffs=coeffs, degree=degree), n)
+    metric = _grid_metric(coeffs, n)
     expected = reference_root_magnitude(coeffs, n)
     assert metric.shape == expected.shape == stack + (n,)
     # the map is the (n, degree+1) evaluation matrix, |entries| = 1; compare |g|
@@ -118,16 +117,18 @@ def test_root_metric_matches_horner_at_roots_of_unity(n, data):
 def test_root_metric_candidates_index_the_full_grid(n):
     rng = np.random.default_rng(n)
     coeffs = complex_draws(rng, (4, 3))
-    poly = LocatorPolynomial(coeffs=coeffs, degree=2)
     cand = np.array([n - 1, 0, 3])
-    full = root_metric(poly, n)
-    # candidates come back ascending (np.unique), whatever order they were given in
-    assert np.array_equal(root_metric(poly, n, cand), full[:, np.sort(cand)])
+    full = _grid_metric(coeffs, n)
+    # candidates are read ascending (np.unique), whatever order they were given in
+    picked = independent_localize(coeffs, 2, n, cand)
+    for row, found in zip(full, picked):
+        expected = sorted(sorted(cand, key=lambda q: (row[q], q))[:2])
+        assert found.tolist() == expected
+    assert np.array_equal(picked, independent_localize(coeffs, 2, n, np.sort(cand)))
 
 
 @pytest.mark.parametrize("n,degree", [(7, 7), (7, 9), (31, 31)])
 def test_root_metric_rejects_degree_at_least_n(n, degree):
     # an FFT of length n would silently drop the coefficients above degree n-1
-    poly = LocatorPolynomial(coeffs=np.ones(degree + 1, dtype=complex), degree=degree)
     with pytest.raises(ParameterError, match="more coefficients"):
-        root_metric(poly, n)
+        _grid_metric(np.ones(degree + 1, dtype=complex), n)

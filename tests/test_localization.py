@@ -4,16 +4,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from alcc_lab.dft_code import LocatorPolynomial, build_code, true_locator
+from alcc_lab.dft_code import build_code
 from alcc_lab.localization import (
     JointLocalizationResult,
-    average_locators,
     independent_localize,
     joint_localize,
-    root_metric,
 )
-from alcc_lab.numeric import ParameterError
+from alcc_lab.numeric import DimensionError, ParameterError
 from alcc_lab.threat import complex_normal
+from test_dft_code import true_locator
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +20,17 @@ def code():
     return build_code(15, 7)
 
 
-def noisy(poly, var, rng):
-    noise = complex_normal(rng, 0.0, var, poly.degree + 1)
-    return LocatorPolynomial(coeffs=poly.coeffs + noise, degree=poly.degree)
+def noisy(coeffs, var, rng):
+    return coeffs + complex_normal(rng, 0.0, var, coeffs.shape)
+
+
+def stack_locators(rows, capability):
+    """The joint search's input: (P, capability+1) coefficients, zero above
+    each row's degree, and the (P,) degrees."""
+    coeffs = np.zeros((len(rows), capability + 1), dtype=complex)
+    for out, row in zip(coeffs, rows):
+        out[: row.size] = row
+    return coeffs, np.array([row.size - 1 for row in rows])
 
 
 def draw_joint_case(rng, n):
@@ -34,12 +41,12 @@ def draw_joint_case(rng, n):
     thinning are each drawn at random (thinning always above capability 3).
     """
     capability = int(rng.integers(2, min(8, (n - 1) // 2) + 1))
-    polys = []
+    rows = []
     for _ in range(int(rng.integers(1, 7))):
         degree = int(rng.integers(1, capability + 1))
         coeffs = np.round(complex_normal(rng, 0.0, 2.0, degree + 1), 1)
         coeffs[rng.random(degree + 1) < 0.3] = 0.0
-        polys.append(LocatorPolynomial(coeffs=coeffs, degree=degree))
+        rows.append(coeffs)
     candidates = None
     if rng.random() < 0.5:
         size = int(rng.integers(capability, n + 1))
@@ -47,24 +54,26 @@ def draw_joint_case(rng, n):
     constraint = None
     if capability > 3 or rng.random() < 0.3:
         constraint = int(rng.integers(capability, capability + 5))
-    return polys, capability, candidates, constraint
+    coeffs, degrees = stack_locators(rows, capability)
+    return coeffs, degrees, capability, candidates, constraint
 
 
-def per_subset_joint_localize(polys, capability, n, constraint_length=None,
+def per_subset_joint_localize(coeffs, degrees, capability, n, constraint_length=None,
                               candidates=None, rng=None):
     """Reference joint search: one Python pass per capability-sized subset.
 
     Returns the result and the number of other subsets that tie the winner.
     """
     cand = np.arange(n) if candidates is None else np.unique(candidates)
-    full_idx = [i for i, p in enumerate(polys) if p.degree == capability]
+    polys = [row[: d + 1] for row, d in zip(coeffs, degrees)]
+    full_idx = [i for i, d in enumerate(degrees) if d == capability]
     group = []
     if full_idx:
-        averaged = average_locators([polys[i] for i in full_idx])
+        averaged = np.mean([polys[i] for i in full_idx], axis=0)
         group.append((averaged, capability, full_idx))
-    for i, p in enumerate(polys):
-        if p.degree < capability:
-            group.append((p, p.degree, [i]))
+    for i, d in enumerate(degrees):
+        if d < capability:
+            group.append((polys[i], d, [i]))
 
     initial = set()
     for poly, degree, _ in group:
@@ -78,14 +87,14 @@ def per_subset_joint_localize(polys, capability, n, constraint_length=None,
             working = np.sort(rng.choice(working, size=used, replace=False))
 
     subset_size = min(capability, working.size)
-    metrics = [root_metric(poly, n, working) for poly, _, _ in group]
+    metrics = [np.abs(np.fft.fft(poly, n)) ** 2 for poly, _, _ in group]
     best_obj, best_subset, best_picks, totals = np.inf, None, None, []
     for subset in combinations(range(working.size), subset_size):
         sel = np.array(subset)
         total = 0.0
         picks = []
         for (_, degree, _), metric in zip(group, metrics):
-            vals = metric[sel]
+            vals = metric[working[sel]]
             order = np.argsort(vals, kind="stable")[: min(degree, vals.size)]
             total += float(vals[order].sum())
             picks.append(np.sort(working[sel[order]]))
@@ -188,45 +197,24 @@ class TestRestricted:
         assert neighbor_hits > 0
 
 
-class TestAveraging:
-    def test_single_polynomial_unchanged(self, code):
-        poly = true_locator(code, [1, 4])
-        avg = average_locators([poly])
-        assert np.array_equal(avg.coeffs, poly.coeffs)
-
-    def test_mixed_degrees_rejected(self, code):
-        with pytest.raises(ParameterError):
-            average_locators([true_locator(code, [1]), true_locator(code, [1, 2])])
-
-    def test_noise_variance_shrinks_like_one_over_m(self, code):
-        base = true_locator(code, [2, 7, 11])
-        m, var, reps = 10, 0.04, 1000
-        rng = np.random.default_rng(2)
-        sq_residuals = []
-        for _ in range(reps):
-            avg = average_locators([noisy(base, var, rng) for _ in range(m)])
-            sq_residuals.append(np.abs(avg.coeffs - base.coeffs) ** 2)
-        observed = float(np.mean(sq_residuals))
-        assert abs(observed - var / m) <= 0.2 * (var / m)
-
-    def test_affine_average_keeps_normalization(self, code):
-        g = true_locator(code, [5, 9])
-        flipped = LocatorPolynomial(coeffs=-g.coeffs + 2.0, degree=g.degree)
-        avg = average_locators([g, flipped])
-        assert avg.coeffs[0] == 1.0
-
-
 class TestJoint:
     def test_noiseless_all_full_degree_reduces_to_average(self):
         code = build_code(31, 15)
         rng = np.random.default_rng(3)
         support = np.sort(rng.choice(31, size=8, replace=False))
-        polys = [true_locator(code, support) for _ in range(12)]
-        result = joint_localize(polys, capability=8, n=31)
-        expected = independent_localize(average_locators(polys), 8, 31)
+        clean = np.array([true_locator(code, support) for _ in range(12)])
+        result = joint_localize(clean, np.full(12, 8), capability=8, n=31)
         assert np.array_equal(result.union, support)
         for detected in result.per_poly:
-            assert np.array_equal(detected, expected)
+            assert np.array_equal(detected, support)
+        # noisy rows: every row gets the detection of the rows' mean
+        for var in (0.01, 0.3, 3.0):
+            rows = noisy(clean, var, rng)
+            result = joint_localize(rows, np.full(12, 8), capability=8, n=31)
+            expected = independent_localize(rows.mean(axis=0), 8, 31)
+            assert np.array_equal(result.union, expected)
+            for detected in result.per_poly:
+                assert np.array_equal(detected, expected)
 
     def test_mixed_degrees_recover_full_union(self):
         code = build_code(31, 15)
@@ -234,7 +222,8 @@ class TestJoint:
         full = true_locator(code, support)
         drop_first = true_locator(code, support[1:])
         drop_last = true_locator(code, support[:-1])
-        result = joint_localize([full, drop_first, drop_last], capability=8, n=31)
+        result = joint_localize(*stack_locators([full, drop_first, drop_last], 8),
+                                capability=8, n=31)
         assert np.array_equal(result.union, support)
         assert np.array_equal(result.per_poly[1], support[1:])
         assert np.array_equal(result.per_poly[2], support[:-1])
@@ -243,10 +232,11 @@ class TestJoint:
         code = build_code(31, 15)
         rng = np.random.default_rng(4)
         support = np.sort(rng.choice(31, size=8, replace=False))
-        polys = [noisy(true_locator(code, support), 0.3, rng) for _ in range(6)]
-        first = joint_localize(polys, 8, 31, constraint_length=5,
+        coeffs = np.array([noisy(true_locator(code, support), 0.3, rng) for _ in range(6)])
+        degrees = np.full(6, 8)
+        first = joint_localize(coeffs, degrees, 8, 31, constraint_length=5,
                                rng=np.random.default_rng(99))
-        second = joint_localize(polys, 8, 31, constraint_length=5,
+        second = joint_localize(coeffs, degrees, 8, 31, constraint_length=5,
                                 rng=np.random.default_rng(99))
         assert np.array_equal(first.chosen_subset, second.chosen_subset)
         assert first.objective == second.objective
@@ -261,20 +251,21 @@ class TestJoint:
         full = [noisy(true_locator(code, support), 0.5, rng) for _ in range(3)]
         low = [noisy(true_locator(code, support[:3]), 0.5, rng) for _ in range(2)]
         low.append(noisy(true_locator(code, support[:2]), 0.5, rng))
-        expected, _ = per_subset_joint_localize(full + low, 4, 15)
-        assert_same_result(joint_localize(full + low, capability=4, n=15), expected)
+        coeffs, degrees = stack_locators(full + low, 4)
+        expected, _ = per_subset_joint_localize(coeffs, degrees, 4, 15)
+        assert_same_result(joint_localize(coeffs, degrees, capability=4, n=15), expected)
 
         tied = 0
         for n in (7, 11, 15, 31):
             for _ in range(200):
-                polys, capability, candidates, constraint = draw_joint_case(rng, n)
+                coeffs, degrees, capability, candidates, constraint = draw_joint_case(rng, n)
                 seed = int(rng.integers(2**32))
                 expected, ties = per_subset_joint_localize(
-                    polys, capability, n, constraint, candidates,
+                    coeffs, degrees, capability, n, constraint, candidates,
                     np.random.default_rng(seed),
                 )
                 result = joint_localize(
-                    polys, capability, n, constraint, candidates,
+                    coeffs, degrees, capability, n, constraint, candidates,
                     np.random.default_rng(seed),
                 )
                 assert_same_result(result, expected)
@@ -289,26 +280,55 @@ class TestJoint:
         for _ in range(trials):
             support = np.sort(rng.choice(31, size=8, replace=False))
             base = true_locator(code, support)
-            polys = [noisy(base, var, rng) for _ in range(m_polys)]
+            coeffs = np.array([noisy(base, var, rng) for _ in range(m_polys)])
             if any(
-                not np.array_equal(independent_localize(p, 8, 31), support)
-                for p in polys
+                not np.array_equal(independent_localize(row, 8, 31), support)
+                for row in coeffs
             ):
                 ind_errors += 1
-            result = joint_localize(polys, capability=8, n=31)
+            result = joint_localize(coeffs, np.full(m_polys, 8), capability=8, n=31)
             if not np.array_equal(result.per_poly[0], support):
                 joint_errors += 1
         assert joint_errors <= ind_errors
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
-            joint_localize([], capability=4, n=15)
+            joint_localize(np.zeros((0, 5)), [], capability=4, n=15)
+
+    @pytest.mark.parametrize("degree", [5, -1])
+    def test_degree_outside_capability_rejected(self, degree):
+        coeffs = np.zeros((2, 5), dtype=complex)
+        coeffs[:, 0] = 1.0
+        with pytest.raises(ParameterError, match="0..capability"):
+            joint_localize(coeffs, [2, degree], capability=4, n=15)
+
+    @pytest.mark.parametrize("shape,degrees", [
+        ((2, 4), [2, 3]),     # one column short of capability + 1
+        ((2, 6), [2, 3]),     # one column over
+        ((2, 5), [2, 3, 3]),  # a degree for a row that is not there
+        ((2, 5), [[2, 3]]),   # degrees not a vector
+    ])
+    def test_wrong_width_rejected(self, shape, degrees):
+        coeffs = np.zeros(shape, dtype=complex)
+        coeffs[:, 0] = 1.0
+        with pytest.raises(DimensionError):
+            joint_localize(coeffs, degrees, capability=4, n=15)
+
+    def test_nonzero_above_degree_rejected(self, code):
+        coeffs, degrees = stack_locators(
+            [true_locator(code, [1, 5]), true_locator(code, [2, 6, 9])], 4
+        )
+        joint_localize(coeffs, degrees, capability=4, n=15)
+        coeffs[0, 3] = 1e-300  # row 0 has degree 2
+        with pytest.raises(ParameterError, match="above its degree"):
+            joint_localize(coeffs, degrees, capability=4, n=15)
 
     def test_union_bound_violation_is_reported(self):
         code = build_code(15, 7)
         rng = np.random.default_rng(7)
-        polys = [noisy(true_locator(code, [1, 5, 9, 12]), 2.0, rng) for _ in range(8)]
-        result = joint_localize(polys, capability=4, n=15,
+        coeffs = np.array([noisy(true_locator(code, [1, 5, 9, 12]), 2.0, rng)
+                           for _ in range(8)])
+        result = joint_localize(coeffs, np.full(8, 4), capability=4, n=15,
                                 rng=np.random.default_rng(0))
         assert result.union_bound_violated == (result.initial_union.size > 4)
 
@@ -325,5 +345,5 @@ def test_all_strategies_exact_when_noise_free():
             assert independent_localize(poly, size, n).tolist() == support.tolist()
             restricted = independent_localize(poly, size, n, candidates=support)
             assert restricted.tolist() == support.tolist()
-            joint = joint_localize([poly], capability=v, n=n)
+            joint = joint_localize(*stack_locators([poly], v), capability=v, n=n)
             assert np.array_equal(joint.per_poly[0], support)
