@@ -7,7 +7,8 @@ locator-polynomial solve, and error-value recovery/subtraction. Each block
 takes one codeword (its syndrome, locator, ...) or a stack of them along
 leading axes; a stack shares one error count or one detected-set size.
 Value recovery and correction also take one detected set shared by the
-whole stack, which makes the recovery one system with a column per syndrome.
+whole stack, which makes the recovery one product with the set's
+least-squares operator, built once per (N, K, set) and cached.
 
 A code depends only on (N, K), so `build_code` builds each one once and
 returns the same `DftCode`, with read-only generator and parity, to every
@@ -49,11 +50,6 @@ class DftCode:
     def capability(self) -> int:
         """Maximum number of correctable errors v = floor((N-K)/2)."""
         return (self.n - self.k) // 2
-
-    @property
-    def roots(self) -> np.ndarray:
-        """Code-locator roots gamma^q, q = 0..N-1."""
-        return np.exp(-2j * np.pi * np.arange(self.n) / self.n)
 
 
 def build_code(n: int, k: int) -> DftCode:
@@ -120,13 +116,28 @@ def _window_index(v: int, count: int) -> np.ndarray:
     return index
 
 
+@functools.lru_cache(maxsize=128)
+def _value_operator(n: int, k: int, locations: tuple) -> np.ndarray:
+    """Read-only (N-K, count) least-squares operator of one detected set.
+
+    The systems s = e @ conj(H[:, set]).T share their matrix, so each row of
+    ``s @ op`` is the least-squares solution for that row: op is the
+    transposed solution for the identity right-hand side, with the
+    rank-deficient fallback of `least_squares`.
+    """
+    lhs = build_code(n, k).parity[:, list(locations)].conj()
+    op = least_squares(lhs, np.eye(n - k)).x.T
+    op.flags.writeable = False
+    return op
+
+
 def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
     """Least-squares solve of s = e @ H^dagger on the detected columns, (..., count).
 
     ``locations`` (..., count) gives each syndrome of ``s`` (..., N-K) its own
     set and system. ``locations`` (count,) is one set shared by every syndrome:
-    one (N-K, count) system, solved once with the syndromes as right-hand-side
-    columns.
+    the values are ``s @ op`` with the set's cached (N-K, count) operator,
+    the leading axes of ``s`` flattened into one stack of rows for the product.
     """
     locations = np.asarray(locations, dtype=int)
     count = locations.shape[-1]
@@ -137,11 +148,11 @@ def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
     if count == 0:
         return np.zeros(np.shape(s)[:-1] + (0,), dtype=complex)
     if locations.ndim == 1:
-        s = np.asarray(s, dtype=complex)
-        # (N-K, count): s_j = sum_a e_a conj(H[j, q_a]); one column per syndrome
-        lhs = code.parity[:, locations].conj()
-        x = least_squares(lhs, s.reshape(-1, s.shape[-1]).T).x
-        return x.T.reshape(s.shape[:-1] + (count,))
+        s = as_finite_complex(s, "syndrome")
+        if s.shape[-1:] != (code.n - code.k,):
+            raise DimensionError(f"syndrome shape {s.shape} does not end in N-K={code.n - code.k}")
+        op = _value_operator(code.n, code.k, tuple(locations.tolist()))
+        return (s.reshape(-1, s.shape[-1]) @ op).reshape(s.shape[:-1] + (count,))
     # (..., N-K, count): s_j = sum_a e_a conj(H[j, q_a])
     lhs = code.parity.conj().T[locations].swapaxes(-1, -2)
     return least_squares(lhs, s).x

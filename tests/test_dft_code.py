@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcc_lab import dft_code
 from alcc_lab.dft_code import (
     CapabilityExceededError,
     build_code,
@@ -27,11 +28,16 @@ def code_15_7():
     return build_code(15, 7)
 
 
+def roots(code) -> np.ndarray:
+    """Code-locator roots gamma^q, q = 0..N-1."""
+    return np.exp(-2j * np.pi * np.arange(code.n) / code.n)
+
+
 def true_locator(code, locations) -> np.ndarray:
     """Noise-free ascending locator coefficients, g_0 = 1, with roots at the given indices."""
     coeffs = np.array([1.0 + 0j])
     for q in np.asarray(locations, dtype=int):
-        coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / code.roots[q]]))
+        coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / roots(code)[q]]))
     return coeffs
 
 
@@ -128,7 +134,7 @@ class TestLocatorPolynomial:
         s = syndrome(code_15_7, received)
         coeffs = locator_polynomial(code_15_7, s, 1)
         assert coeffs.shape == (2,) and coeffs[0] == 1.0
-        root = code_15_7.roots[q]
+        root = roots(code_15_7)[q]
         assert abs(np.polyval(coeffs[::-1], root)) <= 1e-8
 
     def test_two_errors_factor_match(self, code_15_7):
@@ -146,7 +152,7 @@ class TestLocatorPolynomial:
                              complex_normal(rng, 2.0, 4.0, 4))
         s = syndrome(code_15_7, received)
         coeffs = locator_polynomial(code_15_7, s, 4)
-        metric = np.abs(np.polyval(coeffs[::-1], code_15_7.roots)) ** 2
+        metric = np.abs(np.polyval(coeffs[::-1], roots(code_15_7))) ** 2
         assert set(np.argsort(metric)[:4].tolist()) == set(support.tolist())
 
     def test_count_bounds(self, code_15_7):
@@ -311,3 +317,21 @@ def test_value_recovery_on_a_shared_support_matches_lstsq(case):
     stacked = recover_error_values(code, np.stack([s, s]), support)
     flat = recover_error_values(code, np.concatenate([s, s]), support)
     assert np.array_equal(stacked, flat.reshape(2, *shared.shape))
+
+
+def test_shared_set_operator_is_read_only_and_cached(code_15_7):
+    dft_code._value_operator.cache_clear()
+    support = np.array([2, 9, 11])
+    s = complex_normal(np.random.default_rng(5), 0.0, 1.0, (4, 8))
+    values = recover_error_values(code_15_7, s, support)
+    op = dft_code._value_operator(15, 7, (2, 9, 11))
+    assert op.shape == (8, 3) and not op.flags.writeable
+    with pytest.raises(ValueError):
+        op[0, 0] = 0.0
+    lhs = code_15_7.parity[:, support].conj()
+    assert np.allclose(op, np.linalg.pinv(lhs).T, rtol=0, atol=1e-12)
+    # the call above built it; every later call with the set gets the same object
+    assert dft_code._value_operator(15, 7, (2, 9, 11)) is op
+    assert np.array_equal(recover_error_values(code_15_7, s, support), values)
+    info = dft_code._value_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 3)

@@ -326,28 +326,36 @@ class TestSharedValueRecovery:
 
     @staticmethod
     def spy_systems(monkeypatch):
-        """(locations, systems solved) for every value-recovery call of a trial."""
+        """(locations, systems solved) for every value-recovery call, from a cold operator cache."""
+        dft_code._value_operator.cache_clear()
         calls = []
         recover, lstsq = dft_code.recover_error_values, dft_code.least_squares
 
         def counting(code, s, locations):
+            solved = []
+
             def spy(a, b):
-                calls.append((np.asarray(locations), int(np.prod(np.shape(a)[:-2]))))
+                solved.append(int(np.prod(np.shape(a)[:-2])))
                 return lstsq(a, b)
 
             with monkeypatch.context() as m:
                 m.setattr(dft_code, "least_squares", spy)
-                return recover(code, s, locations)
+                values = recover(code, s, locations)
+            calls.append((np.asarray(locations), sum(solved)))
+            return values
 
         monkeypatch.setattr(dft_code, "recover_error_values", counting)
         return calls
 
     def test_all_one_trial_solves_one_system(self, monkeypatch):
         calls = self.spy_systems(monkeypatch)
-        record = run_trial(clean_scenario(**self.ALL_ONE), seed=3)
-        assert record.loc_correct
-        # all 25 codewords hold the same three errors
-        assert [(loc.shape, systems) for loc, systems in calls] == [((3,), 1)]
+        sc = clean_scenario(byzantine_locations=(1, 5, 9), **self.ALL_ONE)
+        first, second = run_trial(sc, seed=3), run_trial(sc, seed=4)
+        assert first.loc_correct and second.loc_correct
+        # all 25 codewords hold the same three errors: the first trial solves
+        # for the set's operator, the second reuses it
+        assert [(loc.tolist(), systems) for loc, systems in calls] == [
+            ([1, 5, 9], 1), ([1, 5, 9], 0)]
 
     def test_weak_trial_solves_one_system_per_codeword_of_a_mixed_group(self, monkeypatch):
         calls = self.spy_systems(monkeypatch)
