@@ -304,7 +304,11 @@ def sweep(base: Scenario, spec: SweepSpec):
     output is reproducible byte-for-byte for a fixed configuration. Every grid
     point is built, and so validated, before the first trial runs.
     """
-    for grid_index, sc, label in list(spec.grid(base)):
+    yield from _run_points(list(spec.grid(base)))
+
+
+def _run_points(points):
+    for grid_index, sc, label in points:
         seeds = trial_seeds(sc.master_seed, grid_index, sc.trials)
         records = [run_trial(sc, s) for s in seeds]
         for record in records:
@@ -318,12 +322,17 @@ def sweep(base: Scenario, spec: SweepSpec):
 
 
 def write_sweep_csv(base: Scenario, spec: SweepSpec, trial_path, aggregate_path=None):
-    """Drive a sweep and write the trial CSV (and optional aggregate CSV)."""
+    """Drive a sweep and write the trial CSV (and optional aggregate CSV).
+
+    The grid is built and validated before ``trial_path`` is opened, so an
+    invalid point leaves an existing file as it was.
+    """
+    rows = _run_points(list(spec.grid(base)))
     agg_rows = []
     with open(trial_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
-        for kind, record in sweep(base, spec):
+        for kind, record in rows:
             if kind == "trial":
                 writer.writerow(record.csv_row())
             else:

@@ -473,6 +473,20 @@ class TestSweep:
         with pytest.raises(ParameterError, match="decoder"):
             next(rows)
 
+    def test_invalid_point_leaves_an_existing_output_as_it_was(self, tmp_path):
+        cfg = tmp_path / "square.cfg"
+        cfg.write_text(
+            "[scenario]\nn_workers = 3\nk = 1\nt = 1\ndecoder = false\n"
+            "[sweep]\ndecoder_states = false, true\ntrials = 1\n"
+        )
+        base, spec = load_config(cfg)
+        out, agg = tmp_path / "out.csv", tmp_path / "out.agg.csv"
+        write_sweep_csv(clean_scenario(), self._spec(), out, agg)
+        before = out.read_bytes(), agg.read_bytes()
+        with pytest.raises(ParameterError, match="decoder"):
+            write_sweep_csv(base, spec, out, agg)
+        assert (out.read_bytes(), agg.read_bytes()) == before
+
     def test_csv_header_contract(self, tmp_path):
         path = tmp_path / "out.csv"
         write_sweep_csv(clean_scenario(), self._spec(), path)
