@@ -5,11 +5,12 @@ and precision noise, decode the output-entry codewords with the configured
 strategy, reconstruct, and report the relative error against the
 centralized computation. The codewords are decoded in stacks: one locator
 call per distinct error count, one value-recovery call per detected-set
-size. Each locator in a call is its own system; a value-recovery call whose
-codewords all share one detected set, as under all-one base matrices, solves
-one system for all of them, and otherwise one per codeword. When every
-codeword has the same count, as under oracle counts on all-one bases, the
-one stack is a view of the whole (M, ...) arrays, not a gathered copy.
+size. Each locator in a call is its own system. A value-recovery call whose
+codewords all share one detected set, as under all-one base matrices, is one
+product with that set's cached least-squares operator; otherwise each
+codeword is its own system. When every codeword has the same count, as
+under oracle counts on all-one bases, the one stack is a view of the whole
+(M, ...) arrays, not a gathered copy.
 The locators are one (M, v+1) coefficient matrix, zero above each count:
 independent localization reads a count's rows as one stack, and the joint
 search takes the rows of positive count with their counts. Localization
@@ -18,9 +19,12 @@ takes them as they are.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
-(see `codec`), the DFT code per (N, K) (see `dft_code.build_code`), and the
-encoding parameters and the digest on the `Scenario` instance. Every draw
-is still made per trial, from the trial's own seed.
+(see `codec`), the DFT code per (N, K) (see `dft_code.build_code`), the
+value-recovery operator per (N, K, detected set) in a 128-entry LRU (see
+`dft_code.recover_error_values`), and the encoding parameters and the digest
+on the `Scenario` instance. Trials whose sets repeat, such as a baseline
+scan's, reuse the operator; trials of random sets mostly rebuild it. Every
+draw is still made per trial, from the trial's own seed.
 
 Consecutive trials of one seed also share their prefix: the data blocks,
 padding, shares, worker results and centralized reference depend only on
