@@ -180,7 +180,7 @@ def _correct_codewords(code, r_eff, syndromes, groups) -> np.ndarray:
     corrected = r_eff.copy()
     for rows, found in groups:
         if (found == found[0]).all():
-            found = found[0]  # one set for every codeword: one system
+            found = found[0]  # one set for every codeword: one product with its operator
         values = dft_code.recover_error_values(code, syndromes[rows], found)
         corrected[rows] = dft_code.correct_codeword(r_eff[rows], found, values)
     return corrected

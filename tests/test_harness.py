@@ -326,7 +326,7 @@ class TestSharedValueRecovery:
 
     @staticmethod
     def spy_systems(monkeypatch):
-        """(locations, systems solved) for every value-recovery call, from a cold operator cache."""
+        """(locations, systems solved) per value-recovery call, from a cold operator cache."""
         dft_code._value_operator.cache_clear()
         calls = []
         recover, lstsq = dft_code.recover_error_values, dft_code.least_squares
