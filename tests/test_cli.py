@@ -3,6 +3,8 @@ import csv
 import pytest
 
 from alcc_lab.cli import main
+from alcc_lab.harness import write_sweep_csv
+from alcc_lab.scenario import SweepSpec, load_config
 
 
 def write_tiny_config(path):
@@ -77,6 +79,35 @@ class TestSimulateCommand:
         )
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "guard:" in capsys.readouterr().err
+
+
+class TestOutputBytes:
+    """Every CSV a command writes is the same bytes on stdout and in --out."""
+
+    def test_simulate_is_the_one_point_sweep(self, tmp_path):
+        cfg = tmp_path / "case.cfg"
+        write_tiny_config(cfg)
+        out, swept = tmp_path / "sim.csv", tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        scenario, _ = load_config(cfg)
+        write_sweep_csv(scenario, SweepSpec(), swept)
+        assert out.read_bytes() == swept.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{cfg}", "--trials", "3"],
+        ["bounds", "--n", "11", "--count", "2", "--support", "0,3"],
+        ["attack-design", "--mode", "strong", "--rows", "9", "--colluders", "4"],
+        ["attack-design", "--mode", "weak", "--rows", "7", "--colluders", "3", "--seed", "5"],
+    ], ids=["simulate", "bounds", "attack-design-strong", "attack-design-weak"])
+    def test_stdout_equals_out_file(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "case.cfg"
+        write_tiny_config(cfg)
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestUsageErrors:

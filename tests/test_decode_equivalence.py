@@ -1,6 +1,6 @@
 """The decoder against a fixed reference: trial rows of three sweep grids.
 
-``data/decode_reference.csv`` holds the trial rows that ``harness.sweep``
+``data/decode_reference.csv`` holds the trial rows that a sweep
 wrote for these grids, at two trials per point, when every codeword was still
 decoded on its own (one locator solve, localization and value recovery per
 codeword). The decoder now works on stacks of codewords, which may move the
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from alcc_lab.harness import sweep
+from alcc_lab.harness import write_sweep_csv
 from alcc_lab.scenario import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,14 +31,15 @@ GRIDS = {
 }
 
 
-def sweep_rows(grid: str) -> list:
+def sweep_rows(grid: str, tmp_path) -> list:
     """Trial rows of one config's grid at two trials per point, as FIELDS."""
     base, spec = load_config(ROOT / "configs" / f"{grid}.cfg")
     spec = dataclasses.replace(spec, trials=2, **GRIDS[grid])
+    path = tmp_path / f"{grid}.csv"
+    write_sweep_csv(base, spec, path)
     rows = []
-    for kind, record in sweep(base, spec):
-        if kind == "trial":
-            _, seed, a, sigma, strategy, e_rel, _, loc = record.csv_row()
+    with open(path, newline="") as fh:
+        for _, seed, a, sigma, strategy, e_rel, _, loc in list(csv.reader(fh))[1:]:
             rows.append(dict(zip(FIELDS, (grid, seed, a, sigma, strategy, e_rel, loc))))
     return rows
 
@@ -49,9 +50,9 @@ def reference_rows(grid: str) -> list:
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-def test_matches_reference(grid):
+def test_matches_reference(grid, tmp_path):
     expected = reference_rows(grid)
-    actual = sweep_rows(grid)
+    actual = sweep_rows(grid, tmp_path)
     assert expected, f"no reference rows for {grid}"
     assert len(actual) == len(expected)
     for ref, row in zip(expected, actual):

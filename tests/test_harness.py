@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import sys
 import threading
@@ -12,7 +13,6 @@ from alcc_lab import codec, dft_code, harness
 from alcc_lab.harness import (
     TRIAL_CSV_HEADER,
     run_trial,
-    sweep,
     trial_seeds,
     write_sweep_csv,
 )
@@ -437,13 +437,25 @@ class TestSeeds:
         assert set(one) != set(other_grid)
 
 
+def sweep_csv_rows(tmp_path, base, spec):
+    """The trial and aggregate rows `write_sweep_csv` writes, as dicts."""
+    trial, agg = tmp_path / "sweep.csv", tmp_path / "sweep.agg.csv"
+    write_sweep_csv(base, spec, trial, agg)
+    with open(trial, newline="") as fh_trial, open(agg, newline="") as fh_agg:
+        return list(csv.DictReader(fh_trial)), list(csv.DictReader(fh_agg))
+
+
 class TestSweep:
     def _spec(self):
         return SweepSpec(byzantine_counts=(0, 2), trials=2, master_seed=3)
 
-    def test_emits_trials_then_aggregate_per_point(self):
-        rows = list(sweep(clean_scenario(), self._spec()))
-        kinds = [kind for kind, _ in rows]
+    def test_emits_trials_then_aggregate_per_point(self, tmp_path):
+        trials, aggregates = sweep_csv_rows(tmp_path, clean_scenario(), self._spec())
+        kinds = []
+        for agg in aggregates:
+            point = [row for row in trials if row["A"] == agg["A"]]
+            kinds += ["trial"] * len(point) + ["aggregate"]
+        assert [row["A"] for row in trials] == ["0", "0", "2", "2"]
         assert kinds == ["trial", "trial", "aggregate"] * 2
 
     def test_csv_bodies_are_byte_identical(self, tmp_path):
@@ -456,11 +468,12 @@ class TestSweep:
         agg_b = (tmp_path / "b.csv.agg").read_bytes()
         assert agg_a == agg_b
 
-    def test_invalid_grid_point_fails_before_any_trial(self):
+    def test_invalid_grid_point_fails_before_any_trial(self, tmp_path):
         base = clean_scenario(byzantine_count=2, byzantine_locations=(0, 5))
-        rows = sweep(base, SweepSpec(byzantine_counts=(2, 3), trials=1))
+        path = tmp_path / "out.csv"
         with pytest.raises(ParameterError, match="byzantine_count"):
-            next(rows)
+            write_sweep_csv(base, SweepSpec(byzantine_counts=(2, 3), trials=1), path)
+        assert not path.exists()
 
     def test_decoder_at_code_dimension_n_fails_before_any_row(self, tmp_path):
         cfg = tmp_path / "square.cfg"
@@ -469,9 +482,10 @@ class TestSweep:
             "[sweep]\ndecoder_states = false, true\ntrials = 1\n"
         )
         base, spec = load_config(cfg)
-        rows = sweep(base, spec)
+        path = tmp_path / "out.csv"
         with pytest.raises(ParameterError, match="decoder"):
-            next(rows)
+            write_sweep_csv(base, spec, path)
+        assert not path.exists()
 
     def test_invalid_point_leaves_an_existing_output_as_it_was(self, tmp_path):
         cfg = tmp_path / "square.cfg"
