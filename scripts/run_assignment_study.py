@@ -8,7 +8,6 @@ three-way comparison.
 """
 
 import argparse
-import csv
 import math
 from itertools import combinations
 
@@ -21,7 +20,7 @@ from alcc_lab.assignment import (
     relative_error_baseline,
     solve_assignment,
 )
-from alcc_lab.harness import run_trial, trial_seeds
+from alcc_lab.harness import run_trial, trial_seeds, write_csv
 from alcc_lab.scenario import Scenario
 
 
@@ -91,8 +90,7 @@ def main(argv=None):
         print(f"empirical-best ({tuple(i + 1 for i in baseline.subset)}): "
               f"{db_val:8.2f} dB")
 
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write_csv(args.out, rows)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,11 @@ next to the analytical optimum.
 """
 
 import argparse
-import csv
 import math
 
 import numpy as np
 
-from alcc_lab.harness import run_trial, trial_seeds
+from alcc_lab.harness import run_trial, trial_seeds, write_csv
 from alcc_lab.scenario import Scenario
 from alcc_lab.threat import optimal_zero_probability
 
@@ -62,8 +61,7 @@ def main(argv=None):
     print(f"empirical worst p = {worst:.2f}; analytical p* = "
           f"{optimal_zero_probability(8):.3f}")
 
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write_csv(args.out, rows)
 
 
 if __name__ == "__main__":

@@ -7,12 +7,11 @@ strategy.
 """
 
 import argparse
-import csv
 import math
 
 import numpy as np
 
-from alcc_lab.harness import run_trial, trial_seeds
+from alcc_lab.harness import run_trial, trial_seeds, write_csv
 from alcc_lab.scenario import Scenario
 
 
@@ -52,8 +51,7 @@ def main(argv=None):
                          f"{20 * math.log10(mean_err):.3f}", f"{loc_rate:.4f}"))
             print(f"A={a} sigma_p2={var:g} {strategy:11}: "
                   f"{rows[-1][3]} dB, loc errors {loc_rate:.2%}")
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write_csv(args.out, rows)
 
 
 if __name__ == "__main__":

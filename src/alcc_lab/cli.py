@@ -8,7 +8,6 @@ guard trip.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import bounds as bounds_mod
 from . import harness, selftest, threat
 from .assignment import AssignmentProblem, RuntimeGuardError
 from .numeric import ParameterError
-from .scenario import load_config
+from .scenario import SweepSpec, load_config
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -93,17 +92,7 @@ def _cmd_simulate(args) -> int:
         scenario = scenario.with_updates(master_seed=args.seed)
     if args.trials is not None:
         scenario = scenario.with_updates(trials=args.trials)
-    rows = []
-    for seed in harness.trial_seeds(scenario.master_seed, 0, scenario.trials):
-        rows.append(harness.run_trial(scenario, seed).csv_row())
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(harness.TRIAL_CSV_HEADER)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    harness.write_sweep_csv(scenario, SweepSpec(), args.out)
     return EXIT_OK
 
 
@@ -130,12 +119,7 @@ def _cmd_bounds(args) -> int:
         dom = bounds_mod.dominant_term_bound(len(support), args.n, var, args.eta)
         rows.append((args.n, len(support), args.eta, f"{var:.6g}",
                      f"{union.value:.12e}", f"{dom:.12e}"))
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        csv.writer(out).writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    harness.write_csv(args.out, rows)
     return EXIT_OK
 
 
@@ -167,8 +151,7 @@ def _cmd_optimize_assignment(args) -> int:
         ):
             rows.append((label, " ".join(map(str, subset)),
                          f"{assignment_mod.problem2_log_objective(subset, prob, rng):.6f}"))
-        with open(args.table_out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        harness.write_csv(args.table_out, rows)
     return EXIT_OK
 
 
@@ -183,15 +166,7 @@ def _cmd_attack_design(args) -> int:
             p = threat.optimal_zero_probability(args.colluders)
         b_eff = threat.design_weak_collusion(args.rows, args.colluders, p, rng)
         note = f"weak collusion with zero probability {p:.6f}"
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow([f"# {note}"])
-        for row in b_eff:
-            writer.writerow(row.tolist())
-    finally:
-        if args.out:
-            out.close()
+    harness.write_csv(args.out, [[f"# {note}"], *b_eff.tolist()])
     return EXIT_OK
 
 

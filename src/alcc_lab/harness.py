@@ -40,7 +40,9 @@ sweeps, whose seeds never repeat, pay only a missed comparison.
 from __future__ import annotations
 
 import csv
+import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,73 +280,55 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
     )
 
 
-@dataclass(frozen=True)
-class AggregateRecord:
-    scenario: str
-    label: dict
-    trials: int
-    mean_e_rel: float
-
-    def csv_row(self) -> tuple:
-        cl = self.label["constraint_length"]
-        return (
-            self.scenario,
-            str(int(bool(self.label["decoder"]))),
-            str(self.label["A"]),
-            f"{self.label['precision_var']:.6g}",
-            self.label["strategy"],
-            f"{self.label['zero_prob']:.6g}",
-            "" if cl is None else str(cl),
-            str(self.trials),
-            f"{self.mean_e_rel:.12e}",
-            f"{codec.db(self.mean_e_rel):.6f}",
-        )
+def _aggregate_row(sc: Scenario, label: dict, records: list) -> tuple:
+    """One grid point's aggregate CSV row: its label and mean e_rel."""
+    mean = float(np.mean([r.e_rel for r in records]))
+    cl = label["constraint_length"]
+    return (
+        sc.digest(),
+        str(int(bool(label["decoder"]))),
+        str(label["A"]),
+        f"{label['precision_var']:.6g}",
+        label["strategy"],
+        f"{label['zero_prob']:.6g}",
+        "" if cl is None else str(cl),
+        str(sc.trials),
+        f"{mean:.12e}",
+        f"{codec.db(mean):.6f}",
+    )
 
 
-def sweep(base: Scenario, spec: SweepSpec):
-    """Run the grid; yields ('trial', TrialRecord) then ('aggregate', ...) rows.
+def write_csv(path, rows) -> None:
+    """Write ``rows`` as CSV to the file at ``path``, or to stdout when it is None.
 
-    Trial seeds derive from (master seed, grid index, trial index), so the
-    output is reproducible byte-for-byte for a fixed configuration. Every grid
-    point is built, and so validated, before the first trial runs.
+    The file is opened before the first row is taken, so rows produced lazily
+    are written as they come, to a path already known to be writable.
     """
-    yield from _run_points(list(spec.grid(base)))
-
-
-def _run_points(points):
-    for grid_index, sc, label in points:
-        seeds = trial_seeds(sc.master_seed, grid_index, sc.trials)
-        records = [run_trial(sc, s) for s in seeds]
-        for record in records:
-            yield "trial", record
-        yield "aggregate", AggregateRecord(
-            scenario=sc.digest(),
-            label=label,
-            trials=sc.trials,
-            mean_e_rel=float(np.mean([r.e_rel for r in records])),
-        )
+    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def write_sweep_csv(base: Scenario, spec: SweepSpec, trial_path, aggregate_path=None):
-    """Drive a sweep and write the trial CSV (and optional aggregate CSV).
+    """Run the grid and write its trial CSV (and optional aggregate CSV).
 
-    The grid is built and validated before ``trial_path`` is opened, so an
-    invalid point leaves an existing file as it was.
+    Trial seeds derive from (master seed, grid index, trial index), so the
+    output is reproducible byte-for-byte for a fixed configuration. The grid
+    is built and validated before ``trial_path`` is opened, so an invalid
+    point leaves an existing file as it was. Each point's trial rows are
+    written when its trials finish, so a run stopped by an error keeps the
+    points it finished. ``trial_path`` None writes the trial CSV to stdout.
     """
-    rows = _run_points(list(spec.grid(base)))
-    agg_rows = []
-    with open(trial_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_CSV_HEADER)
-        for kind, record in rows:
-            if kind == "trial":
-                writer.writerow(record.csv_row())
-            else:
-                agg_rows.append(record)
+    points = list(spec.grid(base))
+    aggregates = []
+
+    def trial_rows():
+        yield TRIAL_CSV_HEADER
+        for grid_index, sc, label in points:
+            seeds = trial_seeds(sc.master_seed, grid_index, sc.trials)
+            records = [run_trial(sc, s) for s in seeds]
+            yield from (record.csv_row() for record in records)
+            aggregates.append(_aggregate_row(sc, label, records))
+
+    write_csv(trial_path, trial_rows())
     if aggregate_path is not None:
-        with open(aggregate_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(AGGREGATE_CSV_HEADER)
-            for record in agg_rows:
-                writer.writerow(record.csv_row())
-    return agg_rows
+        write_csv(aggregate_path, [AGGREGATE_CSV_HEADER, *aggregates])

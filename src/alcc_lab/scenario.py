@@ -249,8 +249,14 @@ def _read_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
 
 def load_config(path) -> tuple[Scenario, SweepSpec]:
     """Read a scenario (and optional sweep grid) from a config file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    # no default section, so [DEFAULT] is rejected by name like any other;
+    # no interpolation, so a '%' reaches the key's own check
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="",
+                                       interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     for name in parser.sections():

@@ -50,6 +50,15 @@ class TestSweepCommand:
         assert "[Sweep]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparsable_config_exits_one_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("[scenario]\ntrials = 3\ntrials = 4\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config file ")
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, tmp_path):
         code = main(["sweep", "--config", str(tmp_path / "ghost.cfg"),
                      "--out", str(tmp_path / "x.csv")])

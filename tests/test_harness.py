@@ -557,6 +557,34 @@ class TestConfigFiles:
         with pytest.raises(ParameterError, match="n_workers"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("text", [
+        "[scenario]\ntrials = 3\ntrials = 4\n",
+        "[scenario]\ntrials = 3\n[scenario]\nk = 3\n",
+        "trials = 3\n[scenario]\n",
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header"])
+    def test_unparsable_file_is_named(self, tmp_path, text):
+        cfg = tmp_path / "broken.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ParameterError, match="broken.cfg"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\ntrials = 3\n[scenario]\n[sweep]\n",
+        "[DEFAULT]\nn_workers = 15\n[scenario]\n",
+        "[scenario]\n[DEFAULT]\n",
+    ], ids=["shared-key", "scenario-key", "empty"])
+    def test_default_section_rejected(self, tmp_path, text):
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ParameterError, match=r"unknown config section \[DEFAULT\]"):
+            load_config(cfg)
+
+    def test_percent_sign_reaches_the_key_check(self, tmp_path):
+        cfg = tmp_path / "percent.cfg"
+        cfg.write_text("[scenario]\nfunction = %(gram)s\n")
+        with pytest.raises(ParameterError, match="function must be one of"):
+            load_config(cfg)
+
 
 _TRUE_WORDS = ("true", "yes", "on", "1", "True", "YES")
 _FALSE_WORDS = ("false", "no", "off", "0", "False", "OFF")
