@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from alcc_lab.cli import main
-from alcc_lab.harness import write_sweep_csv
+from alcc_lab.harness import TRIAL_CSV_HEADER, write_sweep_csv
 from alcc_lab.scenario import SweepSpec, load_config
 
 
@@ -76,7 +76,8 @@ class TestSimulateCommand:
         rows = out.read_text().splitlines()
         assert len(rows) == 4
 
-    def test_joint_search_budget_exits_two(self, tmp_path, capsys):
+    @staticmethod
+    def _tripping_config(tmp_path):
         # at this seed the independent detections of 8 weak colluders under
         # heavy locator noise span 23 indices, and C(23, 8) is over the budget
         cfg = tmp_path / "joint.cfg"
@@ -86,8 +87,20 @@ class TestSimulateCommand:
             "weak_zero_prob = 0.3\nprecision_mode = locator\nprecision_var = 0.1\n"
             "localization = joint\ntrials = 1\nmaster_seed = 0\n"
         )
+        return cfg
+
+    def test_joint_search_budget_exits_two(self, tmp_path, capsys):
+        cfg = self._tripping_config(tmp_path)
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "guard:" in capsys.readouterr().err
+
+    def test_guard_trip_leaves_the_header(self, tmp_path):
+        # the output is opened before the first trial, and the one point's
+        # rows would be written when its trials finish
+        out = tmp_path / "sim.csv"
+        cfg = self._tripping_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text().splitlines() == [",".join(TRIAL_CSV_HEADER)]
 
 
 class TestOutputBytes:
