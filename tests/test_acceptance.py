@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. The whole test suite takes 45–60 s on 2 cores; criteria 7 and 8 take
-most of it.
+lines. The whole test suite takes about a minute on 2 cores; criteria 7 and 8
+take most of it.
 """
 
 import time
