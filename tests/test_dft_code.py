@@ -277,33 +277,60 @@ def test_stacked_noise_free_decode_is_exact_and_rowwise(case):
 C_VALUE_RECOVERY = 256
 
 
-@st.composite
-def shared_supports(draw):
-    """A code with N <= 31, one support of 1..v indices and a stack of 1-30 syndromes.
+def draw_support(draw, n, count):
+    """Sorted support of ``count`` indices of 0..n-1: half the draws adjacent
+    (cyclically), the worst-conditioned columns, half arbitrary."""
+    if draw(st.booleans()):
+        return np.sort((draw(st.integers(0, n - 1)) + np.arange(count)) % n)
+    return np.array(sorted(draw(st.permutations(range(n)))[:count]))
+
+
+def draw_syndromes(draw, rng, lhs):
+    """Syndromes (rows, N-K) for the (rows, N-K, count) systems ``lhs``.
 
     Half the stacks are consistent (errors on the support plus small noise, as
     in a trial), half are arbitrary vectors with a least-squares residual.
     """
+    rows, n_minus_k, count = lhs.shape
+    if draw(st.booleans()):
+        e = complex_normal(rng, 0.0, 1.0, (rows, count))
+        s = (lhs @ e[..., None])[..., 0]
+        return s + complex_normal(rng, 0.0, 1e-6, s.shape)
+    return complex_normal(rng, 0.0, 1.0, (rows, n_minus_k))
+
+
+def value_systems(code, support):
+    """(..., N-K, count) matrices L of the systems s = L e on each row's support."""
+    return code.parity.conj().T[support].swapaxes(-1, -2)
+
+
+def lstsq_rows(lhs, s):
+    """np.linalg.lstsq's solution of each system, and the value-recovery
+    tolerance C_VALUE_RECOVERY * eps * ||L^+||_F * ||s||, per row."""
+    expected = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(lhs, s)])
+    pinv_norm = np.array([np.linalg.norm(np.linalg.pinv(a)) for a in lhs])
+    tol = C_VALUE_RECOVERY * EPS * pinv_norm[:, None] * np.linalg.norm(s, axis=-1, keepdims=True)
+    return expected, tol
+
+
+@st.composite
+def shared_supports(draw):
+    """A code with N <= 31, one support of 1..v indices and a stack of 1-30 syndromes."""
     n = draw(st.integers(3, 31))
     code = build_code(n, draw(st.integers(1, n - 2)))
     count = draw(st.integers(1, code.capability))
-    support = np.array(sorted(draw(st.permutations(range(n)))[:count]))
+    support = draw_support(draw, n, count)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = draw(st.integers(1, 30))
-    lhs = code.parity.conj().T[support].T  # (N-K, count)
-    if draw(st.booleans()):
-        s = complex_normal(rng, 0.0, 1.0, (rows, count)) @ lhs.T
-        s += complex_normal(rng, 0.0, 1e-6, s.shape)
-    else:
-        s = complex_normal(rng, 0.0, 1.0, (rows, code.n - code.k))
-    return code, support, s
+    lhs = np.broadcast_to(value_systems(code, support), (rows, code.n - code.k, count))
+    return code, support, draw_syndromes(draw, rng, lhs)
 
 
 @given(shared_supports())
 @settings(max_examples=200, deadline=None)
 def test_value_recovery_on_a_shared_support_matches_lstsq(case):
     code, support, s = case
-    lhs = code.parity.conj().T[support].T
+    lhs = value_systems(code, support)
     # one system, every syndrome a right-hand-side column
     expected = np.linalg.lstsq(lhs, s.T, rcond=None)[0].T
     tol = (C_VALUE_RECOVERY * EPS * np.linalg.norm(np.linalg.pinv(lhs))
@@ -317,6 +344,55 @@ def test_value_recovery_on_a_shared_support_matches_lstsq(case):
     stacked = recover_error_values(code, np.stack([s, s]), support)
     flat = recover_error_values(code, np.concatenate([s, s]), support)
     assert np.array_equal(stacked, flat.reshape(2, *shared.shape))
+
+
+@st.composite
+def mixed_supports(draw):
+    """A code with N <= 31, one support size in 1..v, and 1-30 syndromes, each
+    with its own support."""
+    n = draw(st.integers(3, 31))
+    code = build_code(n, draw(st.integers(1, n - 2)))
+    count = draw(st.integers(1, code.capability))
+    rows = draw(st.integers(1, 30))
+    support = np.array([draw_support(draw, n, count) for _ in range(rows)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return code, support, draw_syndromes(draw, rng, value_systems(code, support))
+
+
+@given(mixed_supports())
+@settings(max_examples=200, deadline=None)
+def test_value_recovery_per_codeword_matches_lstsq(case):
+    code, support, s = case
+    expected, tol = lstsq_rows(value_systems(code, support), s)
+    values = recover_error_values(code, s, support)
+    assert values.shape == expected.shape
+    assert (np.abs(values - expected) <= tol).all()
+
+
+def test_ill_conditioned_set_is_solved_by_least_squares(monkeypatch):
+    """16 adjacent columns of the (31, 15) parity: the normal matrix has
+    Frobenius cond about 2e13, so both shapes solve by `least_squares`."""
+    code = build_code(31, 15)
+    support = np.arange(16)
+    lhs = value_systems(code, support)
+    e = complex_normal(np.random.default_rng(6), 0.0, 1.0, (5, 16))
+    s = e @ lhs.T  # consistent: with N-K = count every syndrome is
+    expected, tol = lstsq_rows(np.broadcast_to(lhs, (5, 16, 16)), s)
+    assert np.abs(expected - e).max() <= 1e-6
+    solved = []
+    lstsq = dft_code.least_squares
+
+    def spy(a, b):
+        solved.append(np.shape(a))
+        return lstsq(a, b)
+
+    monkeypatch.setattr(dft_code, "least_squares", spy)
+    dft_code._value_operator.cache_clear()
+    for locations in (support, np.tile(support, (5, 1))):
+        solved.clear()
+        values = recover_error_values(code, s, locations)
+        assert solved and all(shape[-2:] == (16, 16) for shape in solved)
+        assert (np.abs(values - expected) <= tol).all()
 
 
 def test_shared_set_operator_is_read_only_and_cached(code_15_7):

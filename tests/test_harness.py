@@ -326,22 +326,29 @@ class TestSharedValueRecovery:
 
     @staticmethod
     def spy_systems(monkeypatch):
-        """(locations, systems solved) per value-recovery call, from a cold operator cache."""
+        """(locations, systems solved, operators built) per value-recovery call,
+        from a cold operator cache.
+
+        A system solved is one matrix inverted: each system's normal matrix,
+        or its R when it falls back to `least_squares`.
+        """
         dft_code._value_operator.cache_clear()
         calls = []
-        recover, lstsq = dft_code.recover_error_values, dft_code.least_squares
+        recover, inv = dft_code.recover_error_values, np.linalg.inv
 
         def counting(code, s, locations):
             solved = []
 
-            def spy(a, b):
+            def spy(a):
                 solved.append(int(np.prod(np.shape(a)[:-2])))
-                return lstsq(a, b)
+                return inv(a)
 
+            built = dft_code._value_operator.cache_info().misses
             with monkeypatch.context() as m:
-                m.setattr(dft_code, "least_squares", spy)
+                m.setattr(np.linalg, "inv", spy)
                 values = recover(code, s, locations)
-            calls.append((np.asarray(locations), sum(solved)))
+            built = dft_code._value_operator.cache_info().misses - built
+            calls.append((np.asarray(locations), sum(solved), built))
             return values
 
         monkeypatch.setattr(dft_code, "recover_error_values", counting)
@@ -352,22 +359,22 @@ class TestSharedValueRecovery:
         sc = clean_scenario(byzantine_locations=(1, 5, 9), **self.ALL_ONE)
         first, second = run_trial(sc, seed=3), run_trial(sc, seed=4)
         assert first.loc_correct and second.loc_correct
-        # all 25 codewords hold the same three errors: the first trial solves
-        # for the set's operator, the second reuses it
-        assert [(loc.tolist(), systems) for loc, systems in calls] == [
-            ([1, 5, 9], 1), ([1, 5, 9], 0)]
+        # all 25 codewords hold the same three errors: the first trial builds
+        # the set's operator from one system, the second reuses it
+        assert [(loc.tolist(), systems, built) for loc, systems, built in calls] == [
+            ([1, 5, 9], 1, 1), ([1, 5, 9], 0, 0)]
 
     def test_weak_trial_solves_one_system_per_codeword_of_a_mixed_group(self, monkeypatch):
         calls = self.spy_systems(monkeypatch)
         run_trial(clean_scenario(**self.WEAK), seed=3)
-        mixed = [(loc, systems) for loc, systems in calls if loc.ndim == 2]
+        mixed = [loc for loc, _, _ in calls if loc.ndim == 2]
         assert mixed
-        for loc, systems in calls:
+        for loc, systems, built in calls:
             if loc.ndim == 1:
-                assert systems == 1
+                assert (systems, built) == (1, 1)
             else:
                 assert (loc != loc[0]).any(axis=-1).any()
-                assert systems == len(loc)
+                assert (systems, built) == (len(loc), 0)
 
     @pytest.mark.parametrize("overrides", [ALL_ONE, WEAK, JOINT], ids=["all-one", "weak", "joint"])
     def test_records_match_the_per_codeword_path(self, monkeypatch, overrides):
