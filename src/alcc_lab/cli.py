@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: simulate, sweep, bounds, optimize-assignment, attack-design,
-selftest. Exit codes: 0 success, 1 invalid configuration or usage, 2 runtime
-guard trip.
+selftest. Exit codes: 0 success, 1 invalid configuration or usage (or a
+stdout its reader closed), 2 runtime guard trip.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -195,7 +196,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     except RuntimeGuardError as exc:

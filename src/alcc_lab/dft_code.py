@@ -6,13 +6,14 @@ blocks are: syndrome projection, error-count estimation (Hankel rank),
 locator-polynomial solve, and error-value recovery/subtraction. Each block
 takes one codeword (its syndrome, locator, ...) or a stack of them along
 leading axes; a stack shares one error count or one detected-set size.
-Value recovery and correction also take one detected set shared by the
-whole stack, which makes the recovery one product with the set's
-least-squares operator, built once per (N, K, set) and cached.
+Value recovery solves each system from its normal matrix, read from the
+code's H^dagger H, with one refinement step. It and correction also take one
+detected set shared by the whole stack, which makes the recovery one
+product with the set's operator, built once per (N, K, set) and cached.
 
 A code depends only on (N, K), so `build_code` builds each one once and
-returns the same `DftCode`, with read-only generator and parity, to every
-caller.
+returns the same `DftCode`, with read-only generator, parity and H^dagger H,
+to every caller.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class DftCode:
     k: int
     generator: np.ndarray = field(repr=False)
     parity: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)  # H^dagger H, (N, N)
 
     @property
     def capability(self) -> int:
@@ -63,7 +65,9 @@ def _cached_code(n: int, k: int) -> DftCode:
         raise ParameterError(f"need 1 <= K < N, got N={n}, K={k}")
     w = dft_matrix(n)
     w.flags.writeable = False  # generator and parity are views of w
-    return DftCode(n=n, k=k, generator=w[:k], parity=w[k:])
+    gram = w[k:].conj().T @ w[k:]
+    gram.flags.writeable = False
+    return DftCode(n=n, k=k, generator=w[:k], parity=w[k:], gram=gram)
 
 
 def syndrome(code: DftCode, r) -> np.ndarray:
@@ -116,17 +120,39 @@ def _window_index(v: int, count: int) -> np.ndarray:
     return index
 
 
+def _gram_solve(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    """Values (P, m, count) of syndromes s (P, m, N-K), stack entry p on the set locations[p].
+
+    Corrected semi-normal equations (Bjorck 1987) with G = (H^dagger H)[Q, Q]:
+    e = (s @ H)[Q] @ inv(G), then e += (r @ H)[Q] @ inv(G), r = s - e @ conj(H[:, Q]).T.
+    """
+    columns = code.parity.T[locations].swapaxes(-1, -2)  # (P, N-K, count), H[:, Q]
+    lhs = columns.conj().swapaxes(-1, -2)  # e @ lhs is e's syndrome
+    gram = code.gram[locations[..., :, None], locations[..., None, :]]
+    try:
+        gram_inv = np.linalg.inv(gram)
+        cond = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(gram_inv, axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        gram_inv, cond = np.zeros_like(gram), np.full(len(gram), np.inf)
+    e = s @ columns @ gram_inv
+    e += (s - e @ lhs) @ columns @ gram_inv
+    # one refinement step leaves about cond(G) * eps of the error; NaN fails too
+    fallback = ~(cond <= 1e8)
+    if fallback.any():
+        a, b = lhs[fallback].swapaxes(-1, -2), s[fallback].swapaxes(-1, -2)
+        e[fallback] = least_squares(a, b).x.swapaxes(-1, -2)
+    return e
+
+
 @functools.lru_cache(maxsize=128)
 def _value_operator(n: int, k: int, locations: tuple) -> np.ndarray:
     """Read-only (N-K, count) least-squares operator of one detected set.
 
     The systems s = e @ conj(H[:, set]).T share their matrix, so each row of
     ``s @ op`` is the least-squares solution for that row: op is the
-    transposed solution for the identity right-hand side, with the
-    rank-deficient fallback of `least_squares`.
+    `_gram_solve` of the identity, row j the values of the j-th unit syndrome.
     """
-    lhs = build_code(n, k).parity[:, list(locations)].conj()
-    op = least_squares(lhs, np.eye(n - k)).x.T
+    op = _gram_solve(build_code(n, k), np.eye(n - k)[None], np.array([locations]))[0]
     op.flags.writeable = False
     return op
 
@@ -135,9 +161,11 @@ def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
     """Least-squares solve of s = e @ H^dagger on the detected columns, (..., count).
 
     ``locations`` (..., count) gives each syndrome of ``s`` (..., N-K) its own
-    set and system. ``locations`` (count,) is one set shared by every syndrome:
-    the values are ``s @ op`` with the set's cached (N-K, count) operator,
-    the leading axes of ``s`` flattened into one stack of rows for the product.
+    set and system; `_gram_solve` solves them with one batched inverse of
+    their normal matrices. ``locations`` (count,) is one set shared by every
+    syndrome: the values are ``s @ op`` with the set's cached (N-K, count)
+    operator. A system whose normal matrix ``inv`` rejects or has a Frobenius
+    cond above 1e8 is solved by `least_squares` instead.
     """
     locations = np.asarray(locations, dtype=int)
     count = locations.shape[-1]
@@ -147,15 +175,16 @@ def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
         )
     if count == 0:
         return np.zeros(np.shape(s)[:-1] + (0,), dtype=complex)
+    s = as_finite_complex(s, "syndrome")
+    lead = s.shape[:-1] if locations.ndim == 1 else locations.shape[:-1]
+    if s.shape != lead + (code.n - code.k,):
+        raise DimensionError(f"syndrome shape {s.shape} is not {lead} + (N-K={code.n - code.k},)")
+    rows = s.reshape(-1, s.shape[-1])
     if locations.ndim == 1:
-        s = as_finite_complex(s, "syndrome")
-        if s.shape[-1:] != (code.n - code.k,):
-            raise DimensionError(f"syndrome shape {s.shape} does not end in N-K={code.n - code.k}")
-        op = _value_operator(code.n, code.k, tuple(locations.tolist()))
-        return (s.reshape(-1, s.shape[-1]) @ op).reshape(s.shape[:-1] + (count,))
-    # (..., N-K, count): s_j = sum_a e_a conj(H[j, q_a])
-    lhs = code.parity.conj().T[locations].swapaxes(-1, -2)
-    return least_squares(lhs, s).x
+        values = rows @ _value_operator(code.n, code.k, tuple(locations.tolist()))
+    else:
+        values = _gram_solve(code, rows[:, None], locations.reshape(-1, count))[:, 0]
+    return values.reshape(lead + (count,))
 
 
 def correct_codeword(r, locations, values) -> np.ndarray:

@@ -7,10 +7,10 @@ centralized computation. The codewords are decoded in stacks: one locator
 call per distinct error count, one value-recovery call per detected-set
 size. Each locator in a call is its own system. A value-recovery call whose
 codewords all share one detected set, as under all-one base matrices, is one
-product with that set's cached least-squares operator; otherwise each
-codeword is its own system. When every codeword has the same count, as
-under oracle counts on all-one bases, the one stack is a view of the whole
-(M, ...) arrays, not a gathered copy.
+product with that set's cached operator; otherwise each codeword is its own
+system, and their normal matrices are inverted in one batch. When every
+codeword has the same count, as under oracle counts on all-one bases, the
+one stack is a view of the whole (M, ...) arrays, not a gathered copy.
 The locators are one (M, v+1) coefficient matrix, zero above each count:
 independent localization reads a count's rows as one stack, and the joint
 search takes the rows of positive count with their counts. Localization
@@ -23,8 +23,8 @@ the encode basis and the reconstruction map are cached per `EncodingParams`
 value-recovery operator per (N, K, detected set) in a 128-entry LRU (see
 `dft_code.recover_error_values`), and the encoding parameters and the digest
 on the `Scenario` instance. Trials whose sets repeat, such as a baseline
-scan's, reuse the operator; trials of random sets mostly rebuild it. Every
-draw is still made per trial, from the trial's own seed.
+scan's, reuse the operator; random sets rebuild it from one (count, count)
+inverse. Every draw is still made per trial, from the trial's own seed.
 
 Consecutive trials of one seed also share their prefix: the data blocks,
 padding, shares, worker results and centralized reference depend only on

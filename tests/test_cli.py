@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,24 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field} must be finite and positive")
         assert captured.out == ""
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # 3,000 grid points make about 170 kB of CSV, more than a pipe holds,
+        # so the writes after the reader has gone meet a closed pipe
+        grid = ",".join(f"{1e-4 * (1 + i):g}" for i in range(3000))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "alcc_lab.cli", "bounds", "--n", "15", "--count", "2",
+             "--sigma-grid", grid],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert first.startswith(b"n,count,")
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestOptimizeAssignmentCommand:

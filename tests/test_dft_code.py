@@ -369,9 +369,22 @@ def test_value_recovery_per_codeword_matches_lstsq(case):
     assert (np.abs(values - expected) <= tol).all()
 
 
+@pytest.mark.parametrize("n,k,count", [(31, 15, 8), (31, 19, 6), (31, 23, 4)])
+def test_adjacent_support_with_residual_matches_lstsq(n, k, count):
+    """Adjacent columns at N = 31, the worst-conditioned sets a trial can
+    detect, with arbitrary syndromes whose least-squares residual is large."""
+    code = build_code(n, k)
+    support = np.arange(count)
+    s = complex_normal(np.random.default_rng(7), 0.0, 1.0, (50, n - k))
+    expected, tol = lstsq_rows(np.broadcast_to(value_systems(code, support), (50, n - k, count)), s)
+    dft_code._value_operator.cache_clear()
+    for locations in (support, np.tile(support, (50, 1))):
+        assert (np.abs(recover_error_values(code, s, locations) - expected) <= tol).all()
+
+
 def test_ill_conditioned_set_is_solved_by_least_squares(monkeypatch):
     """16 adjacent columns of the (31, 15) parity: the normal matrix has
-    Frobenius cond about 2e13, so both shapes solve by `least_squares`."""
+    Frobenius cond about 6e13, so both shapes solve by `least_squares`."""
     code = build_code(31, 15)
     support = np.arange(16)
     lhs = value_systems(code, support)
