@@ -136,7 +136,7 @@ def _gram_solve(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarr
         gram_inv, cond = np.zeros_like(gram), np.full(len(gram), np.inf)
     e = s @ columns @ gram_inv
     e += (s - e @ lhs) @ columns @ gram_inv
-    # one refinement step leaves about cond(G) * eps of the error; NaN fails too
+    # the step leaves about cond(G) * eps of the error; a NaN cond falls back too
     fallback = ~(cond <= 1e8)
     if fallback.any():
         a, b = lhs[fallback].swapaxes(-1, -2), s[fallback].swapaxes(-1, -2)
