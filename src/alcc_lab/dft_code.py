@@ -131,15 +131,15 @@ def _gram_solve(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarr
     gram = code.gram[locations[..., :, None], locations[..., None, :]]
     try:
         gram_inv = np.linalg.inv(gram)
-        cond = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(gram_inv, axis=(-2, -1))
-    except np.linalg.LinAlgError:
-        gram_inv, cond = np.zeros_like(gram), np.full(len(gram), np.inf)
+    except np.linalg.LinAlgError:  # an exactly singular G: the whole stack falls back
+        gram_inv = np.full_like(gram, np.nan)
+    cond = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(gram_inv, axis=(-2, -1))
     e = s @ columns @ gram_inv
     e += (s - e @ lhs) @ columns @ gram_inv
     # the step leaves about cond(G) * eps of the error; a NaN cond falls back too
     fallback = ~(cond <= 1e8)
     if fallback.any():
-        a, b = lhs[fallback].swapaxes(-1, -2), s[fallback].swapaxes(-1, -2)
+        a, b = columns[fallback].conj(), s[fallback].swapaxes(-1, -2)
         e[fallback] = least_squares(a, b).x.swapaxes(-1, -2)
     return e
 

@@ -408,6 +408,26 @@ def test_ill_conditioned_set_is_solved_by_least_squares(monkeypatch):
         assert (np.abs(values - expected) <= tol).all()
 
 
+def test_singular_normal_matrix_stack_is_solved_by_least_squares(monkeypatch, code_15_7):
+    """An ``inv`` that rejects the stack of normal matrices sends every system to
+    `least_squares`, which still gives the least-squares values."""
+    support = np.array([[1, 4, 9], [0, 2, 3], [5, 6, 14]])
+    s = complex_normal(np.random.default_rng(8), 0.0, 1.0, (3, 8))
+    expected, tol = lstsq_rows(value_systems(code_15_7, support), s)
+    inv, rejected = np.linalg.inv, []
+
+    def reject_first(a):
+        if not rejected:
+            rejected.append(np.shape(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", reject_first)
+    values = recover_error_values(code_15_7, s, support)
+    assert rejected == [(3, 3, 3)]
+    assert (np.abs(values - expected) <= tol).all()
+
+
 def test_shared_set_operator_is_read_only_and_cached(code_15_7):
     dft_code._value_operator.cache_clear()
     support = np.array([2, 9, 11])
