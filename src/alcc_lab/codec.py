@@ -198,5 +198,5 @@ def relative_error(y_ref, y_est) -> float:
 
 
 def db(value: float) -> float:
-    """Amplitude-ratio decibels: 20*log10(value)."""
-    return 20.0 * float(np.log10(value))
+    """Amplitude-ratio decibels: 20*log10(value), -inf for an exact 0."""
+    return 20.0 * float(np.log10(value)) if value != 0 else -np.inf

@@ -6,10 +6,11 @@ blocks are: syndrome projection, error-count estimation (Hankel rank),
 locator-polynomial solve, and error-value recovery/subtraction. Each block
 takes one codeword (its syndrome, locator, ...) or a stack of them along
 leading axes; a stack shares one error count or one detected-set size.
-Value recovery solves each system from its normal matrix, read from the
-code's H^dagger H, with one refinement step. It and correction also take one
-detected set shared by the whole stack, which makes the recovery one
-product with the set's operator, built once per (N, K, set) and cached.
+The locator and value recovery share one solve: each system from its normal
+matrix with one refinement step, and `numeric.least_squares` only past its
+guard. Value recovery and correction also take one detected set shared by
+the whole stack: the recovery is then one product with the set's operator,
+built once per (N, K, set) and cached.
 
 A code depends only on (N, K), so `build_code` builds each one once and
 returns the same `DftCode`, with read-only generator, parity and H^dagger H,
@@ -97,19 +98,21 @@ def locator_polynomial(code: DftCode, s, count: int) -> np.ndarray:
 
     The locator's roots among gamma^q mark the corrupted evaluation indices;
     its coefficients are ascending, with g_0 = 1. Row i (i = 0..2v-count-1)
-    reads sum_j s[i+j] * g_{count-j} = -s[i+count]; the stacked system is
-    solved by least squares, using every available syndrome window. Every
-    syndrome of a stack shares `count`, but each is still its own system.
+    reads sum_j s[i+j] * g_{count-j} = -s[i+count]; that system W g = b over
+    every syndrome window is solved from its normal matrix (`_normal_solve`).
+    Every syndrome of a stack shares `count`, but each is its own system.
     """
     s = np.asarray(s, dtype=complex)
     v = code.capability
     if not 1 <= count <= v:
         raise CapabilityExceededError(f"count must lie in 1..v={v}, got {count}")
-    windows = s[..., _window_index(v, count)]
-    sol = least_squares(windows[..., :count], -windows[..., count])
-    # unknown order is (g_count, ..., g_1); flip into ascending coefficients
-    g0 = np.ones(sol.x.shape[:-1] + (1,), dtype=complex)
-    return np.concatenate([g0, sol.x[..., ::-1]], axis=-1)
+    windows = s[..., _window_index(v, count)].reshape(-1, 2 * v - count, count + 1)
+    # W g = b in the row form `_normal_solve` takes: -g @ conj(W)^H = -b
+    x = _normal_solve(windows[..., :count].conj(), windows[:, None, :, count])
+    # x is -(g_count, ..., g_1); flip into ascending coefficients after g_0 = 1
+    coeffs = np.ones((len(x), count + 1), dtype=complex)
+    np.negative(x[:, 0, ::-1], out=coeffs[:, 1:])
+    return coeffs.reshape(s.shape[:-1] + (count + 1,))
 
 
 @functools.lru_cache(maxsize=128)
@@ -120,28 +123,36 @@ def _window_index(v: int, count: int) -> np.ndarray:
     return index
 
 
-def _gram_solve(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarray:
-    """Values (P, m, count) of syndromes s (P, m, N-K), stack entry p on the set locations[p].
+def _normal_solve(a: np.ndarray, s: np.ndarray, gram=None) -> np.ndarray:
+    """Least-squares rows x (P, m, cols) of x @ a^H = s (P, m, rows), from G = a^H a.
 
-    Corrected semi-normal equations (Bjorck 1987) with G = (H^dagger H)[Q, Q]:
-    e = (s @ H)[Q] @ inv(G), then e += (r @ H)[Q] @ inv(G), r = s - e @ conj(H[:, Q]).T.
+    Corrected semi-normal equations (Bjorck 1987): x = s @ a @ inv(G), then
+    x += (s - x @ a^H) @ a @ inv(G), one batched inverse for the stack. ``gram``
+    (P, cols, cols) is G when the caller holds it, else it is formed from a.
+    A system whose Frobenius cond(G) is above 1e8, or every system when ``inv``
+    rejects the stack, is solved by `least_squares` instead.
     """
-    columns = code.parity.T[locations].swapaxes(-1, -2)  # (P, N-K, count), H[:, Q]
-    lhs = columns.conj().swapaxes(-1, -2)  # e @ lhs is e's syndrome
-    gram = code.gram[locations[..., :, None], locations[..., None, :]]
+    lhs = a.conj().swapaxes(-1, -2)  # x @ lhs is x's right-hand side
+    gram = lhs @ a if gram is None else gram
     try:
         gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:  # an exactly singular G: the whole stack falls back
         gram_inv = np.full_like(gram, np.nan)
     cond = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(gram_inv, axis=(-2, -1))
-    e = s @ columns @ gram_inv
-    e += (s - e @ lhs) @ columns @ gram_inv
+    x = s @ a @ gram_inv
+    x += (s - x @ lhs) @ a @ gram_inv
     # the step leaves about cond(G) * eps of the error; a NaN cond falls back too
     fallback = ~(cond <= 1e8)
     if fallback.any():
-        a, b = columns[fallback].conj(), s[fallback].swapaxes(-1, -2)
-        e[fallback] = least_squares(a, b).x.swapaxes(-1, -2)
-    return e
+        a, b = a[fallback].conj(), s[fallback].swapaxes(-1, -2)
+        x[fallback] = least_squares(a, b).x.swapaxes(-1, -2)
+    return x
+
+
+def _solve_values(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    """Values (P, m, count) of s (P, m, N-K) on Q = locations[p], with G = (H^dagger H)[Q, Q]."""
+    columns = code.parity.T[locations].swapaxes(-1, -2)  # (P, N-K, count), H[:, Q]
+    return _normal_solve(columns, s, code.gram[locations[..., :, None], locations[..., None, :]])
 
 
 @functools.lru_cache(maxsize=128)
@@ -150,9 +161,9 @@ def _value_operator(n: int, k: int, locations: tuple) -> np.ndarray:
 
     The systems s = e @ conj(H[:, set]).T share their matrix, so each row of
     ``s @ op`` is the least-squares solution for that row: op is the
-    `_gram_solve` of the identity, row j the values of the j-th unit syndrome.
+    `_solve_values` of the identity, row j the values of the j-th unit syndrome.
     """
-    op = _gram_solve(build_code(n, k), np.eye(n - k)[None], np.array([locations]))[0]
+    op = _solve_values(build_code(n, k), np.eye(n - k)[None], np.array([locations]))[0]
     op.flags.writeable = False
     return op
 
@@ -161,11 +172,10 @@ def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
     """Least-squares solve of s = e @ H^dagger on the detected columns, (..., count).
 
     ``locations`` (..., count) gives each syndrome of ``s`` (..., N-K) its own
-    set and system; `_gram_solve` solves them with one batched inverse of
+    set and system; `_normal_solve` solves them with one batched inverse of
     their normal matrices. ``locations`` (count,) is one set shared by every
     syndrome: the values are ``s @ op`` with the set's cached (N-K, count)
-    operator. A system whose normal matrix ``inv`` rejects or has a Frobenius
-    cond above 1e8 is solved by `least_squares` instead.
+    operator.
     """
     locations = np.asarray(locations, dtype=int)
     count = locations.shape[-1]
@@ -183,7 +193,7 @@ def recover_error_values(code: DftCode, s, locations) -> np.ndarray:
     if locations.ndim == 1:
         values = rows @ _value_operator(code.n, code.k, tuple(locations.tolist()))
     else:
-        values = _gram_solve(code, rows[:, None], locations.reshape(-1, count))[:, 0]
+        values = _solve_values(code, rows[:, None], locations.reshape(-1, count))[:, 0]
     return values.reshape(lead + (count,))
 
 

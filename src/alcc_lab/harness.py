@@ -8,9 +8,10 @@ call per distinct error count, one value-recovery call per detected-set
 size. Each locator in a call is its own system. A value-recovery call whose
 codewords all share one detected set, as under all-one base matrices, is one
 product with that set's cached operator; otherwise each codeword is its own
-system, and their normal matrices are inverted in one batch. When every
-codeword has the same count, as under oracle counts on all-one bases, the
-one stack is a view of the whole (M, ...) arrays, not a gathered copy.
+system. Both are solved by one routine, from normal matrices inverted in one
+batch, with `numeric.least_squares` only its fallback. When every codeword
+has the same count, as under oracle counts on all-one bases, the one
+stack is a view of the whole (M, ...) arrays, not a gathered copy.
 The locators are one (M, v+1) coefficient matrix, zero above each count:
 independent localization reads a count's rows as one stack, and the joint
 search takes the rows of positive count with their counts. Localization
@@ -133,10 +134,14 @@ def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
     for count, rows in _groups(counts):
         coeffs[rows, : count + 1] = dft_code.locator_polynomial(code, syndromes[rows], count)
     if scenario.precision_mode == "locator" and scenario.precision_var > 0:
-        # one draw per codeword, in codeword order, keeps each trial's random stream
-        for c in np.flatnonzero(counts):
-            noise = threat.complex_normal(rng, 0.0, scenario.precision_var, counts[c] + 1)
-            coeffs[c, : counts[c] + 1] += noise
+        # one draw, read as complex_normal's per codeword of positive count in
+        # order ([re | im] chunks of count+1), keeps each trial's random stream
+        sizes = np.where(counts > 0, counts + 1, 0)
+        rows, cols = np.nonzero(np.arange(code.capability + 1) < sizes[:, None])
+        draws = rng.standard_normal(2 * rows.size)
+        re = 2 * (np.cumsum(sizes) - sizes)[rows] + cols
+        noise = draws[re] + 1j * draws[re + sizes[rows]]
+        coeffs[rows, cols] += np.sqrt(scenario.precision_var / 2.0) * noise
     return coeffs
 
 

@@ -225,6 +225,10 @@ class TestRelativeError:
     def test_db_convention(self):
         assert np.isclose(db(0.1), -20.0)
 
+    def test_db_of_zero_is_minus_inf_without_a_warning(self):
+        # the suite turns a RuntimeWarning raised in the package into an error
+        assert db(0.0) == -np.inf
+
 
 def test_function_registry():
     assert set(FUNCTIONS) == {"gram", "identity"}

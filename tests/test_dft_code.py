@@ -504,3 +504,61 @@ def test_locator_matches_lstsq(case):
     # a stack's leading axes are kept, and each syndrome is its own system
     assert np.array_equal(locator_polynomial(code, s[None], count), coeffs[None])
     assert np.abs(unknowns(locator_polynomial(code, s[0], count)) - expected[0]).max() <= tol[0, 0]
+
+
+def test_ill_conditioned_locator_systems_are_solved_by_least_squares(monkeypatch):
+    """A = v = 8 adjacent errors on (31, 15): the locator's normal matrix has
+    Frobenius cond about 1e16, so the guard sends exactly those systems of a
+    stack to `least_squares`; spread supports stay on the normal matrices."""
+    code = build_code(31, 15)
+    support = np.array([np.arange(8), np.arange(0, 31, 4)[:8]] * 3)
+    e = complex_normal(np.random.default_rng(6), 0.0, 1.0, support.shape)
+    s = np.einsum("pc,pcr->pr", e, code.parity.conj().T[support])
+    expected, tol = locator_lstsq_rows(code, s, 8)
+    solved = []
+    lstsq = dft_code.least_squares
+
+    def spy(a, b):
+        solved.append(np.shape(a))
+        return lstsq(a, b)
+
+    monkeypatch.setattr(dft_code, "least_squares", spy)
+    coeffs = locator_polynomial(code, s, 8)
+    assert solved == [(3, 8, 8)]
+    assert (np.abs(unknowns(coeffs) - expected) <= tol).all()
+
+
+def test_rejected_locator_normal_matrices_are_solved_by_least_squares(monkeypatch, code_15_7):
+    """An ``inv`` that rejects the stack of locator normal matrices sends every
+    system to `least_squares`, which still gives the least-squares coefficients."""
+    s = complex_normal(np.random.default_rng(9), 0.0, 1.0, (4, 8))
+    expected, tol = locator_lstsq_rows(code_15_7, s, 3)
+    inv, rejected, solved = np.linalg.inv, [], []
+    lstsq = dft_code.least_squares
+
+    def reject_first(a):
+        if not rejected:
+            rejected.append(np.shape(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    def spy(a, b):
+        solved.append(np.shape(a))
+        return lstsq(a, b)
+
+    monkeypatch.setattr(np.linalg, "inv", reject_first)
+    monkeypatch.setattr(dft_code, "least_squares", spy)
+    coeffs = locator_polynomial(code_15_7, s, 3)
+    assert rejected == [(4, 3, 3)] and solved == [(4, 5, 3)]
+    assert (np.abs(unknowns(coeffs) - expected) <= tol).all()
+
+
+def test_zero_syndrome_locator_falls_back_without_warnings(code_15_7):
+    """An all-zero syndrome makes every window zero: ``inv`` rejects the stack,
+    and `least_squares` gives the minimum-norm locator, g = (1, 0, ..., 0)."""
+    s = np.zeros((2, 8), dtype=complex)
+    s[1] = complex_normal(np.random.default_rng(10), 0.0, 1.0, 8)
+    coeffs = locator_polynomial(code_15_7, s, 2)
+    assert np.array_equal(coeffs[0], [1, 0, 0])
+    expected, tol = locator_lstsq_rows(code_15_7, s[1:], 2)
+    assert (np.abs(unknowns(coeffs[1:]) - expected) <= tol).all()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcc_lab import codec, dft_code, harness
+from alcc_lab import codec, dft_code, harness, threat
 from alcc_lab.harness import (
     TRIAL_CSV_HEADER,
     run_trial,
@@ -231,6 +231,24 @@ class TestRunTrial:
             assert max(seen) > len(pool)
         else:
             assert max(seen) == len(pool)
+
+    def test_locator_noise_is_one_draw_equal_to_a_draw_per_codeword(self):
+        """The trial's one locator-noise draw gives the values, and leaves the
+        generator in the state, of one `complex_normal` call per codeword of
+        positive count, in codeword order."""
+        sc = clean_scenario(byzantine_count=4, precision_mode="locator", precision_var=0.05)
+        code = dft_code.build_code(sc.n_workers, sc.code_dimension)
+        counts = np.array([2, 0, 4, 4, 1, 0, 3, 1])
+        s = threat.complex_normal(np.random.default_rng(1), 0.0, 1.0, (8, code.n - code.k))
+        rng, loop_rng = np.random.default_rng(2), np.random.default_rng(2)
+        coeffs = harness._locators(sc, code, s, counts, rng)
+        expected = harness._locators(dataclasses.replace(sc, precision_var=0.0), code, s, counts,
+                                     loop_rng)
+        for c in np.flatnonzero(counts):
+            expected[c, : counts[c] + 1] += threat.complex_normal(loop_rng, 0.0, 0.05, counts[c] + 1)
+        assert np.array_equal(coeffs, expected)
+        assert (coeffs[counts == 0] == 0).all()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_joint_strategy_runs_with_weak_bases(self):
         sc = clean_scenario(
@@ -507,6 +525,16 @@ class TestSweep:
         with pytest.raises(ParameterError, match="decoder"):
             write_sweep_csv(base, spec, out, agg)
         assert (out.read_bytes(), agg.read_bytes()) == before
+
+    def test_exact_trials_read_minus_inf_db(self):
+        """An exact reconstruction (e_rel 0) reads -inf dB in its trial and
+        aggregate rows, with no log10 warning (the suite makes one an error)."""
+        exact = Scenario(n_workers=11, k=1, t=0, beta=1.0, sigma_pad=0.0, function="identity",
+                         input_rows=1, input_cols=1, decoder=False)
+        records = [run_trial(exact, seed) for seed in range(3)]
+        assert [r.csv_row()[5:7] for r in records] == [("0.000000000000e+00", "-inf")] * 3
+        [(_, sc, label)] = SweepSpec().grid(exact)
+        assert harness._aggregate_row(sc, label, records)[-2:] == ("0.000000000000e+00", "-inf")
 
     def test_csv_header_contract(self, tmp_path):
         path = tmp_path / "out.csv"
