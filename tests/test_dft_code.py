@@ -506,6 +506,20 @@ def test_locator_matches_lstsq(case):
     assert np.abs(unknowns(locator_polynomial(code, s[0], count)) - expected[0]).max() <= tol[0, 0]
 
 
+@pytest.mark.parametrize("n,k,count", [(31, 15, 7), (31, 19, 5), (23, 9, 6)])
+def test_adjacent_support_locator_matches_lstsq(monkeypatch, n, k, count):
+    """Errors on adjacent indices with small noise: the locator's normal matrices
+    have Frobenius cond of about 1e6 to 1e7, under the guard, so they are solved
+    from the normal matrices alone and still match lstsq."""
+    code = build_code(n, k)
+    rng = np.random.default_rng(11)
+    support = np.tile(np.arange(count), (50, 1))
+    s = draw_syndromes(lambda _: True, rng, value_systems(code, support))
+    expected, tol = locator_lstsq_rows(code, s, count)
+    monkeypatch.setattr(dft_code, "least_squares", None)  # any fallback would raise
+    assert (np.abs(unknowns(locator_polynomial(code, s, count)) - expected) <= tol).all()
+
+
 def test_ill_conditioned_locator_systems_are_solved_by_least_squares(monkeypatch):
     """A = v = 8 adjacent errors on (31, 15): the locator's normal matrix has
     Frobenius cond about 1e16, so the guard sends exactly those systems of a
