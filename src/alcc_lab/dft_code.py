@@ -6,11 +6,12 @@ blocks are: syndrome projection, error-count estimation (Hankel rank),
 locator-polynomial solve, and error-value recovery/subtraction. Each block
 takes one codeword (its syndrome, locator, ...) or a stack of them along
 leading axes; a stack shares one error count or one detected-set size.
-The locator and value recovery share one solve: each system from its normal
-matrix with one refinement step, and `numeric.least_squares` only past its
-guard. Value recovery and correction also take one detected set shared by
-the whole stack: the recovery is then one product with the set's operator,
-built once per (N, K, set) and cached.
+The locator and value recovery share one solve: a square system through the
+inverse of its own matrix, any other from its normal matrix with one
+refinement step, and the SVD of `numeric.least_squares` only past the guard.
+Value recovery and correction also take one detected set shared by the whole
+stack: the recovery is then one product with the set's operator, built once
+per (N, K, set) and cached.
 
 A code depends only on (N, K), so `build_code` builds each one once and
 returns the same `DftCode`, with read-only generator, parity and H^dagger H,
@@ -99,8 +100,9 @@ def locator_polynomial(code: DftCode, s, count: int) -> np.ndarray:
     The locator's roots among gamma^q mark the corrupted evaluation indices;
     its coefficients are ascending, with g_0 = 1. Row i (i = 0..2v-count-1)
     reads sum_j s[i+j] * g_{count-j} = -s[i+count]; that system W g = b over
-    every syndrome window is solved from its normal matrix (`_normal_solve`).
-    Every syndrome of a stack shares `count`, but each is its own system.
+    every syndrome window is solved by `_normal_solve`, through W itself at
+    count = v, where W is square, else from its normal matrix. Every syndrome
+    of a stack shares `count`, but each is its own system.
     """
     s = np.asarray(s, dtype=complex)
     v = code.capability
@@ -124,28 +126,33 @@ def _window_index(v: int, count: int) -> np.ndarray:
 
 
 def _normal_solve(a: np.ndarray, s: np.ndarray, gram=None) -> np.ndarray:
-    """Least-squares rows x (P, m, cols) of x @ a^H = s (P, m, rows), from G = a^H a.
+    """Least-squares rows x (P, m, cols) of x @ a^H = s (P, m, rows), one inverse per stack.
 
-    Corrected semi-normal equations (Bjorck 1987): x = s @ a @ inv(G), then
-    x += (s - x @ a^H) @ a @ inv(G), one batched inverse for the stack. ``gram``
-    (P, cols, cols) is G when the caller holds it, else it is formed from a.
-    A system whose Frobenius cond(G) is above 1e8, or every system when ``inv``
-    rejects the stack, is solved by `least_squares` instead.
+    A square stack solves through M = a^H, x = s @ inv(M), with no refinement
+    step: on s = I, a shared set's operator, its rounded residual would cost
+    the cond(M) * eps accuracy. Any other stack takes the corrected semi-normal
+    equations (Bjorck 1987) with M = G = a^H a, ``gram`` when the caller holds
+    it: x = s @ a @ inv(G), then x += (s - x @ a^H) @ a @ inv(G). A system whose
+    Frobenius cond(M) is above 1e8, or every system when ``inv`` rejects the
+    stack, is solved by `least_squares` instead.
     """
     lhs = a.conj().swapaxes(-1, -2)  # x @ lhs is x's right-hand side
-    gram = lhs @ a if gram is None else gram
+    square = a.shape[-2] == a.shape[-1]
+    m = lhs if square else (lhs @ a if gram is None else gram)
     try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:  # an exactly singular G: the whole stack falls back
-        gram_inv = np.full_like(gram, np.nan)
-    cond = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(gram_inv, axis=(-2, -1))
-    x = s @ a @ gram_inv
-    x += (s - x @ lhs) @ a @ gram_inv
-    # the step leaves about cond(G) * eps of the error; a NaN cond falls back too
-    fallback = ~(cond <= 1e8)
+        m_inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # an exactly singular M: the whole stack falls back
+        m_inv = np.full_like(m, np.nan)
+    cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(m_inv, axis=(-2, -1))
+    if square:
+        x = s @ m_inv
+    else:
+        x = s @ a @ m_inv
+        x += (s - x @ lhs) @ a @ m_inv
+    fallback = ~(cond <= 1e8)  # a NaN cond falls back too
     if fallback.any():
         a, b = a[fallback].conj(), s[fallback].swapaxes(-1, -2)
-        x[fallback] = least_squares(a, b).x.swapaxes(-1, -2)
+        x[fallback] = least_squares(a, b).swapaxes(-1, -2)
     return x
 
 

@@ -8,10 +8,11 @@ call per distinct error count, one value-recovery call per detected-set
 size. Each locator in a call is its own system. A value-recovery call whose
 codewords all share one detected set, as under all-one base matrices, is one
 product with that set's cached operator; otherwise each codeword is its own
-system. Both are solved by one routine, from normal matrices inverted in one
-batch, with `numeric.least_squares` only its fallback. When every codeword
-has the same count, as under oracle counts on all-one bases, the one
-stack is a view of the whole (M, ...) arrays, not a gathered copy.
+system. Both are solved by one routine that inverts a stack's matrices in
+one batch: the windows of a square locator stack (count = v), else the
+normal matrices, with `numeric.least_squares` only its fallback. When every
+codeword has the same count, as under oracle counts on all-one bases, the
+one stack is a view of the whole (M, ...) arrays, not a gathered copy.
 The locators are one (M, v+1) coefficient matrix, zero above each count:
 independent localization reads a count's rows as one stack, and the joint
 search takes the rows of positive count with their counts. Localization

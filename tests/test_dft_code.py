@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcc_lab import dft_code
+from alcc_lab import dft_code, selftest
 from alcc_lab.dft_code import (
     CapabilityExceededError,
     build_code,
@@ -383,14 +383,15 @@ def test_adjacent_support_with_residual_matches_lstsq(n, k, count):
 
 
 def test_ill_conditioned_set_is_solved_by_least_squares(monkeypatch):
-    """16 adjacent columns of the (31, 15) parity: the normal matrix has
-    Frobenius cond about 6e13, so both shapes solve by `least_squares`."""
+    """15 adjacent columns of the (31, 15) parity: the 16 x 15 systems have a
+    normal matrix of Frobenius cond about 1.5e12, so both shapes solve by
+    `least_squares`."""
     code = build_code(31, 15)
-    support = np.arange(16)
+    support = np.arange(15)
     lhs = value_systems(code, support)
-    e = complex_normal(np.random.default_rng(6), 0.0, 1.0, (5, 16))
-    s = e @ lhs.T  # consistent: with N-K = count every syndrome is
-    expected, tol = lstsq_rows(np.broadcast_to(lhs, (5, 16, 16)), s)
+    e = complex_normal(np.random.default_rng(6), 0.0, 1.0, (5, 15))
+    s = e @ lhs.T  # consistent
+    expected, tol = lstsq_rows(np.broadcast_to(lhs, (5, 16, 15)), s)
     assert np.abs(expected - e).max() <= 1e-6
     solved = []
     lstsq = dft_code.least_squares
@@ -404,8 +405,25 @@ def test_ill_conditioned_set_is_solved_by_least_squares(monkeypatch):
     for locations in (support, np.tile(support, (5, 1))):
         solved.clear()
         values = recover_error_values(code, s, locations)
-        assert solved and all(shape[-2:] == (16, 16) for shape in solved)
+        assert solved and all(shape[-2:] == (16, 15) for shape in solved)
         assert (np.abs(values - expected) <= tol).all()
+
+
+def test_square_ill_conditioned_set_is_solved_through_its_matrix(monkeypatch):
+    """16 adjacent columns of the (31, 15) parity: the normal matrix has
+    Frobenius cond about 6e13, but the square systems solve through H[:, Q]
+    itself, under the guard, and still match lstsq."""
+    code = build_code(31, 15)
+    support = np.arange(16)
+    lhs = value_systems(code, support)
+    e = complex_normal(np.random.default_rng(6), 0.0, 1.0, (5, 16))
+    s = e @ lhs.T  # consistent: with N-K = count every syndrome is
+    expected, tol = lstsq_rows(np.broadcast_to(lhs, (5, 16, 16)), s)
+    assert np.abs(expected - e).max() <= 1e-6
+    monkeypatch.setattr(dft_code, "least_squares", None)  # any fallback would raise
+    dft_code._value_operator.cache_clear()
+    for locations in (support, np.tile(support, (5, 1))):
+        assert (np.abs(recover_error_values(code, s, locations) - expected) <= tol).all()
 
 
 def test_singular_normal_matrix_stack_is_solved_by_least_squares(monkeypatch, code_15_7):
@@ -506,24 +524,38 @@ def test_locator_matches_lstsq(case):
     assert np.abs(unknowns(locator_polynomial(code, s[0], count)) - expected[0]).max() <= tol[0, 0]
 
 
-@pytest.mark.parametrize("n,k,count", [(31, 15, 7), (31, 19, 5), (23, 9, 6)])
-def test_adjacent_support_locator_matches_lstsq(monkeypatch, n, k, count):
-    """Errors on adjacent indices with small noise: the locator's normal matrices
-    have Frobenius cond from 2e5 to 4e7, under the guard, so they are solved
-    from the normal matrices alone and still match lstsq."""
+@pytest.mark.parametrize(
+    "n,k,count,noise", [(31, 15, 7, 1e-6), (31, 19, 5, 1e-6), (23, 9, 6, 1e-6), (15, 7, 4, 0.0)],
+    ids=["31-15-7", "31-19-5", "23-9-6", "15-7-4-noise-free"],
+)
+def test_adjacent_support_locator_matches_lstsq(monkeypatch, n, k, count, noise):
+    """Errors on adjacent indices, with small noise or none: below v the
+    locator's normal matrices have Frobenius cond from 2e5 to 4e7, under the
+    guard; at count = v = 4 on (15, 7) the square windows W have cond_F(W) at
+    most 4.2e4 while cond_F(G) reaches 1.6e9. So every system is solved
+    without `least_squares` and still matches lstsq."""
     code = build_code(n, k)
     rng = np.random.default_rng(11)
     e = complex_normal(rng, 0.0, 1.0, (50, count))
-    s = e @ value_systems(code, np.arange(count)).T + complex_normal(rng, 0.0, 1e-6, (50, n - k))
+    s = e @ value_systems(code, np.arange(count)).T + complex_normal(rng, 0.0, noise, (50, n - k))
     expected, tol = locator_lstsq_rows(code, s, count)
     monkeypatch.setattr(dft_code, "least_squares", None)  # any fallback would raise
     assert (np.abs(unknowns(locator_polynomial(code, s, count)) - expected) <= tol).all()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_default_selftest_makes_no_least_squares_call(monkeypatch, seed):
+    """Every system of the default selftest codes is under the guard: the
+    count-v locator systems of (15, 7) are square and solve through W."""
+    monkeypatch.setattr(dft_code, "least_squares", None)  # any fallback would raise
+    report = selftest.run_exhaustive_decode_check(values_per_support=1, seed=seed)
+    assert report.passed and report.decodes_run == 2034
+
+
 def test_ill_conditioned_locator_systems_are_solved_by_least_squares(monkeypatch):
-    """A = v = 8 adjacent errors on (31, 15): the locator's normal matrix has
-    Frobenius cond about 1e16, so the guard sends exactly those systems of a
-    stack to `least_squares`; spread supports stay on the normal matrices."""
+    """A = v = 8 adjacent errors on (31, 15): the square windows have Frobenius
+    cond from 1.6e10 to 5e10, so the guard sends exactly those systems of a
+    stack to `least_squares`; spread supports stay on the inverse of W."""
     code = build_code(31, 15)
     support = np.array([np.arange(8), np.arange(0, 31, 4)[:8]] * 3)
     e = complex_normal(np.random.default_rng(6), 0.0, 1.0, support.shape)

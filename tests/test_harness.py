@@ -347,8 +347,7 @@ class TestSharedValueRecovery:
         """(locations, systems solved, operators built) per value-recovery call,
         from a cold operator cache.
 
-        A system solved is one matrix inverted: each system's normal matrix,
-        or its R when it falls back to `least_squares`.
+        A system solved is one matrix inverted: each system's normal matrix.
         """
         dft_code._value_operator.cache_clear()
         calls = []
