@@ -67,6 +67,10 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
     subset = tuple(sorted(int(i) for i in subset))
     if len(subset) != prob.unreliable_count:
         raise ParameterError("subset size must equal the unreliable count")
+    if len(set(subset)) < len(subset) or subset[0] < 0 or subset[-1] >= prob.n_workers:
+        raise ParameterError(
+            f"subset {subset} must hold distinct indices in 0..{prob.n_workers - 1}"
+        )
     a = prob.byzantine_count
     if len(subset) == a:
         return -math.inf  # no non-Byzantine probe exists; degenerate zero
@@ -241,6 +245,9 @@ def relative_error_baseline(
                 raise ParameterError(
                     f"candidate {subset} does not have {prob.unreliable_count} indices"
                 )
+        if len(set(candidates)) < len(candidates):
+            repeated = next(c for i, c in enumerate(candidates) if c in candidates[:i])
+            raise ParameterError(f"candidate {repeated} is listed more than once")
         n_candidates = len(candidates)
     total = n_candidates * trials
     if total > max_simulations and not force:

@@ -50,6 +50,15 @@ class TestObjective:
         with pytest.raises(ParameterError):
             problem2_log_objective((0, 1), TABLE_PROBLEM)
 
+    @pytest.mark.parametrize("subset,named", [
+        ((0, 0, 1, 2, 3), r"\(0, 0, 1, 2, 3\)"),
+        ((0, 1, 2, 3, 20), r"\(0, 1, 2, 3, 20\)"),
+        ((3, -1, 0, 1, 2), r"\(-1, 0, 1, 2, 3\)"),
+    ], ids=["repeated", "above-n", "negative"])
+    def test_repeated_or_out_of_range_index_rejected(self, subset, named):
+        with pytest.raises(ParameterError, match=f"subset {named} must hold distinct indices"):
+            problem2_log_objective(subset, TABLE_PROBLEM)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("field", ["eta", "sigma_p_sq"])
     def test_bad_noise_parameter_rejected_by_name(self, field, value):
@@ -283,6 +292,17 @@ class TestEmpiricalBaseline:
         scenario = dataclasses.replace(self._scenario(), **overrides)
         with pytest.raises(ParameterError, match=field):
             relative_error_baseline(prob, scenario, trials=1, seed=0)
+        assert calls == []
+
+    def test_repeated_candidate_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda sc, seed: calls.append(seed))
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        scenario = self._scenario().with_updates(byzantine_count=2)
+        with pytest.raises(ParameterError, match=r"candidate \(0, 1, 2, 3, 4\) is listed more"):
+            relative_error_baseline(prob, scenario, trials=1, seed=0,
+                                    candidates=[(0, 1, 2, 3, 4), (0, 2, 5, 8, 10),
+                                                (4, 3, 2, 1, 0)])
         assert calls == []
 
     def test_empty_candidate_list_rejected(self):
