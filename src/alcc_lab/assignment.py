@@ -17,6 +17,9 @@ import numpy as np
 from .bounds import assignment_pair_log_bound, check_noise_parameters, gamma_bounds
 from .numeric import ParameterError, RuntimeGuardError
 
+# exhaustive search refuses more subsets than this; beam search has no limit
+_EXHAUSTIVE_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class AssignmentProblem:
@@ -120,7 +123,6 @@ def solve_assignment(
     search: str = "exhaustive",
     beam_width: int = 64,
     rng: np.random.Generator | None = None,
-    exhaustive_limit: int = 1_000_000,
 ) -> AssignmentSolution:
     """Minimize the expected dominant confusability over index subsets.
 
@@ -129,7 +131,7 @@ def solve_assignment(
     """
     n, mu = prob.n_workers, prob.unreliable_count
     if search == "exhaustive":
-        if math.comb(n, mu) > exhaustive_limit:
+        if math.comb(n, mu) > _EXHAUSTIVE_LIMIT:
             raise RuntimeGuardError(
                 f"exhaustive search over C({n},{mu}) subsets exceeds the limit; "
                 "use beam search"

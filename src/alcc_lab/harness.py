@@ -35,8 +35,9 @@ the threat, the unreliable pool or the decoder. `run_trial` keeps the last
 trial's prefix (read-only) with the generator state after its draws; a trial
 with the same key reuses it and makes every later draw from the same stream,
 so its record is the one a fresh run gives. Paired scans over the same seeds,
-such as `assignment.relative_error_baseline`, run seed-major to share it;
-sweeps, whose seeds never repeat, pay only a missed comparison.
+such as `assignment.relative_error_baseline`, run seed-major to share it.
+Sweeps run point by point, so even the points of a paired axis, which repeat
+one seed list, meet a trial of another seed and pay only a missed comparison.
 """
 
 from __future__ import annotations
@@ -317,8 +318,9 @@ def write_csv(path, rows) -> None:
 def write_sweep_csv(base: Scenario, spec: SweepSpec, trial_path, aggregate_path=None):
     """Run the grid and write its trial CSV (and optional aggregate CSV).
 
-    Trial seeds derive from (master seed, grid index, trial index), so the
-    output is reproducible byte-for-byte for a fixed configuration. The grid
+    Trial seeds derive from (master seed, seed index, trial index), the seed
+    index as `SweepSpec.grid` yields it, so the output is reproducible
+    byte-for-byte for a fixed configuration. The grid
     is built and validated before ``trial_path`` is opened, so an invalid
     point leaves an existing file as it was. Each point's trial rows are
     written when its trials finish, so a run stopped by an error keeps the
@@ -329,8 +331,8 @@ def write_sweep_csv(base: Scenario, spec: SweepSpec, trial_path, aggregate_path=
 
     def trial_rows():
         yield TRIAL_CSV_HEADER
-        for grid_index, sc, label in points:
-            seeds = trial_seeds(sc.master_seed, grid_index, sc.trials)
+        for seed_index, sc, label in points:
+            seeds = trial_seeds(sc.master_seed, seed_index, sc.trials)
             records = [run_trial(sc, s) for s in seeds]
             yield from (record.csv_row() for record in records)
             aggregates.append(_aggregate_row(sc, label, records))

@@ -164,9 +164,24 @@ class Scenario:
 _DIGEST_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(Scenario) if f.name != "trials"))
 
 
+# each SweepSpec axis and the Scenario field it sets, outermost first
+_AXES = {
+    "decoder_states": "decoder",
+    "byzantine_counts": "byzantine_count",
+    "precision_vars": "precision_var",
+    "strategies": "localization",
+    "zero_probs": "weak_zero_prob",
+    "constraint_lengths": "constraint_length",
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid axes layered over a base scenario; empty axes mean 'keep base'."""
+    """Grid axes layered over a base scenario; empty axes mean 'keep base'.
+
+    ``paired_axes`` names axes whose points share trial seeds, so that a
+    comparison along them runs on common random numbers.
+    """
 
     byzantine_counts: tuple[int, ...] = ()
     precision_vars: tuple[float, ...] = ()
@@ -174,30 +189,29 @@ class SweepSpec:
     zero_probs: tuple[float, ...] = ()
     constraint_lengths: tuple[int, ...] = ()
     decoder_states: tuple[bool, ...] = ()
-    trials: int | None = None
-    master_seed: int | None = None
+    paired_axes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        unknown = [name for name in self.paired_axes if name not in _AXES]
+        if unknown:
+            raise ParameterError(f"paired_axes names unknown axes {unknown}; use {tuple(_AXES)}")
 
     def grid(self, base: Scenario):
-        """Yield (grid_index, scenario, label-dict) in deterministic order.
+        """Yield (seed_index, scenario, label-dict) in deterministic order.
 
-        The grid index seeds the trials, so the axis order below fixes every
-        sweep's output.
+        The seed index seeds the trials: it is the point's position in the
+        grid with the paired axes removed, counted over axis positions, so a
+        repeated axis value still gets its own seeds. With no paired axes it
+        is the grid index. The axis order of ``_AXES`` fixes every sweep's
+        output.
         """
-        axes = {
-            "decoder": self.decoder_states or (base.decoder,),
-            "byzantine_count": self.byzantine_counts or (base.byzantine_count,),
-            "precision_var": self.precision_vars or (base.precision_var,),
-            "localization": self.strategies or (base.localization,),
-            "weak_zero_prob": self.zero_probs or (base.weak_zero_prob,),
-            "constraint_length": self.constraint_lengths or (base.constraint_length,),
-        }
-        overrides = {}
-        if self.trials is not None:
-            overrides["trials"] = self.trials
-        if self.master_seed is not None:
-            overrides["master_seed"] = self.master_seed
-        for idx, point in enumerate(itertools.product(*axes.values())):
-            changes = dict(zip(axes, point))
+        values = [getattr(self, axis) or (getattr(base, field),) for axis, field in _AXES.items()]
+        for positions in itertools.product(*(range(len(v)) for v in values)):
+            seed_index = 0
+            for axis, pos, axis_values in zip(_AXES, positions, values):
+                if axis not in self.paired_axes:
+                    seed_index = seed_index * len(axis_values) + pos
+            changes = {field: v[pos] for field, v, pos in zip(_AXES.values(), values, positions)}
             label = {
                 "decoder": changes["decoder"],
                 "A": changes["byzantine_count"],
@@ -206,7 +220,7 @@ class SweepSpec:
                 "zero_prob": changes["weak_zero_prob"],
                 "constraint_length": changes["constraint_length"],
             }
-            yield idx, base.with_updates(**changes, **overrides), label
+            yield seed_index, base.with_updates(**changes), label
 
 
 def _cast(hint, raw: str):

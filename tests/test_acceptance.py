@@ -245,7 +245,7 @@ def test_criterion_9_byte_identical_replay(tmp_path):
         sigma_pad=1.0, precision_mode="synthetic", precision_var=1e-12,
         base_matrix="all-one", trials=5, master_seed=90_240_810,
     )
-    spec = SweepSpec(byzantine_counts=(0, 4, 8), trials=5)
+    spec = SweepSpec(byzantine_counts=(0, 4, 8))
     paths = [tmp_path / "run1.csv", tmp_path / "run2.csv"]
     for path in paths:
         write_sweep_csv(scenario, spec, path, str(path) + ".agg")

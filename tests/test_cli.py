@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from alcc_lab import localization
 from alcc_lab.cli import main
 from alcc_lab.harness import TRIAL_CSV_HEADER, write_sweep_csv
 from alcc_lab.scenario import SweepSpec, load_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_tiny_config(path):
@@ -17,7 +20,7 @@ def write_tiny_config(path):
         "n_workers = 15\nk = 3\nt = 1\nsigma_pad = 10\n"
         "precision_var = 0\nbyzantine_count = 2\n"
         "trials = 2\nmaster_seed = 6\n"
-        "[sweep]\nbyzantine_counts = 0,2\ntrials = 2\nmaster_seed = 6\n"
+        "[sweep]\nbyzantine_counts = 0,2\n"
     )
 
 
@@ -63,10 +66,40 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error: config file ")
         assert not out.exists()
 
+    def test_paired_joint_sweep_keeps_its_rows_on_a_guard_trip(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # no joint search fits a budget of zero subsets: the independent point's
+        # row is written, then the joint point, on the same seed, trips the guard
+        monkeypatch.setattr(localization, "_MAX_SUBSETS", 0)
+        cfg = tmp_path / "joint.cfg"
+        cfg.write_text(
+            "[scenario]\nsigma_pad = 1\nprecision_mode = locator\ntrials = 1\n"
+            "[sweep]\nbyzantine_counts = 1\nprecision_vars = 1e-3\n"
+            "strategies = independent, joint\npaired_axes = strategies\n"
+        )
+        out = tmp_path / "joint.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("guard: joint search over C(")
+        with open(out) as fh:
+            table = list(csv.reader(fh))
+        assert [row[2:5] for row in table] == [["A", "sigma_p2", "strategy"],
+                                               ["1", "0.001", "independent"]]
+
     def test_missing_config_exits_one(self, tmp_path):
         code = main(["sweep", "--config", str(tmp_path / "ghost.cfg"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+
+@pytest.mark.parametrize("cfg", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.stem)
+def test_shipped_config_simulates_one_trial(tmp_path, cfg):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
+    with open(out) as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == list(TRIAL_CSV_HEADER)
+    assert len(table) == 2
 
 
 class TestSimulateCommand:

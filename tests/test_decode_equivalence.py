@@ -34,9 +34,9 @@ GRIDS = {
 def sweep_rows(grid: str, tmp_path) -> list:
     """Trial rows of one config's grid at two trials per point, as FIELDS."""
     base, spec = load_config(ROOT / "configs" / f"{grid}.cfg")
-    spec = dataclasses.replace(spec, trials=2, **GRIDS[grid])
+    spec = dataclasses.replace(spec, **GRIDS[grid])
     path = tmp_path / f"{grid}.csv"
-    write_sweep_csv(base, spec, path)
+    write_sweep_csv(base.with_updates(trials=2), spec, path)
     rows = []
     with open(path, newline="") as fh:
         for _, seed, a, sigma, strategy, e_rel, _, loc in list(csv.reader(fh))[1:]:

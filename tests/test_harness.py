@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcc_lab import codec, dft_code, harness, threat
+from alcc_lab import cli, codec, dft_code, harness, threat
 from alcc_lab.harness import (
     TRIAL_CSV_HEADER,
     run_trial,
@@ -133,7 +133,21 @@ class TestScenario:
                           byzantine_count=2, byzantine_locations=(4, 2),
                           localization="restricted")
         else:
+            # pinned when the configs left master_seed at its default of 0;
+            # their own seeds are pinned below
             sc, _ = load_config(CONFIG_DIR / source)
+            sc = sc.with_updates(master_seed=0)
+        assert sc.digest() == expected
+
+    @pytest.mark.parametrize("source,expected", [
+        ("byzantine_sweep.cfg", "c0c0155e6df8"),
+        ("collusion_sweep.cfg", "2a007ca8e7d5"),
+        ("joint_vs_independent.cfg", "705cabc7fdcb"),
+    ])
+    def test_config_digest_at_its_own_seed_is_pinned(self, source, expected):
+        # what `simulate` writes; byzantine_sweep's first grid point is the
+        # base scenario, so its sweep CSV carries this digest too
+        sc, _ = load_config(CONFIG_DIR / source)
         assert sc.digest() == expected
 
     def test_candidate_pool_resolution(self):
@@ -470,11 +484,14 @@ def sweep_csv_rows(tmp_path, base, spec):
 
 
 class TestSweep:
+    def _base(self):
+        return clean_scenario(trials=2, master_seed=3)
+
     def _spec(self):
-        return SweepSpec(byzantine_counts=(0, 2), trials=2, master_seed=3)
+        return SweepSpec(byzantine_counts=(0, 2))
 
     def test_emits_trials_then_aggregate_per_point(self, tmp_path):
-        trials, aggregates = sweep_csv_rows(tmp_path, clean_scenario(), self._spec())
+        trials, aggregates = sweep_csv_rows(tmp_path, self._base(), self._spec())
         kinds = []
         for agg in aggregates:
             point = [row for row in trials if row["A"] == agg["A"]]
@@ -485,7 +502,7 @@ class TestSweep:
     def test_csv_bodies_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            write_sweep_csv(clean_scenario(), self._spec(), path,
+            write_sweep_csv(self._base(), self._spec(), path,
                             str(path) + ".agg")
         assert paths[0].read_bytes() == paths[1].read_bytes()
         agg_a = (tmp_path / "a.csv.agg").read_bytes()
@@ -493,17 +510,17 @@ class TestSweep:
         assert agg_a == agg_b
 
     def test_invalid_grid_point_fails_before_any_trial(self, tmp_path):
-        base = clean_scenario(byzantine_count=2, byzantine_locations=(0, 5))
+        base = clean_scenario(byzantine_count=2, byzantine_locations=(0, 5), trials=1)
         path = tmp_path / "out.csv"
         with pytest.raises(ParameterError, match="byzantine_count"):
-            write_sweep_csv(base, SweepSpec(byzantine_counts=(2, 3), trials=1), path)
+            write_sweep_csv(base, SweepSpec(byzantine_counts=(2, 3)), path)
         assert not path.exists()
 
     def test_decoder_at_code_dimension_n_fails_before_any_row(self, tmp_path):
         cfg = tmp_path / "square.cfg"
         cfg.write_text(
-            "[scenario]\nn_workers = 3\nk = 1\nt = 1\ndecoder = false\n"
-            "[sweep]\ndecoder_states = false, true\ntrials = 1\n"
+            "[scenario]\nn_workers = 3\nk = 1\nt = 1\ndecoder = false\ntrials = 1\n"
+            "[sweep]\ndecoder_states = false, true\n"
         )
         base, spec = load_config(cfg)
         path = tmp_path / "out.csv"
@@ -514,12 +531,12 @@ class TestSweep:
     def test_invalid_point_leaves_an_existing_output_as_it_was(self, tmp_path):
         cfg = tmp_path / "square.cfg"
         cfg.write_text(
-            "[scenario]\nn_workers = 3\nk = 1\nt = 1\ndecoder = false\n"
-            "[sweep]\ndecoder_states = false, true\ntrials = 1\n"
+            "[scenario]\nn_workers = 3\nk = 1\nt = 1\ndecoder = false\ntrials = 1\n"
+            "[sweep]\ndecoder_states = false, true\n"
         )
         base, spec = load_config(cfg)
         out, agg = tmp_path / "out.csv", tmp_path / "out.agg.csv"
-        write_sweep_csv(clean_scenario(), self._spec(), out, agg)
+        write_sweep_csv(self._base(), self._spec(), out, agg)
         before = out.read_bytes(), agg.read_bytes()
         with pytest.raises(ParameterError, match="decoder"):
             write_sweep_csv(base, spec, out, agg)
@@ -537,10 +554,51 @@ class TestSweep:
 
     def test_csv_header_contract(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_sweep_csv(clean_scenario(), self._spec(), path)
+        write_sweep_csv(self._base(), self._spec(), path)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(TRIAL_CSV_HEADER)
         assert header == "scenario,seed,A,sigma_p2,strategy,e_rel,e_rel_db,loc_correct"
+
+
+class TestPairedSweep:
+    """A paired axis's points share their trial seeds; every other point has its own."""
+
+    def _seeds_by_point(self, tmp_path, spec):
+        """The seed column of a two-trial sweep, one list per grid point."""
+        trials, _ = sweep_csv_rows(tmp_path, clean_scenario(trials=2, master_seed=3), spec)
+        seeds = [row["seed"] for row in trials]
+        return [seeds[i:i + 2] for i in range(0, len(seeds), 2)]
+
+    def test_points_along_a_paired_axis_share_their_seeds(self, tmp_path):
+        spec = SweepSpec(byzantine_counts=(0, 2), strategies=("independent", "restricted"),
+                         paired_axes=("strategies",))
+        a0_ind, a0_res, a2_ind, a2_res = self._seeds_by_point(tmp_path, spec)
+        assert a0_ind == a0_res and a2_ind == a2_res
+        assert not set(a0_ind) & set(a2_ind)
+
+    def test_unpaired_points_are_seeded_by_grid_index(self, tmp_path):
+        spec = SweepSpec(byzantine_counts=(0, 2), strategies=("independent", "restricted"))
+        points = self._seeds_by_point(tmp_path, spec)
+        assert points == [[str(s) for s in trial_seeds(3, index, 2)] for index in range(4)]
+
+    def test_repeated_axis_value_keeps_distinct_seeds(self, tmp_path):
+        spec = SweepSpec(byzantine_counts=(2, 2), precision_vars=(0.0, 1e-6),
+                         paired_axes=("precision_vars",))
+        assert [index for index, _, _ in spec.grid(clean_scenario())] == [0, 0, 1, 1]
+        first, paired, repeat, _ = self._seeds_by_point(tmp_path, spec)
+        assert first == paired
+        assert not set(first) & set(repeat)
+
+    def test_unknown_paired_axis_rejected_before_any_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("[scenario]\ntrials = 1\n[sweep]\n"
+                       "strategies = independent, joint\npaired_axes = strategy\n")
+        with pytest.raises(ParameterError, match="paired_axes"):
+            load_config(cfg)
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "paired_axes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFiles:
@@ -551,7 +609,7 @@ class TestConfigFiles:
             "n_workers = 15\nk = 3\nt = 1\nsigma_pad = 10\n"
             "byzantine_count = 2\nlocalization = independent\n"
             "trials = 2\nmaster_seed = 4\n"
-            "[sweep]\nbyzantine_counts = 0,1\ntrials = 2\n"
+            "[sweep]\nbyzantine_counts = 0,1\n"
         )
         scenario, spec = load_config(cfg)
         assert scenario.n_workers == 15
@@ -564,6 +622,13 @@ class TestConfigFiles:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[scenario]\nwarp_speed = 9\n")
         with pytest.raises(ParameterError):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("key", ["trials", "master_seed"])
+    def test_sweep_takes_trials_and_seed_from_the_scenario(self, tmp_path, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"[scenario]\n[sweep]\nbyzantine_counts = 0, 1\n{key} = 2\n")
+        with pytest.raises(ParameterError, match=f"unknown sweep key '{key}'"):
             load_config(cfg)
 
     def test_missing_file(self, tmp_path):
@@ -665,6 +730,7 @@ def scenarios(draw):
     )
 
 
+AXES = tuple(f.name for f in dataclasses.fields(SweepSpec) if f.name != "paired_axes")
 sweep_specs = st.builds(
     SweepSpec,
     byzantine_counts=st.lists(st.integers(0, 8), max_size=4).map(tuple),
@@ -673,8 +739,7 @@ sweep_specs = st.builds(
     zero_probs=st.lists(_positive, max_size=4).map(tuple),
     constraint_lengths=st.lists(st.integers(1, 20), max_size=4).map(tuple),
     decoder_states=st.lists(st.booleans(), max_size=2).map(tuple),
-    trials=st.none() | st.integers(1, 10_000),
-    master_seed=st.none() | st.integers(0, 2**63),
+    paired_axes=st.lists(st.sampled_from(AXES), max_size=3, unique=True).map(tuple),
 )
 
 
