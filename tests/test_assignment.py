@@ -25,6 +25,77 @@ TABLE_PROBLEM = AssignmentProblem(
 )
 
 
+def reference_solve(prob, search, beam_width, rng):
+    """The search as it ran with its own final loop per mode, kept as a pin.
+
+    Returns (subset, objective, log_objective, evaluated).
+    """
+    n, mu = prob.n_workers, prob.unreliable_count
+    if search == "exhaustive":
+        best = None
+        count = 0
+        for subset in combinations(range(n), mu):
+            count += 1
+            val = problem2_log_objective(subset, prob, rng)
+            if best is None or val < best[0]:
+                best = (val, subset)
+        log_obj, subset = best
+        return subset, 0.0 if log_obj == -math.inf else math.exp(log_obj), log_obj, count
+    a = prob.byzantine_count
+    frontier = [(i,) for i in range(n)]
+    evaluated = 0
+    for size in range(2, mu + 1):
+        seen = set()
+        children = []
+        for state in frontier:
+            for j in range(n):
+                if j in state:
+                    continue
+                child = tuple(sorted(state + (j,)))
+                if child not in seen:
+                    seen.add(child)
+                    children.append(child)
+        if size > a:
+            scored = []
+            for child in children:
+                partial = dataclasses.replace(prob, unreliable_count=size)
+                scored.append((problem2_log_objective(child, partial, rng), child))
+                evaluated += 1
+            scored.sort(key=lambda t: (t[0], t[1]))
+            frontier = [c for _, c in scored[:beam_width]]
+        else:
+            frontier = children
+    best = None
+    for state in frontier:
+        val = problem2_log_objective(state, prob, rng)
+        evaluated += 1
+        if best is None or (val, state) < best:
+            best = (val, state)
+    log_obj, subset = best
+    return subset, 0.0 if log_obj == -math.inf else math.exp(log_obj), log_obj, evaluated
+
+
+def pin_problems():
+    """Ties (every subset at -inf, or mirror images), both metrics, and random problems."""
+    yield AssignmentProblem(n_workers=8, unreliable_count=3, byzantine_count=3)
+    yield TABLE_PROBLEM
+    yield dataclasses.replace(TABLE_PROBLEM, metric="chord")
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(5, 12))
+        mu = int(rng.integers(1, min(6, n) + 1))
+        yield AssignmentProblem(
+            n_workers=n, unreliable_count=mu, byzantine_count=int(rng.integers(1, mu + 1)),
+            eta=float(rng.uniform(1.0, 20.0)), sigma_p_sq=float(10 ** rng.uniform(-1, 1)),
+            metric=("integer", "chord")[int(rng.integers(2))],
+        )
+
+
+def solve_fields(solution):
+    return (solution.subset, solution.objective.hex(), solution.log_objective.hex(),
+            solution.evaluated)
+
+
 class TestObjective:
     def test_degenerate_all_byzantine_is_zero(self):
         prob = AssignmentProblem(n_workers=7, unreliable_count=2, byzantine_count=2)
@@ -136,6 +207,28 @@ class TestSolver:
         monkeypatch.setattr(assignment_mod, "_pair_log_bounds", lambda *key: {})
         # subset, objective, log_objective and evaluated, bit for bit
         assert [solve(prob) for prob in problems] == shared
+
+    @pytest.mark.parametrize("search", ["exhaustive", "beam"])
+    def test_matches_the_reference_search_bit_for_bit(self, search):
+        for i, prob in enumerate(pin_problems()):
+            width = 1 + i % 8
+            got = solve_assignment(prob, search=search, beam_width=width,
+                                   rng=np.random.default_rng(i))
+            subset, obj, log_obj, evaluated = reference_solve(
+                prob, search, width, np.random.default_rng(i))
+            assert solve_fields(got) == (subset, obj.hex(), log_obj.hex(), evaluated)
+
+    @pytest.mark.parametrize("search", ["exhaustive", "beam"])
+    def test_monte_carlo_expectation_matches_the_reference_search(self, search):
+        # more than 5 supports per subset are sampled, 7 at a time, from the rng
+        for seed in range(3):
+            prob = dataclasses.replace(TABLE_PROBLEM, unreliable_count=6, byzantine_count=3,
+                                       exhaustive_expectation_limit=5, expectation_samples=7)
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = solve_assignment(prob, search=search, beam_width=6, rng=got_rng)
+            subset, obj, log_obj, evaluated = reference_solve(prob, search, 6, ref_rng)
+            assert solve_fields(got) == (subset, obj.hex(), log_obj.hex(), evaluated)
+            assert got_rng.bytes(16) == ref_rng.bytes(16)
 
     def test_each_pair_bound_is_computed_once(self, monkeypatch):
         calls = []

@@ -25,6 +25,64 @@ def sigma_diff_sq(sigma_p_sq: float, a: int, theta_d: float) -> float:
     return sigma_p_sq * (a - sum(math.cos(l * theta_d) for l in range(1, a + 1)))
 
 
+def reference_pep(n, support, probe, eta, sigma_p_sq, true_index=None):
+    """The pairwise bound composed field by field as the removed PepContext did."""
+    support = sorted(int(q) for q in support)
+    true_index = support[0] if true_index is None else int(true_index)
+    c = locator_gain(n, support, probe)
+    c_re, c_im = c.real, c.imag
+    kap = kappa(n, len(support), abs(int(probe) - true_index), eta)
+    ratio = kap / (1.0 + kap)
+    c_sq = c_re**2 + c_im**2
+    if sigma_p_sq == 0.0:
+        return 0.0 if c_sq > 0.0 else ratio
+    return ratio * math.exp(-eta * c_sq * ratio / (4.0 * sigma_p_sq))
+
+
+def reference_union(n, support, sigma_p_sq, eta):
+    """(value, raw_sum, pair_count) summed one pair at a time in probe-major order."""
+    support = sorted(int(q) for q in support)
+    others = [j for j in range(n) if j not in support]
+    total = 0.0
+    for probe in others:
+        for true_index in support:
+            total += reference_pep(n, support, probe, eta, sigma_p_sq, true_index)
+    return min(total, 1.0), total, len(support) * len(others)
+
+
+class TestReferencePins:
+    """The bound and its union sum match the field-by-field composition bit for bit."""
+
+    def test_pep_lower_bound_on_criterion_4_contexts(self):
+        rng = np.random.default_rng(40_240_810)  # criterion 4's contexts
+        grid = [0.0] + [1e-4 * 10**j for j in range(7)]
+        for _ in range(100):
+            n = int(rng.integers(8, 48))
+            size = int(rng.integers(1, 5))
+            support = rng.choice(n, size=size, replace=False)
+            probe = int(rng.choice([j for j in range(n) if j not in support]))
+            for var in grid:
+                for true_index in (None, *support.tolist()):
+                    got = pep_lower_bound(
+                        pep_context_from_support(n, support, probe, 10.0, var, true_index)
+                    )
+                    assert got.hex() == reference_pep(
+                        n, support, probe, 10.0, var, true_index).hex()
+
+    def test_localization_upper_bound_fields(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            size = int(rng.integers(0, min(n, 6)))
+            support = rng.choice(n, size=size, replace=False).tolist()
+            var = float(10 ** rng.uniform(-4, 3))
+            eta = float(rng.uniform(0.5, 20.0))
+            bound = localization_upper_bound(n, support, var, eta)
+            value, raw_sum, pair_count = reference_union(n, support, var, eta)
+            assert (bound.value.hex(), bound.raw_sum.hex(), bound.pair_count) == (
+                value.hex(), raw_sum.hex(), pair_count)
+
+
 class TestKappa:
     def test_antipodal_hand_value(self):
         # A=1, gap=N/2 on even N: kappa = 2/(eta * (1 - cos pi)) = 2/(2 eta)
