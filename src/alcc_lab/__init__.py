@@ -5,7 +5,7 @@ Library layout:
     codec         Lagrange encoding, share evaluation, reconstruction
     dft_code      (N, K) DFT code and its decoder blocks
     localization  independent / restricted / joint error localization
-    threat        Byzantine injection, collusion designs, precision models
+    threat        Byzantine injection, collusion designs, precision noise
     bounds        analytical error-rate bounds and attack objectives
     assignment    share-assignment optimization for unreliable workers
     scenario      experiment configuration

@@ -19,6 +19,10 @@ from .numeric import ParameterError, RuntimeGuardError
 
 # exhaustive search refuses more subsets than this; beam search has no limit
 _EXHAUSTIVE_LIMIT = 1_000_000
+# a subset with more Byzantine supports than this averages over random draws of them
+_EXPECTATION_LIMIT = 10_000
+_EXPECTATION_SAMPLES = 10_000
+_SIMULATION_LIMIT = 100_000  # relative_error_baseline refuses more runs unless forced
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,6 @@ class AssignmentProblem:
     eta: float = 10.0
     sigma_p_sq: float = 1.0
     metric: str = "integer"
-    gamma_max: float | None = None
-    exhaustive_expectation_limit: int = 10_000
-    expectation_samples: int = 10_000
 
     def __post_init__(self):
         if not 0 < self.unreliable_count <= self.n_workers:
@@ -43,21 +44,15 @@ class AssignmentProblem:
             raise ParameterError("byzantine count cannot exceed the unreliable count")
         check_noise_parameters(self.eta, self.sigma_p_sq)
 
-    def resolved_gamma_max(self) -> float:
-        if self.gamma_max is not None:
-            return self.gamma_max
-        return gamma_bounds(self.n_workers, self.byzantine_count, self.eta)[1]
 
-
-def _support_iter(subset, a: int, prob: AssignmentProblem, rng):
-    n_supports = math.comb(len(subset), a)
-    if n_supports <= prob.exhaustive_expectation_limit:
+def _support_iter(subset, a: int, rng):
+    if math.comb(len(subset), a) <= _EXPECTATION_LIMIT:
         yield from combinations(subset, a)
         return
     if rng is None:
         raise ParameterError("Monte-Carlo expectation needs an rng")
     subset = np.asarray(subset)
-    for _ in range(prob.expectation_samples):
+    for _ in range(_EXPECTATION_SAMPLES):
         yield tuple(np.sort(rng.choice(subset, size=a, replace=False)).tolist())
 
 
@@ -77,7 +72,7 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
     a = prob.byzantine_count
     if len(subset) == a:
         return -math.inf  # no non-Byzantine probe exists; degenerate zero
-    gmax = prob.resolved_gamma_max()
+    gmax = gamma_bounds(prob.n_workers, a, prob.eta)[1]
     table = _pair_log_bounds(prob.n_workers, prob.eta, gmax, prob.sigma_p_sq, prob.metric)
 
     def bound(support, j):
@@ -89,7 +84,7 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
         return value
 
     exps = [max(bound(support, j) for j in subset if j not in support)
-            for support in _support_iter(subset, a, prob, rng)]
+            for support in _support_iter(subset, a, rng)]
     peak = max(exps)
     if peak == -math.inf:
         return -math.inf
@@ -130,60 +125,51 @@ def solve_assignment(
     beam search grows subsets keeping the best `beam_width` partials per level.
     """
     n, mu = prob.n_workers, prob.unreliable_count
+    evaluated = 0
     if search == "exhaustive":
         if math.comb(n, mu) > _EXHAUSTIVE_LIMIT:
             raise RuntimeGuardError(
                 f"exhaustive search over C({n},{mu}) subsets exceeds the limit; "
                 "use beam search"
             )
-        best = None
-        count = 0
-        for subset in combinations(range(n), mu):
-            count += 1
-            val = problem2_log_objective(subset, prob, rng)
-            if best is None or val < best[0]:
-                best = (val, subset)
-        log_obj, subset = best
-        obj = 0.0 if log_obj == -math.inf else math.exp(log_obj)
-        return AssignmentSolution(subset, obj, log_obj, count, "exhaustive")
-    if search != "beam":
-        raise ParameterError(f"unknown search mode {search!r}")
-    if beam_width < 1:
-        raise ParameterError(f"beam_width must be at least 1, got {beam_width}")
-
-    a = prob.byzantine_count
-    frontier = [(i,) for i in range(n)]
-    evaluated = 0
-    for size in range(2, mu + 1):
-        seen = set()
-        children = []
-        for state in frontier:
-            for j in range(n):
-                if j in state:
-                    continue
-                child = tuple(sorted(state + (j,)))
-                if child not in seen:
-                    seen.add(child)
-                    children.append(child)
-        if size > a:
-            scored = []
-            for child in children:
+        finalists = combinations(range(n), mu)
+    elif search == "beam":
+        if beam_width < 1:
+            raise ParameterError(f"beam_width must be at least 1, got {beam_width}")
+        finalists = [(i,) for i in range(n)]
+        for size in range(2, mu + 1):
+            seen = set()
+            children = []
+            for state in finalists:
+                for j in range(n):
+                    if j in state:
+                        continue
+                    child = tuple(sorted(state + (j,)))
+                    if child not in seen:
+                        seen.add(child)
+                        children.append(child)
+            if size > prob.byzantine_count:
                 partial = replace(prob, unreliable_count=size)
-                scored.append((problem2_log_objective(child, partial, rng), child))
-                evaluated += 1
-            scored.sort(key=lambda t: (t[0], t[1]))
-            frontier = [c for _, c in scored[:beam_width]]
-        else:
-            frontier = children
+                scored = [(problem2_log_objective(child, partial, rng), child)
+                          for child in children]
+                evaluated += len(scored)
+                scored.sort(key=lambda t: (t[0], t[1]))
+                finalists = [c for _, c in scored[:beam_width]]
+            else:
+                finalists = children
+    else:
+        raise ParameterError(f"unknown search mode {search!r}")
+    # combinations come in lexicographic order, so the least (value, subset)
+    # is the first subset that reaches the least value
     best = None
-    for state in frontier:
-        val = problem2_log_objective(state, prob, rng)
+    for subset in finalists:
+        val = problem2_log_objective(subset, prob, rng)
         evaluated += 1
-        if best is None or (val, state) < best:
-            best = (val, state)
+        if best is None or (val, subset) < best:
+            best = (val, subset)
     log_obj, subset = best
     obj = 0.0 if log_obj == -math.inf else math.exp(log_obj)
-    return AssignmentSolution(subset, obj, log_obj, evaluated, "beam")
+    return AssignmentSolution(subset, obj, log_obj, evaluated, search)
 
 
 def canonical_class(subset, n: int) -> tuple:
@@ -198,8 +184,8 @@ def canonical_class(subset, n: int) -> tuple:
     return best
 
 
-def contiguous_subset(n: int, mu: int, start: int = 0) -> tuple:
-    return tuple(sorted((start + i) % n for i in range(mu)))
+def contiguous_subset(n: int, mu: int) -> tuple:
+    return tuple(sorted(i % n for i in range(mu)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +202,6 @@ def relative_error_baseline(
     trials: int,
     seed: int,
     candidates=None,
-    max_simulations: int = 100_000,
     force: bool = False,
 ) -> BaselineResult:
     """Pick the subset minimizing empirical mean relative error.
@@ -224,7 +209,7 @@ def relative_error_baseline(
     Runs `trials` seeded end-to-end simulations per candidate subset of the
     given scenario (the scenario's unreliable set is overridden per
     candidate; every candidate's scenario is built, and so validated, before
-    the first trial). Refuses to exceed `max_simulations` total runs unless forced.
+    the first trial). Refuses more than 100,000 total runs unless forced.
     Trial seeds are shared across candidates so the comparison is paired.
     The scan runs seed-major, every candidate at one seed before the next
     seed, so consecutive trials share their data, encoding and worker
@@ -252,9 +237,9 @@ def relative_error_baseline(
             raise ParameterError(f"candidate {repeated} is listed more than once")
         n_candidates = len(candidates)
     total = n_candidates * trials
-    if total > max_simulations and not force:
+    if total > _SIMULATION_LIMIT and not force:
         raise RuntimeGuardError(
-            f"{total} simulations exceed the guard of {max_simulations}; "
+            f"{total} simulations exceed the guard of {_SIMULATION_LIMIT}; "
             "pass force=True to override"
         )
     for name in ("n_workers", "byzantine_count"):

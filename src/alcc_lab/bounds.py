@@ -4,7 +4,9 @@ Everything here evaluates analytical quantities: the pairwise-error lower
 bound and its kappa constant, union-style sums over confusable index pairs,
 the dominant-neighbor bound and its monotone behavior in the error count,
 the strong-collusion objective over the number of all-one rows, and the
-confusability terms used by the share-assignment optimizer.
+confusability terms used by the share-assignment optimizer. The single-pair
+bound and the union sum take a code size, a true support and the noise
+directly, and share one private per-pair formula.
 """
 
 from __future__ import annotations
@@ -48,77 +50,39 @@ def locator_gain(n: int, support, probe: int) -> complex:
     return complex(np.prod(1.0 - z / roots))
 
 
-@dataclass(frozen=True)
-class PepContext:
-    """Inputs of one pairwise-error bound: code size, degree, noise, and the
-    probe/true index pair with its locator-gain constants."""
-
-    n: int
-    a: int
-    eta: float
-    sigma_p_sq: float
-    true_index: int
-    probe_index: int
-    c_re: float
-    c_im: float
-
-    def __post_init__(self):
-        if self.true_index == self.probe_index:
-            raise ParameterError("probe and true index must differ")
-
-    @property
-    def gap(self) -> int:
-        return abs(self.probe_index - self.true_index)
-
-    @property
-    def c_sq(self) -> float:
-        return self.c_re**2 + self.c_im**2
-
-
-def pep_context_from_support(
-    n: int, support, probe: int, eta: float, sigma_p_sq: float, true_index: int | None = None
-) -> PepContext:
-    """Context for (probe, true) with c computed from the true support."""
-    support = sorted(int(q) for q in support)
-    if true_index is None:
-        true_index = support[0]
-    c = locator_gain(n, support, probe)
-    return PepContext(
-        n=n,
-        a=len(support),
-        eta=eta,
-        sigma_p_sq=sigma_p_sq,
-        true_index=int(true_index),
-        probe_index=int(probe),
-        c_re=c.real,
-        c_im=c.imag,
-    )
-
-
-def pep_lower_bound(ctx: PepContext) -> float:
+def _pep_term(n: int, a: int, gap: int, eta: float, sigma_p_sq: float, c_sq: float) -> float:
     """kappa/(1+kappa) * exp(-eta * c^2 * kappa / (4 sigma^2 (1+kappa))).
 
     Returns the 0 limit when sigma_p_sq is exactly zero (exponent -> -inf).
     """
-    kap = kappa(ctx.n, ctx.a, ctx.gap, ctx.eta)
+    kap = kappa(n, a, gap, eta)
     ratio = kap / (1.0 + kap)
-    if ctx.sigma_p_sq == 0.0:
-        return 0.0 if ctx.c_sq > 0.0 else ratio
-    exponent = -ctx.eta * ctx.c_sq * ratio / (4.0 * ctx.sigma_p_sq)
-    return ratio * math.exp(exponent)
+    if sigma_p_sq == 0.0:
+        return 0.0 if c_sq > 0.0 else ratio
+    return ratio * math.exp(-eta * c_sq * ratio / (4.0 * sigma_p_sq))
+
+
+def pep_lower_bound(
+    n: int, support, probe: int, eta: float, sigma_p_sq: float, true_index: int | None = None
+) -> float:
+    """Pairwise-error lower bound for confusing `true_index` (default: the
+    smallest support index) with `probe`, c taken from the true support."""
+    support = sorted(int(q) for q in support)
+    true_index = support[0] if true_index is None else int(true_index)
+    if true_index == probe:
+        raise ParameterError("probe and true index must differ")
+    c = locator_gain(n, support, probe)
+    return _pep_term(n, len(support), abs(int(probe) - true_index), eta, sigma_p_sq,
+                     c.real**2 + c.imag**2)
 
 
 @dataclass(frozen=True)
 class UnionBound:
-    """A clamped sum of pairwise surrogate terms."""
+    """A sum of pairwise surrogate terms and its value clamped to one."""
 
     value: float
     raw_sum: float
     pair_count: int
-
-    @property
-    def clamped(self) -> bool:
-        return self.raw_sum > 1.0
 
 
 def localization_upper_bound(
@@ -134,24 +98,13 @@ def localization_upper_bound(
     support = sorted(int(q) for q in support)
     if len(set(support)) != len(support) or not all(0 <= q < n for q in support):
         raise ParameterError(f"support must be distinct indices in 0..{n - 1}, got {support}")
-    if not support:
-        return UnionBound(value=0.0, raw_sum=0.0, pair_count=0)
     others = [j for j in range(n) if j not in support]
     total = 0.0
     for probe in others:
         c = locator_gain(n, support, probe)
         for true_index in support:
-            ctx = PepContext(
-                n=n,
-                a=len(support),
-                eta=eta,
-                sigma_p_sq=sigma_p_sq,
-                true_index=true_index,
-                probe_index=probe,
-                c_re=c.real,
-                c_im=c.imag,
-            )
-            total += pep_lower_bound(ctx)
+            total += _pep_term(n, len(support), abs(probe - true_index), eta, sigma_p_sq,
+                               c.real**2 + c.imag**2)
     return UnionBound(value=min(total, 1.0), raw_sum=total, pair_count=len(support) * len(others))
 
 

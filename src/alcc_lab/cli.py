@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     except RuntimeGuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParameterError, FileNotFoundError, ValueError) as exc:
+    except (ParameterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -232,10 +232,7 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
             b_eff, locations.tolist(), u, h,
             noise_mean=scenario.noise_mean, noise_var=scenario.noise_var,
         )
-    precision = threat.PrecisionModel(
-        mode=scenario.precision_mode, variance=scenario.precision_var
-    )
-    returns = threat.inject(results, plan, precision, rng)
+    returns = threat.inject(results, plan, scenario.precision_mode, scenario.precision_var, rng)
 
     r_eff = returns.reshape(scenario.n_workers, m_rows).T  # (M, N)
     capability_exceeded = False
@@ -321,22 +318,28 @@ def write_sweep_csv(base: Scenario, spec: SweepSpec, trial_path, aggregate_path=
     Trial seeds derive from (master seed, seed index, trial index), the seed
     index as `SweepSpec.grid` yields it, so the output is reproducible
     byte-for-byte for a fixed configuration. The grid
-    is built and validated before ``trial_path`` is opened, so an invalid
-    point leaves an existing file as it was. Each point's trial rows are
-    written when its trials finish, so a run stopped by an error keeps the
-    points it finished. ``trial_path`` None writes the trial CSV to stdout.
+    is built and validated before either path is opened, so an invalid
+    point leaves existing files as they were. The trial file, then the
+    aggregate file, is opened before the first trial, so an unwritable path
+    fails before any trial runs. Each point's trial rows are written when its
+    trials finish, so a run stopped by an error keeps the points it finished.
+    ``trial_path`` None writes the trial CSV to stdout.
     """
     points = list(spec.grid(base))
-    aggregates = []
 
     def trial_rows():
-        yield TRIAL_CSV_HEADER
-        for seed_index, sc, label in points:
-            seeds = trial_seeds(sc.master_seed, seed_index, sc.trials)
-            records = [run_trial(sc, s) for s in seeds]
-            yield from (record.csv_row() for record in records)
-            aggregates.append(_aggregate_row(sc, label, records))
+        # taken once write_csv has opened the trial file, so both are open before any trial
+        agg_file = (nullcontext() if aggregate_path is None
+                    else open(aggregate_path, "w", newline=""))
+        with agg_file as agg:
+            yield TRIAL_CSV_HEADER
+            aggregates = [AGGREGATE_CSV_HEADER]
+            for seed_index, sc, label in points:
+                seeds = trial_seeds(sc.master_seed, seed_index, sc.trials)
+                records = [run_trial(sc, s) for s in seeds]
+                yield from (record.csv_row() for record in records)
+                aggregates.append(_aggregate_row(sc, label, records))
+            if agg is not None:
+                csv.writer(agg).writerows(aggregates)
 
     write_csv(trial_path, trial_rows())
-    if aggregate_path is not None:
-        write_csv(aggregate_path, [AGGREGATE_CSV_HEADER, *aggregates])

@@ -1,9 +1,10 @@
-"""Byzantine noise injection, base-matrix designs, and precision-noise models.
+"""Byzantine noise injection, base-matrix designs, and precision noise.
 
 Byzantine workers add complex Gaussian noise on the support of their binary
 base matrices; precision noise models floating-point error either as white
 noise on the returned matrices, as noise on locator coefficients, or as a
-genuine float32 round-trip.
+genuine float32 round-trip. `inject` applies both, taking the precision
+mode and variance as plain arguments.
 """
 
 from __future__ import annotations
@@ -64,33 +65,20 @@ def plan_from_effective_base(
 PRECISION_MODES = ("synthetic", "locator", "reduced")
 
 
-@dataclass(frozen=True)
-class PrecisionModel:
-    """Exactly one precision-noise mode with its variance.
-
-    synthetic: additive CN(0, variance) on every returned entry.
-    locator:   returns untouched; CN(0, variance) is added to locator
-               coefficients at the decoder.
-    reduced:   float32 round-trip of the returned matrices (variance unused).
-    """
-
-    mode: str = "synthetic"
-    variance: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in PRECISION_MODES:
-            raise ParameterError(f"mode must be one of {PRECISION_MODES}")
-        if self.variance < 0:
-            raise ParameterError("variance must be non-negative")
-
-
 def inject(
     results,
     plan: ByzantinePlan | None,
-    precision: PrecisionModel,
+    precision_mode: str,
+    precision_var: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Apply Byzantine and precision noise to per-worker results (N, u, h).
+
+    Precision modes:
+    synthetic: additive CN(0, precision_var) on every returned entry.
+    locator:   returns untouched; CN(0, precision_var) is added to locator
+               coefficients at the decoder.
+    reduced:   float32 round-trip of the returned matrices (variance unused).
 
     Byzantine draws are made in ascending location order, then precision
     noise is applied, so outputs are bit-reproducible for a given rng state.
@@ -98,6 +86,10 @@ def inject(
     by location, the real then the imaginary parts, the same stream as A
     `complex_normal` draws of one (u, h) block each.
     """
+    if precision_mode not in PRECISION_MODES:
+        raise ParameterError(f"precision_mode must be one of {PRECISION_MODES}")
+    if precision_var < 0:
+        raise ParameterError("precision_var must be non-negative")
     out = np.array(results, dtype=complex)
     n = out.shape[0]
     if plan is not None and plan.count:
@@ -114,9 +106,9 @@ def inject(
         hit = out[locations]
         np.add(hit, noise, out=hit, where=bases.astype(bool))
         out[locations] = hit
-    if precision.mode == "synthetic" and precision.variance > 0:
-        out += complex_normal(rng, 0.0, precision.variance, out.shape)
-    elif precision.mode == "reduced":
+    if precision_mode == "synthetic" and precision_var > 0:
+        out += complex_normal(rng, 0.0, precision_var, out.shape)
+    elif precision_mode == "reduced":
         out = out.astype(np.complex64).astype(complex)
     return out
 

@@ -133,9 +133,7 @@ def test_criterion_4_pairwise_bound_monotone_in_noise():
         support = rng.choice(n, size=size, replace=False)
         probe = int(rng.choice([j for j in range(n) if j not in support]))
         values = [
-            bounds.pep_lower_bound(
-                bounds.pep_context_from_support(n, support, probe, 10.0, var)
-            )
+            bounds.pep_lower_bound(n, support, probe, 10.0, var)
             for var in grid
         ]
         violations += sum(1 for lo, hi in zip(values, values[1:]) if hi < lo - 1e-12)

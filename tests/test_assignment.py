@@ -192,21 +192,26 @@ class TestSolver:
     @pytest.mark.parametrize("search", ["exhaustive", "beam"])
     def test_shared_bound_table_gives_the_per_subset_solution(self, monkeypatch, search):
         # solved in turn, so each problem finds the others' tables in the cache
-        problems = [TABLE_PROBLEM] + [dataclasses.replace(TABLE_PROBLEM, **change) for change in (
-            {"metric": "chord"}, {"sigma_p_sq": 0.5}, {"eta": 5.0}, {"gamma_max": 0.7},
-            {"unreliable_count": 4},
-            {"byzantine_count": 3, "exhaustive_expectation_limit": 5, "expectation_samples": 7},
-        )]
+        exact = assignment_mod._EXPECTATION_LIMIT
+        cases = [(TABLE_PROBLEM, exact)] + [
+            (dataclasses.replace(TABLE_PROBLEM, **change), exact) for change in (
+                {"metric": "chord"}, {"sigma_p_sq": 0.5}, {"eta": 5.0}, {"unreliable_count": 4},
+            )
+        ]
+        # C(5, 3) = 10 supports exceed a limit of 5: the last problem averages 7 sampled ones
+        cases.append((dataclasses.replace(TABLE_PROBLEM, byzantine_count=3), 5))
+        monkeypatch.setattr(assignment_mod, "_EXPECTATION_SAMPLES", 7)
 
-        def solve(prob):
+        def solve(prob, limit):
+            monkeypatch.setattr(assignment_mod, "_EXPECTATION_LIMIT", limit)
             return solve_assignment(prob, search=search, beam_width=8,
                                     rng=np.random.default_rng(3))
 
-        shared = [solve(prob) for prob in problems]
+        shared = [solve(*case) for case in cases]
         # a fresh table per subset recomputes every bound, as each scan once did
         monkeypatch.setattr(assignment_mod, "_pair_log_bounds", lambda *key: {})
         # subset, objective, log_objective and evaluated, bit for bit
-        assert [solve(prob) for prob in problems] == shared
+        assert [solve(*case) for case in cases] == shared
 
     @pytest.mark.parametrize("search", ["exhaustive", "beam"])
     def test_matches_the_reference_search_bit_for_bit(self, search):
@@ -219,11 +224,12 @@ class TestSolver:
             assert solve_fields(got) == (subset, obj.hex(), log_obj.hex(), evaluated)
 
     @pytest.mark.parametrize("search", ["exhaustive", "beam"])
-    def test_monte_carlo_expectation_matches_the_reference_search(self, search):
-        # more than 5 supports per subset are sampled, 7 at a time, from the rng
+    def test_monte_carlo_expectation_matches_the_reference_search(self, monkeypatch, search):
+        # C(6, 3) = 20 supports exceed a limit of 5: each subset averages 7 sampled ones
+        monkeypatch.setattr(assignment_mod, "_EXPECTATION_LIMIT", 5)
+        monkeypatch.setattr(assignment_mod, "_EXPECTATION_SAMPLES", 7)
+        prob = dataclasses.replace(TABLE_PROBLEM, unreliable_count=6, byzantine_count=3)
         for seed in range(3):
-            prob = dataclasses.replace(TABLE_PROBLEM, unreliable_count=6, byzantine_count=3,
-                                       exhaustive_expectation_limit=5, expectation_samples=7)
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = solve_assignment(prob, search=search, beam_width=6, rng=got_rng)
             subset, obj, log_obj, evaluated = reference_solve(prob, search, 6, ref_rng)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from alcc_lab import bounds
 from alcc_lab.bounds import (
-    PepContext,
     assignment_pair_log_bound,
     confusability,
     dominant_term_bound,
@@ -13,7 +13,6 @@ from alcc_lab.bounds import (
     kappa,
     localization_upper_bound,
     locator_gain,
-    pep_context_from_support,
     pep_lower_bound,
     strong_collusion_objective,
 )
@@ -63,9 +62,7 @@ class TestReferencePins:
             probe = int(rng.choice([j for j in range(n) if j not in support]))
             for var in grid:
                 for true_index in (None, *support.tolist()):
-                    got = pep_lower_bound(
-                        pep_context_from_support(n, support, probe, 10.0, var, true_index)
-                    )
+                    got = pep_lower_bound(n, support, probe, 10.0, var, true_index)
                     assert got.hex() == reference_pep(
                         n, support, probe, 10.0, var, true_index).hex()
 
@@ -128,29 +125,27 @@ class TestSigmaDiff:
 
 
 class TestPepLowerBound:
-    def _ctx(self, **overrides):
-        fields = dict(n=31, a=4, eta=10.0, sigma_p_sq=0.01,
-                      true_index=3, probe_index=7, c_re=1.0, c_im=0.5)
-        fields.update(overrides)
-        return PepContext(**fields)
+    @staticmethod
+    def _term(sigma_p_sq=0.01, c_sq=1.25):
+        """The per-pair formula at N=31, A=4, eta=10 and index gap 4 (true 3, probe 7)."""
+        return bounds._pep_term(31, 4, 4, 10.0, sigma_p_sq, c_sq)
 
     def test_zero_constants_give_prefactor(self):
-        ctx = self._ctx(c_re=0.0, c_im=0.0)
         kap = kappa(31, 4, 4, 10.0)
-        assert np.isclose(pep_lower_bound(ctx), kap / (1 + kap))
+        assert np.isclose(self._term(c_sq=0.0), kap / (1 + kap))
 
     def test_large_noise_limit_from_below(self):
         kap = kappa(31, 4, 4, 10.0)
         limit = kap / (1 + kap)
-        small = pep_lower_bound(self._ctx(sigma_p_sq=1.0))
-        large = pep_lower_bound(self._ctx(sigma_p_sq=1e6))
+        small = self._term(sigma_p_sq=1.0)
+        large = self._term(sigma_p_sq=1e6)
         assert small < large < limit
 
     def test_zero_noise_limit(self):
-        assert pep_lower_bound(self._ctx(sigma_p_sq=0.0)) == 0.0
+        assert self._term(sigma_p_sq=0.0) == 0.0
 
     def test_value_in_unit_interval(self):
-        value = pep_lower_bound(self._ctx())
+        value = self._term()
         assert 0.0 < value < 1.0
 
     def test_nondecreasing_in_noise_for_random_contexts(self):
@@ -163,14 +158,15 @@ class TestPepLowerBound:
             probe = int(rng.choice([j for j in range(n) if j not in support]))
             values = []
             for var in grid:
-                ctx = pep_context_from_support(n, support, probe, 10.0, var)
-                values.append(pep_lower_bound(ctx))
+                values.append(pep_lower_bound(n, support, probe, 10.0, var))
             for lo, hi in zip(values, values[1:]):
                 assert hi >= lo - 1e-12
 
     def test_identical_indices_rejected(self):
-        with pytest.raises(ParameterError):
-            self._ctx(probe_index=3)
+        with pytest.raises(ParameterError, match="probe and true index must differ"):
+            pep_lower_bound(31, [3, 9], 3, 10.0, 0.01)
+        with pytest.raises(ParameterError, match="probe and true index must differ"):
+            pep_lower_bound(31, [3, 9], 9, 10.0, 0.01, true_index=9)
 
 
 class TestUnionBound:
@@ -192,8 +188,10 @@ class TestUnionBound:
 
     def test_clamped_to_unit(self):
         bound = localization_upper_bound(31, list(range(8)), 1e3, 10.0)
-        assert bound.value <= 1.0
-        assert bound.clamped == (bound.raw_sum > 1.0)
+        assert bound.raw_sum > 1.0
+        assert bound.value == 1.0
+        small = localization_upper_bound(31, [0, 5], 1e-3, 10.0)
+        assert small.value == small.raw_sum < 1.0
 
     @pytest.mark.parametrize("support", [[3, 3], [0, 11], [-1, 2]])
     def test_repeated_or_out_of_range_support_rejected(self, support):

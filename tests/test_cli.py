@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from alcc_lab import localization
+from alcc_lab import harness, localization
 from alcc_lab.cli import main
 from alcc_lab.harness import TRIAL_CSV_HEADER, write_sweep_csv
 from alcc_lab.scenario import SweepSpec, load_config
@@ -85,6 +85,22 @@ class TestSweepCommand:
             table = list(csv.reader(fh))
         assert [row[2:5] for row in table] == [["A", "sigma_p2", "strategy"],
                                                ["1", "0.001", "independent"]]
+
+    def test_missing_aggregate_directory_fails_before_any_trial(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # the aggregate file used to be opened after every trial had run
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda sc, seed: calls.append(seed))
+        cfg = tmp_path / "case.cfg"
+        write_tiny_config(cfg)
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--agg-out", str(tmp_path / "missing" / "agg.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+        assert calls == []
+        assert out.read_text() == ""
 
     def test_missing_config_exits_one(self, tmp_path):
         code = main(["sweep", "--config", str(tmp_path / "ghost.cfg"),
@@ -169,6 +185,26 @@ class TestOutputBytes:
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}"],
+    ["bounds", "--n", "11", "--count", "2"],
+    ["sweep", "--config", "{cfg}"],
+], ids=["simulate", "bounds", "sweep"])
+def test_directory_as_output_exits_one_with_one_line(tmp_path, capsys, argv):
+    cfg = tmp_path / "case.cfg"
+    write_tiny_config(cfg)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    assert main(argv + ["--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+    assert captured.out == ""
+    # a sweep opens its aggregate file only after the trial file
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["case.cfg", "taken"]
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["selftest", "--warp", "9"]) == 1
@@ -184,7 +220,8 @@ class TestBoundsCommand:
         code = main(["bounds", "--n", "31", "--count", "4",
                      "--sigma-grid", "1e-3,1e-2", "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][0] == "n"
         assert len(rows) == 3
 
@@ -276,7 +313,8 @@ class TestAttackDesignCommand:
         code = main(["attack-design", "--mode", "strong", "--rows", "9",
                      "--colluders", "4", "--out", str(out)])
         assert code == 0
-        rows = [r for r in csv.reader(open(out)) if not r[0].startswith("#")]
+        with open(out) as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
         weights = sorted(sum(int(x) for x in row) for row in rows)
         assert weights == [3] * 8 + [4]
 
@@ -285,7 +323,7 @@ class TestAttackDesignCommand:
         code = main(["attack-design", "--mode", "weak", "--rows", "5",
                      "--colluders", "8", "--out", str(out)])
         assert code == 0
-        header = open(out).readline()
+        header = out.read_text().splitlines()[0]
         assert "0.257" in header
 
 

@@ -7,7 +7,6 @@ from scipy import optimize, stats
 from alcc_lab.numeric import ParameterError
 from alcc_lab.threat import (
     ByzantinePlan,
-    PrecisionModel,
     complex_normal,
     design_strong_collusion,
     design_weak_collusion,
@@ -26,7 +25,7 @@ class TestInject:
     def test_empty_plan_zero_precision_is_identity(self):
         rng = np.random.default_rng(0)
         results = complex_normal(rng, 0.0, 1.0, (5, 3, 3))
-        out = inject(results, None, PrecisionModel("synthetic", 0.0), rng)
+        out = inject(results, None, "synthetic", 0.0, rng)
         assert np.array_equal(out, results)
 
     def test_support_fidelity_bit_exact(self):
@@ -34,7 +33,7 @@ class TestInject:
         results = complex_normal(rng, 0.0, 1.0, (7, 3, 4))
         bases = (np.random.default_rng(2).random((2, 3, 4)) < 0.5).astype(int)
         plan = ByzantinePlan(locations=(2, 5), bases=bases)
-        out = inject(results, plan, PrecisionModel("synthetic", 0.0),
+        out = inject(results, plan, "synthetic", 0.0,
                      np.random.default_rng(3))
         delta = out - results
         for a, q in enumerate(plan.locations):
@@ -46,9 +45,8 @@ class TestInject:
         rng = np.random.default_rng(4)
         results = complex_normal(rng, 0.0, 1.0, (6, 2, 2))
         plan = all_one_plan([1, 3], u=2, h=2)
-        precision = PrecisionModel("synthetic", 1e-4)
-        one = inject(results, plan, precision, np.random.default_rng(42))
-        two = inject(results, plan, precision, np.random.default_rng(42))
+        one = inject(results, plan, "synthetic", 1e-4, np.random.default_rng(42))
+        two = inject(results, plan, "synthetic", 1e-4, np.random.default_rng(42))
         assert np.array_equal(one, two)
 
     def test_default_noise_law_moments(self):
@@ -57,7 +55,7 @@ class TestInject:
         results = np.zeros((31, 40, 40), dtype=complex)
         plan = all_one_plan([0, 7, 14, 21], u=40, h=40,
                             noise_mean=10.0 + 0j, noise_var=1e3)
-        out = inject(results, plan, PrecisionModel("synthetic", 0.0), rng)
+        out = inject(results, plan, "synthetic", 0.0, rng)
         draws = out[list(plan.locations)].ravel()
         assert abs(draws.mean() - 10.0) < 1.0
         assert abs(np.var(draws) - 1e3) < 100.0
@@ -65,13 +63,13 @@ class TestInject:
     def test_locator_mode_leaves_returns_untouched(self):
         rng = np.random.default_rng(6)
         results = complex_normal(rng, 0.0, 1.0, (5, 2, 2))
-        out = inject(results, None, PrecisionModel("locator", 0.5),
+        out = inject(results, None, "locator", 0.5,
                      np.random.default_rng(7))
         assert np.array_equal(out, results)
 
     def test_reduced_mode_rounds_to_float32(self):
         results = np.full((2, 1, 1), 1.0 + 1e-12 + 0j)
-        out = inject(results, None, PrecisionModel("reduced", 0.0),
+        out = inject(results, None, "reduced", 0.0,
                      np.random.default_rng(8))
         assert out.dtype == complex
         assert np.array_equal(out, results.astype(np.complex64).astype(complex))
@@ -92,7 +90,6 @@ class TestInject:
                                  noise_mean=complex(*rng.standard_normal(2)),
                                  noise_var=float(rng.uniform(0, 1e3)))
             results = complex_normal(rng, 0.0, 1.0, (n, u, h))
-            precision = PrecisionModel("synthetic", 1e-3)
 
             ref_rng = np.random.default_rng(seed + 1)
             expected = results.copy()
@@ -103,9 +100,21 @@ class TestInject:
             expected += complex_normal(ref_rng, 0.0, 1e-3, expected.shape)
 
             got_rng = np.random.default_rng(seed + 1)
-            out = inject(results, plan, precision, got_rng)
+            out = inject(results, plan, "synthetic", 1e-3, got_rng)
             assert out.tobytes() == expected.tobytes()
             assert got_rng.bytes(16) == ref_rng.bytes(16)
+
+    @pytest.mark.parametrize("mode,var,message", [
+        ("exact", 0.0, "precision_mode must be one of"),
+        ("synthetic", -1e-3, "precision_var must be non-negative"),
+        ("locator", -1.0, "precision_var must be non-negative"),
+    ])
+    def test_bad_precision_rejected_before_any_draw(self, mode, var, message):
+        rng = np.random.default_rng(10)
+        with pytest.raises(ParameterError, match=message):
+            inject(np.zeros((5, 2, 2), dtype=complex), all_one_plan([1], u=2, h=2),
+                   mode, var, rng)
+        assert rng.bytes(16) == np.random.default_rng(10).bytes(16)
 
     def test_effective_base_round_trip(self):
         rng = np.random.default_rng(9)
