@@ -49,8 +49,63 @@ def reference_union(n, support, sigma_p_sq, eta):
     return min(total, 1.0), total, len(support) * len(others)
 
 
+def reference_dominant(a_c, n, sigma_p_sq, eta):
+    """The dominant term as the exp of its own log, kappa/(1+kappa) spelled out."""
+    kap = kappa(n, a_c, 1, eta)
+    ratio = kap / (1.0 + kap)
+    return math.exp(math.log(a_c) + math.log(ratio) - eta * 1.0 * ratio / (4.0 * sigma_p_sq))
+
+
+def reference_gamma_bounds(n, a, eta):
+    ratios = []
+    for gap in range(1, n):
+        kap = kappa(n, a, gap, eta)
+        ratios.append(kap / (1.0 + kap))
+    return min(ratios), max(ratios)
+
+
+def reference_strong(m_rows, v, omega, n, sigma_p_sq, eta):
+    """The strong-collusion objective with both of its terms written out."""
+    kap2 = kappa(n, v - 1, 1, eta)
+    ratio2 = kap2 / (1.0 + kap2)
+    reduced_term = (v - 1) * ratio2 * math.exp(-eta * 1.0 * ratio2 / (4.0 * sigma_p_sq))
+    if omega == 0:
+        return reduced_term
+    kap1 = kappa(n, v, 1, eta)
+    ratio1 = kap1 / (1.0 + kap1)
+    full_term = v * ratio1 * math.exp(-omega * eta * 1.0 * ratio1 / (4.0 * sigma_p_sq))
+    share = 1.0 / (m_rows - omega + 1)
+    return share * full_term + (m_rows - omega) * share * reduced_term
+
+
+SURROGATE_GRID = [(n, var, eta) for n in (15, 31, 63)
+                  for var in (1e-4, 1e-3, 1e-2, 0.1, 1.0) for eta in (1.0, 10.0)]
+
+
 class TestReferencePins:
     """The bound and its union sum match the field-by-field composition bit for bit."""
+
+    def test_dominant_term_bit_for_bit(self):
+        for n, var, eta in SURROGATE_GRID:
+            for a in range(1, 9):
+                assert dominant_term_bound(a, n, var, eta).hex() == reference_dominant(
+                    a, n, var, eta).hex()
+
+    def test_gamma_bounds_bit_for_bit(self):
+        for n, _, eta in SURROGATE_GRID:
+            for a in range(1, 9):
+                got = tuple(x.hex() for x in gamma_bounds(n, a, eta))
+                assert got == tuple(x.hex() for x in reference_gamma_bounds(n, a, eta))
+
+    def test_strong_collusion_within_rounding(self):
+        # 28,980 values: m in {10, 25, 100}, v = 2..8 and every omega
+        for n, var, eta in SURROGATE_GRID:
+            for m in (10, 25, 100):
+                for v in range(2, 9):
+                    for omega in range(m + 1):
+                        got = strong_collusion_objective(m, v, omega, n, var, eta)
+                        ref = reference_strong(m, v, omega, n, var, eta)
+                        assert abs(got - ref) <= 1e-12 * ref, (m, v, omega, n, var, eta)
 
     def test_pep_lower_bound_on_criterion_4_contexts(self):
         rng = np.random.default_rng(40_240_810)  # criterion 4's contexts
