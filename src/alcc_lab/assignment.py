@@ -40,6 +40,9 @@ class AssignmentProblem:
     def __post_init__(self):
         if not 0 < self.unreliable_count <= self.n_workers:
             raise ParameterError("need 0 < unreliable count <= N")
+        if self.byzantine_count < 0:
+            raise ParameterError(
+                f"byzantine_count must be at least 0, got {self.byzantine_count}")
         if self.byzantine_count > self.unreliable_count:
             raise ParameterError("byzantine count cannot exceed the unreliable count")
         check_noise_parameters(self.eta, self.sigma_p_sq)
@@ -70,6 +73,8 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
             f"subset {subset} must hold distinct indices in 0..{prob.n_workers - 1}"
         )
     a = prob.byzantine_count
+    if a < 1:
+        raise ParameterError(f"byzantine_count must be at least 1 to score a subset, got {a}")
     if len(subset) == a:
         return -math.inf  # no non-Byzantine probe exists; degenerate zero
     gmax = gamma_bounds(prob.n_workers, a, prob.eta)[1]
@@ -138,25 +143,16 @@ def solve_assignment(
             raise ParameterError(f"beam_width must be at least 1, got {beam_width}")
         finalists = [(i,) for i in range(n)]
         for size in range(2, mu + 1):
-            seen = set()
-            children = []
-            for state in finalists:
-                for j in range(n):
-                    if j in state:
-                        continue
-                    child = tuple(sorted(state + (j,)))
-                    if child not in seen:
-                        seen.add(child)
-                        children.append(child)
+            # first-reached order, which fixes the Monte-Carlo draws of the scoring
+            finalists = list(dict.fromkeys(tuple(sorted(state + (j,)))
+                                           for state in finalists for j in range(n)
+                                           if j not in state))
             if size > prob.byzantine_count:
                 partial = replace(prob, unreliable_count=size)
-                scored = [(problem2_log_objective(child, partial, rng), child)
-                          for child in children]
+                scored = sorted((problem2_log_objective(child, partial, rng), child)
+                                for child in finalists)
                 evaluated += len(scored)
-                scored.sort(key=lambda t: (t[0], t[1]))
                 finalists = [c for _, c in scored[:beam_width]]
-            else:
-                finalists = children
     else:
         raise ParameterError(f"unknown search mode {search!r}")
     # combinations come in lexicographic order, so the least (value, subset)

@@ -4,9 +4,13 @@ Everything here evaluates analytical quantities: the pairwise-error lower
 bound and its kappa constant, union-style sums over confusable index pairs,
 the dominant-neighbor bound and its monotone behavior in the error count,
 the strong-collusion objective over the number of all-one rows, and the
-confusability terms used by the share-assignment optimizer. The single-pair
+confusability terms used by the share-assignment optimizer. All of them rest
+on one surrogate, kappa/(1+kappa) * exp(-eta c^2 kappa / (4 sigma^2 (1+kappa))),
+and every kappa/(1+kappa) comes from one private `_gamma`. The single-pair
 bound and the union sum take a code size, a true support and the noise
-directly, and share one private per-pair formula.
+directly, and share one private per-pair formula. The dominant term is that
+surrogate at gap 1 with c^2 = 1, times the error count; the strong-collusion
+objective is two dominant terms, the all-one one at noise sigma^2 / omega.
 """
 
 from __future__ import annotations
@@ -50,13 +54,18 @@ def locator_gain(n: int, support, probe: int) -> complex:
     return complex(np.prod(1.0 - z / roots))
 
 
+def _gamma(n: int, a: int, gap: int, eta: float) -> float:
+    """kappa/(1+kappa) at one index gap: the prefactor and exponent scale of every term."""
+    kap = kappa(n, a, gap, eta)
+    return kap / (1.0 + kap)
+
+
 def _pep_term(n: int, a: int, gap: int, eta: float, sigma_p_sq: float, c_sq: float) -> float:
     """kappa/(1+kappa) * exp(-eta * c^2 * kappa / (4 sigma^2 (1+kappa))).
 
     Returns the 0 limit when sigma_p_sq is exactly zero (exponent -> -inf).
     """
-    kap = kappa(n, a, gap, eta)
-    ratio = kap / (1.0 + kap)
+    ratio = _gamma(n, a, gap, eta)
     if sigma_p_sq == 0.0:
         return 0.0 if c_sq > 0.0 else ratio
     return ratio * math.exp(-eta * c_sq * ratio / (4.0 * sigma_p_sq))
@@ -108,59 +117,33 @@ def localization_upper_bound(
     return UnionBound(value=min(total, 1.0), raw_sum=total, pair_count=len(support) * len(others))
 
 
-def dominant_term_log_bound(
-    a_c: int, n: int, sigma_p_sq: float, eta: float, c_sq: float = 1.0
-) -> float:
-    """log of a_c times the nearest-neighbor (gap 1) pairwise surrogate."""
+def dominant_term_bound(a_c: int, n: int, sigma_p_sq: float, eta: float) -> float:
+    """a_c times the nearest-neighbor (gap 1) pairwise surrogate (dominant-pair bound)."""
     if a_c < 1:
         raise ParameterError("degree must be at least 1")
     check_noise_parameters(eta, sigma_p_sq)
-    kap = kappa(n, a_c, 1, eta)
-    ratio = kap / (1.0 + kap)
-    return math.log(a_c) + math.log(ratio) - eta * c_sq * ratio / (4.0 * sigma_p_sq)
-
-
-def dominant_term_bound(
-    a_c: int, n: int, sigma_p_sq: float, eta: float, c_sq: float = 1.0
-) -> float:
-    """a_c times the nearest-neighbor pairwise surrogate (dominant-pair bound)."""
-    return math.exp(dominant_term_log_bound(a_c, n, sigma_p_sq, eta, c_sq))
+    ratio = _gamma(n, a_c, 1, eta)
+    return math.exp(math.log(a_c) + math.log(ratio) - eta * ratio / (4.0 * sigma_p_sq))
 
 
 def strong_collusion_objective(
-    m_rows: int,
-    v: int,
-    omega: int,
-    n: int,
-    sigma_p_sq: float,
-    eta: float,
-    c_sq_full: float = 1.0,
-    c_sq_reduced: float = 1.0,
+    m_rows: int, v: int, omega: int, n: int, sigma_p_sq: float, eta: float
 ) -> float:
     """Approximate localization-error objective when omega rows are all-one.
 
     The omega all-one rows collapse into one averaged polynomial whose
-    effective noise shrinks by omega (the exponent scales by omega); the
-    remaining rows contribute the dominant degree-(v-1) term. omega = 0 means
-    no full-degree polynomial exists at all.
+    effective noise shrinks by omega; the remaining rows contribute the
+    dominant degree-(v-1) term. omega = 0 means no full-degree polynomial
+    exists at all.
     """
     if not 0 <= omega <= m_rows:
         raise ParameterError("omega must lie in 0..m_rows")
     if v < 2:
         raise ParameterError("need v >= 2 so that degree v-1 rows exist")
-    check_noise_parameters(eta, sigma_p_sq)
-    kap2 = kappa(n, v - 1, 1, eta)
-    ratio2 = kap2 / (1.0 + kap2)
-    reduced_term = (v - 1) * ratio2 * math.exp(
-        -eta * c_sq_reduced * ratio2 / (4.0 * sigma_p_sq)
-    )
+    reduced_term = dominant_term_bound(v - 1, n, sigma_p_sq, eta)
     if omega == 0:
         return reduced_term
-    kap1 = kappa(n, v, 1, eta)
-    ratio1 = kap1 / (1.0 + kap1)
-    full_term = v * ratio1 * math.exp(
-        -omega * eta * c_sq_full * ratio1 / (4.0 * sigma_p_sq)
-    )
+    full_term = dominant_term_bound(v, n, sigma_p_sq / omega, eta)
     share = 1.0 / (m_rows - omega + 1)
     return share * full_term + (m_rows - omega) * share * reduced_term
 
@@ -171,10 +154,7 @@ def gamma_bounds(n: int, a: int, eta: float) -> tuple[float, float]:
 
     Cached: an assignment scan resolves it once for every subset it scores.
     """
-    ratios = []
-    for gap in range(1, n):
-        kap = kappa(n, a, gap, eta)
-        ratios.append(kap / (1.0 + kap))
+    ratios = [_gamma(n, a, gap, eta) for gap in range(1, n)]
     return min(ratios), max(ratios)
 
 

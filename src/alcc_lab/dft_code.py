@@ -56,13 +56,9 @@ class DftCode:
         return (self.n - self.k) // 2
 
 
+@functools.lru_cache(maxsize=128)
 def build_code(n: int, k: int) -> DftCode:
     """The (N, K) DFT code, built on the first call for (n, k) and shared after."""
-    return _cached_code(n, k)
-
-
-@functools.lru_cache(maxsize=128)
-def _cached_code(n: int, k: int) -> DftCode:
     if not 1 <= k < n:
         raise ParameterError(f"need 1 <= K < N, got N={n}, K={k}")
     w = dft_matrix(n)

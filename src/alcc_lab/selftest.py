@@ -28,7 +28,6 @@ STACK_ROWS = 256
 
 @dataclass(frozen=True)
 class SelftestReport:
-    codes: tuple
     supports_checked: int
     decodes_run: int
     failures: int
@@ -92,6 +91,4 @@ def run_exhaustive_decode_check(
         if log is not None:
             status = "ok" if code_failures == 0 else f"{code_failures} failures"
             log(f"({n},{k}) v={v}: {status}")
-    return SelftestReport(
-        codes=DEFAULT_CODES, supports_checked=supports, decodes_run=decodes, failures=failures
-    )
+    return SelftestReport(supports_checked=supports, decodes_run=decodes, failures=failures)

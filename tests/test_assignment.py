@@ -137,6 +137,20 @@ class TestObjective:
             AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2,
                               **{field: value})
 
+    def test_negative_byzantine_count_rejected_by_name(self):
+        with pytest.raises(ParameterError, match="^byzantine_count must be at least 0, got -1"):
+            AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=-1)
+
+    def test_zero_byzantine_count_cannot_be_scored(self):
+        # the problem exists (the empirical baseline runs it) but has no objective
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=0)
+        message = "^byzantine_count must be at least 1 to score a subset, got 0"
+        with pytest.raises(ParameterError, match=message):
+            problem2_log_objective((0, 2, 5, 8, 10), prob)
+        for search in ("exhaustive", "beam"):
+            with pytest.raises(ParameterError, match=message):
+                solve_assignment(prob, search=search)
+
 
 class TestSolver:
     def test_whole_range_is_single_candidate(self):

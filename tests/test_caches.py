@@ -30,7 +30,7 @@ CACHED = cached_functions()
 
 
 def test_walk_finds_the_known_caches():
-    assert {"dft_code._cached_code", "dft_code._window_index",
+    assert {"dft_code.build_code", "dft_code._window_index",
             "dft_code._value_operator"} <= set(CACHED)
 
 

@@ -244,6 +244,13 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_one_naming_the_flag(self, capsys, count):
+        assert main(["bounds", "--n", "11", "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --count must be at least 1, got {count}\n"
+        assert captured.out == ""
+
 
     @pytest.mark.parametrize(
         "flags,field",
@@ -298,6 +305,17 @@ class TestOptimizeAssignmentCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field} must be finite and positive")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("count,message", [
+        ("0", "byzantine_count must be at least 1 to score a subset, got 0"),
+        ("-1", "byzantine_count must be at least 0, got -1"),
+    ])
+    def test_count_below_one_exits_one_naming_the_field(self, capsys, count, message):
+        code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", count])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_zero_beam_width_exits_one(self, capsys):

@@ -205,7 +205,7 @@ class TestRunTrial:
         overrides = dict(byzantine_count=3, precision_var=1e-8, localization=localization)
         before = [fields(run_trial(clean_scenario(**overrides), seed)) for seed in (3, 4)]
         codec._share_basis.cache_clear()
-        dft_code._cached_code.cache_clear()
+        dft_code.build_code.cache_clear()
         after = [fields(run_trial(clean_scenario(**overrides), seed)) for seed in (3, 4)]
         assert after == before
 
