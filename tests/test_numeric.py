@@ -215,6 +215,49 @@ class TestNumericalRank:
             numerical_rank(np.eye(2), 0.0)
 
 
+def _svd_rank(m, rel_tol):
+    """Reference count: singular values above rel_tol times the largest, per matrix."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return np.count_nonzero(sv > rel_tol * sv[..., :1], axis=-1)
+
+
+RANK_TOLS = (1e-12, 1e-9, 1e-7, 1e-6, 1e-4, 1e-2, 0.3)
+RANK_NOISE = (0.0, 1e-15, 1e-9, 1e-6, 1e-3)
+
+
+def _hankel_stack(n, k, rows, rng):
+    """(noise, codeword, v, v) Hankel matrices of the (n, k) code.
+
+    Every error size 0..v, ``rows`` clustered and ``rows`` random supports a
+    size, each pattern under every noise level of RANK_NOISE.
+    """
+    code = dft_code.build_code(n, k)
+    patterns = []
+    for size in range(code.capability + 1):
+        clustered = (rng.integers(0, n, rows)[:, None] + np.arange(size)) % n
+        scattered = np.argsort(rng.random((rows, n)), axis=1)[:, :size]
+        for support in (clustered, scattered):
+            errors = np.zeros((rows, n), dtype=complex)
+            values = rng.uniform(1.0, 10.0, support.shape)
+            values = values * np.exp(2j * np.pi * rng.random(support.shape))
+            np.put_along_axis(errors, support, values, axis=1)
+            patterns.append(errors)
+    errors = np.concatenate(patterns)
+    noise = np.array(RANK_NOISE)[:, None, None] * _crandn(rng, len(RANK_NOISE), *errors.shape)
+    return dft_code.hankel_syndrome_matrix(code, dft_code.syndrome(code, errors + noise))
+
+
+@pytest.mark.parametrize(
+    "n, k", [(7, 3), (11, 7), (15, 7), (16, 2), (17, 1), (20, 1), (24, 6), (31, 1), (31, 5)]
+)
+def test_rank_matches_the_svd_count_on_hankel_stacks(n, k):
+    """Clustered supports at N >= 16 put a singular value near 1e-6, and the
+    noise levels put others near every tolerance: each count is the SVD's."""
+    hankel = _hankel_stack(n, k, 12, np.random.default_rng(100 * n + k))
+    for rel_tol in RANK_TOLS:
+        np.testing.assert_array_equal(numerical_rank(hankel, rel_tol), _svd_rank(hankel, rel_tol))
+
+
 class TestPolyEval:
     def test_constant(self):
         assert poly_eval([5.0], 123.0 + 4j) == 5.0
