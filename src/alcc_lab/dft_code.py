@@ -57,8 +57,12 @@ class DftCode:
 
 
 @functools.lru_cache(maxsize=128)
-def build_code(n: int, k: int) -> DftCode:
-    """The (N, K) DFT code, built on the first call for (n, k) and shared after."""
+def build_code(n: int, k: int, /) -> DftCode:
+    """The (N, K) DFT code, built on the first call for (n, k) and shared after.
+
+    (n, k) are positional-only: the cache keys a keyword call apart from a
+    positional one, so taking keywords would build a second, equal code.
+    """
     if not 1 <= k < n:
         raise ParameterError(f"need 1 <= K < N, got N={n}, K={k}")
     w = dft_matrix(n)

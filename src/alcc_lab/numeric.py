@@ -62,12 +62,40 @@ def least_squares(a, b) -> np.ndarray:
 
 
 def numerical_rank(m, rel_tol: float):
-    """Count singular values above rel_tol times the largest one, per matrix of a stack."""
+    """Count singular values above rel_tol times the largest one, per matrix of a stack.
+
+    The count is taken from the eigenvalues of each matrix's Gram (M^H M, or
+    M M^H for a wide M): those above rel_tol**2 times the largest, one batched
+    ``eigvalsh`` per stack. For an r x k matrix (r >= k; n = max(r, k), u =
+    eps/2) forming the Gram moves an eigenvalue by at most (r+2)*k*u*lambda_max,
+    ``eigvalsh`` adds about n*u*lambda_max, and a squared singular value of the
+    SVD is off by about 4n*u*lambda_max: the two counts can part only at an
+    eigenvalue within n*(n+4)*eps*lambda_max of the cut. A matrix with an
+    eigenvalue within twice that, 2n(n+4)*eps*lambda_max, of the cut (an
+    exactly zero matrix among them) is counted from its singular values, so
+    every count is the SVD's. So is every matrix of a stack with an entry of
+    2**500 or more, whose Gram could overflow, and every matrix whose Gram is
+    so small (lambda_max near 2**-1000) that underflow blurs it.
+    """
     if not 0.0 < rel_tol < 1.0:
         raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     m = as_finite_complex(m, "matrix")
-    sv = np.linalg.svd(m, compute_uv=False)
-    return np.count_nonzero(sv > rel_tol * sv[..., :1], axis=-1)
+    if m.ndim < 2:
+        raise DimensionError(f"numerical_rank needs a matrix or a stack of them, got {m.shape}")
+    rows, cols = m.shape[-2:]
+    a = m if np.abs(m).max(initial=0.0) < 2.0**500 else np.zeros_like(m)
+    ah = a.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(ah @ a if rows >= cols else a @ ah)
+    top = lam[..., -1:]
+    cut = rel_tol**2 * top
+    n = max(rows, cols)
+    band = 2 * n * (n + 4) * np.finfo(float).eps * top + 2.0**-1000
+    near = (np.abs(lam - cut) <= band).any(axis=-1)
+    rank = np.asarray(np.count_nonzero(lam > cut, axis=-1))
+    if near.any():
+        sv = np.linalg.svd(m[near], compute_uv=False)
+        rank[near] = np.count_nonzero(sv > rel_tol * sv[..., :1], axis=-1)
+    return rank[()]
 
 
 def poly_eval(coeffs, z):

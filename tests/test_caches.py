@@ -1,4 +1,5 @@
-"""Every memoizing cache in alcc_lab is bounded, so a long run keeps a flat peak RSS."""
+"""Every memoizing cache in alcc_lab is bounded, so a long run keeps a flat peak RSS,
+and a cached constructor builds each value once."""
 
 import importlib
 import inspect
@@ -8,6 +9,7 @@ import pkgutil
 import pytest
 
 import alcc_lab
+from alcc_lab.dft_code import build_code
 
 
 def cached_functions() -> dict:
@@ -38,3 +40,12 @@ def test_walk_finds_the_known_caches():
 def test_cache_is_bounded(name):
     maxsize = CACHED[name].cache_info().maxsize
     assert maxsize is not None and math.isfinite(maxsize)
+
+
+def test_build_code_takes_positional_arguments_only():
+    # a keyword call would be cached apart from the positional one
+    assert build_code(15, 7) is build_code(15, 7)
+    with pytest.raises(TypeError):
+        build_code(n=15, k=7)
+    with pytest.raises(TypeError):
+        build_code(15, k=7)

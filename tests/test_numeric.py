@@ -258,6 +258,73 @@ def test_rank_matches_the_svd_count_on_hankel_stacks(n, k):
         np.testing.assert_array_equal(numerical_rank(hankel, rel_tol), _svd_rank(hankel, rel_tol))
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the stacks `numerical_rank` hands to its SVD fallback."""
+    svd, seen = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+class TestRankFallback:
+    """The Gram count, and the SVD for matrices near its cut, give the SVD's counts."""
+
+    @pytest.mark.parametrize("rel_tol, fallback", [(1e-6, []), (1e-9, [(1, 4, 4)])])
+    def test_single_matrix_returns_a_numpy_integer(self, svd_calls, rel_tol, fallback):
+        # rank 2: the two rounding eigenvalues are clear of a 1e-12 cut, not of 1e-18
+        rng = np.random.default_rng(20)
+        m = _crandn(rng, 4, 2) @ _crandn(rng, 2, 4)
+        rank = numerical_rank(m, rel_tol)
+        assert svd_calls == fallback
+        assert isinstance(rank, np.integer) and rank == _svd_rank(m, rel_tol) == 2
+
+    def test_zero_matrix_in_a_stack_counts_zero(self, svd_calls):
+        stack = _crandn(np.random.default_rng(21), 3, 4, 4)
+        stack[1] = 0.0
+        ranks = numerical_rank(stack, 1e-6)
+        assert svd_calls == [(1, 4, 4)]
+        assert ranks.tolist() == [4, 0, 4] == _svd_rank(stack, 1e-6).tolist()
+
+    def test_every_rank_deficient_row_falls_back_at_a_small_tolerance(self, svd_calls):
+        code = dft_code.build_code(15, 7)
+        rng = np.random.default_rng(22)
+        errors = np.zeros((6, 15), dtype=complex)
+        np.put_along_axis(errors, np.argsort(rng.random((6, 15)), axis=1)[:, :2],
+                          _crandn(rng, 6, 2), axis=1)
+        hankel = dft_code.hankel_syndrome_matrix(code, dft_code.syndrome(code, errors))
+        ranks = numerical_rank(hankel, 1e-9)
+        assert svd_calls == [(6, 4, 4)]
+        assert ranks.tolist() == [2] * 6 == _svd_rank(hankel, 1e-9).tolist()
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_wide_and_tall_matrices(self, wide):
+        rng = np.random.default_rng(23)
+        sv = np.array([[1.0, 0.5, 1e-3, 2e-6, 1e-10]] * 4) * np.geomspace(1.0, 1e3, 4)[:, None]
+        m = _with_singular_values(rng, sv, 8)
+        if wide:
+            m = m.conj().swapaxes(-1, -2)
+        for rel_tol in RANK_TOLS:
+            np.testing.assert_array_equal(numerical_rank(m, rel_tol), _svd_rank(m, rel_tol))
+
+    @pytest.mark.parametrize("scale", [2.0**600, 1e150, 1e-156, 1e-310])
+    def test_extreme_scales_match_the_svd(self, scale):
+        # the Gram of the first would overflow, of the last two underflow
+        rng = np.random.default_rng(24)
+        sv = np.array([[1.0, 0.3, 1e-3, 2e-6, 1e-10]] * 20)
+        m = _with_singular_values(rng, sv, 6) * scale
+        for rel_tol in RANK_TOLS:
+            np.testing.assert_array_equal(numerical_rank(m, rel_tol), _svd_rank(m, rel_tol))
+
+    def test_vector_rejected(self):
+        with pytest.raises(DimensionError):
+            numerical_rank(np.ones(3), 1e-6)
+
+
 class TestPolyEval:
     def test_constant(self):
         assert poly_eval([5.0], 123.0 + 4j) == 5.0
