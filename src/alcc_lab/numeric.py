@@ -73,9 +73,9 @@ def numerical_rank(m, rel_tol: float):
     eigenvalue within n*(n+4)*eps*lambda_max of the cut. A matrix with an
     eigenvalue within twice that, 2n(n+4)*eps*lambda_max, of the cut (an
     exactly zero matrix among them) is counted from its singular values, so
-    every count is the SVD's. So is every matrix of a stack with an entry of
-    2**500 or more, whose Gram could overflow, and every matrix whose Gram is
-    so small (lambda_max near 2**-1000) that underflow blurs it.
+    every count is the SVD's. So is every matrix with lambda_max below
+    2**-1000, whose Gram underflow could blur, and every matrix of a stack
+    that holds an entry of modulus 2**500 or more, whose Gram could overflow.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
