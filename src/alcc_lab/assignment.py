@@ -22,7 +22,7 @@ _EXHAUSTIVE_LIMIT = 1_000_000
 # a subset with more Byzantine supports than this averages over random draws of them
 _EXPECTATION_LIMIT = 10_000
 _EXPECTATION_SAMPLES = 10_000
-_SIMULATION_LIMIT = 100_000  # relative_error_baseline refuses more runs unless forced
+_SIMULATION_LIMIT = 100_000  # relative_error_baseline refuses more runs
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,13 @@ def relative_error_baseline(
     trials: int,
     seed: int,
     candidates=None,
-    force: bool = False,
 ) -> BaselineResult:
     """Pick the subset minimizing empirical mean relative error.
 
     Runs `trials` seeded end-to-end simulations per candidate subset of the
     given scenario (the scenario's unreliable set is overridden per
     candidate; every candidate's scenario is built, and so validated, before
-    the first trial). Refuses more than 100,000 total runs unless forced.
+    the first trial). Refuses more than 100,000 total runs.
     Trial seeds are shared across candidates so the comparison is paired.
     The scan runs seed-major, every candidate at one seed before the next
     seed, so consecutive trials share their data, encoding and worker
@@ -233,10 +232,10 @@ def relative_error_baseline(
             raise ParameterError(f"candidate {repeated} is listed more than once")
         n_candidates = len(candidates)
     total = n_candidates * trials
-    if total > _SIMULATION_LIMIT and not force:
+    if total > _SIMULATION_LIMIT:
         raise RuntimeGuardError(
-            f"{total} simulations exceed the guard of {_SIMULATION_LIMIT}; "
-            "pass force=True to override"
+            f"{n_candidates} subsets x {trials} trials = {total} simulations exceed "
+            f"the guard of {_SIMULATION_LIMIT}"
         )
     for name in ("n_workers", "byzantine_count"):
         if getattr(scenario, name) != getattr(prob, name):

@@ -143,7 +143,9 @@ def strong_collusion_objective(
     reduced_term = dominant_term_bound(v - 1, n, sigma_p_sq, eta)
     if omega == 0:
         return reduced_term
-    full_term = dominant_term_bound(v, n, sigma_p_sq / omega, eta)
+    averaged_var = sigma_p_sq / omega
+    # a subnormal sigma^2 can underflow to 0 here: take the term's limit, 0
+    full_term = dominant_term_bound(v, n, averaged_var, eta) if averaged_var > 0 else 0.0
     share = 1.0 / (m_rows - omega + 1)
     return share * full_term + (m_rows - omega) * share * reduced_term
 

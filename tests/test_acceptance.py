@@ -225,7 +225,7 @@ def test_criterion_8_assignment_optimizer():
 
     scan = relative_error_baseline(
         problem, scenario.with_updates(trials=60), trials=60, seed=80_240_811,
-        candidates=list(combinations(range(11), 5)), force=True,
+        candidates=list(combinations(range(11), 5)),
     )
     empirical_best = errors_for(scan.subset)
     gap_db = db(chosen.mean()) - db(empirical_best.mean())

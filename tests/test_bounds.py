@@ -299,6 +299,11 @@ class TestStrongCollusionObjective:
         for lo, hi in zip(values, values[1:]):
             assert hi <= lo
 
+    def test_averaged_noise_underflow_takes_the_limit(self):
+        # 5e-324 / 5 rounds to 0.0: the all-one rows' term is its zero-noise limit
+        assert 5e-324 / 5 == 0.0
+        assert strong_collusion_objective(10, 8, 5, 31, 5e-324, 10.0) == 0.0
+
     def test_omega_range_enforced(self):
         with pytest.raises(ParameterError):
             strong_collusion_objective(10, 8, 11, 31, 0.01, 10.0)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from alcc_lab import harness, localization
+from alcc_lab import codec, harness, localization
+from alcc_lab.assignment import AssignmentProblem, relative_error_baseline
 from alcc_lab.cli import main
 from alcc_lab.harness import TRIAL_CSV_HEADER, write_sweep_csv
 from alcc_lab.scenario import SweepSpec, load_config
@@ -323,6 +324,82 @@ class TestOptimizeAssignmentCommand:
                      "--search", "beam", "--beam-width", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: beam_width")
+
+    def test_table_out_compares_solver_and_contiguous(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
+                     "--table-out", str(out)]) == 0
+        with open(out) as fh:
+            table = list(csv.reader(fh))
+        assert table == [["label", "subset", "log_objective"],
+                         ["solver", "0 2 5 8 10", "-20.690748"],
+                         ["contiguous", "0 1 2 3 4", "-1.388572"]]
+
+    def test_table_rows_match_a_monte_carlo_objective(self, tmp_path, capsys):
+        # C(17, 6) > 10,000 supports, so the objective averages random draws:
+        # every row must be scored as the solver scored its one candidate
+        out = tmp_path / "table.csv"
+        assert main(["optimize-assignment", "--n", "17", "--mu", "17", "--count", "6",
+                     "--table-out", str(out)]) == 0
+        assert "(log -140.565351)" in capsys.readouterr().out
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["log_objective"] for row in rows] == ["-140.565351"] * 2
+
+    @staticmethod
+    def _study_config(path, **changes):
+        fields = {"n_workers": 11, "k": 3, "t": 1, "sigma_pad": 1.0, "byzantine_count": 2,
+                  "precision_var": 0.01, "localization": "restricted",
+                  "trials": 2, "master_seed": 7, **changes}
+        path.write_text("[scenario]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                        + "[sweep]\nbyzantine_counts = 0, 1\n")
+        return path
+
+    def test_config_adds_the_scan_rows(self, tmp_path, capsys):
+        cfg = self._study_config(tmp_path / "study.cfg")
+        out = tmp_path / "table.csv"
+        assert main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
+                     "--config", str(cfg), "--table-out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["label", "subset", "log_objective", "mean_e_rel_db"]
+        assert [row["label"] for row in rows] == ["solver", "contiguous", "empirical-best"]
+        assert rows[0]["subset"] == "0 2 5 8 10" and rows[1]["subset"] == "0 1 2 3 4"
+        # the [sweep] section is ignored: the scan runs grid index 0's seeds
+        scenario, _ = load_config(cfg)
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        scan = relative_error_baseline(prob, scenario, 2, 7)
+        assert rows[2]["subset"] == " ".join(map(str, scan.subset))
+        for row in rows:
+            subset = tuple(int(i) for i in row["subset"].split())
+            assert row["mean_e_rel_db"] == f"{codec.db(scan.table[subset]):.3f}"
+            assert f"{row['label']:<14} {subset}: {row['mean_e_rel_db']} dB" in printed
+
+    def test_config_contradicting_the_problem_exits_one(self, tmp_path, capsys):
+        cfg = self._study_config(tmp_path / "study.cfg", n_workers=13)
+        out = tmp_path / "table.csv"
+        code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
+                     "--config", str(cfg), "--table-out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: scenario n_workers=13 contradicts the problem's 11\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_scan_over_the_guard_exits_two_before_any_trial(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial ran before the guard")
+
+        monkeypatch.setattr(harness, "run_trial", refuse)
+        cfg = self._study_config(tmp_path / "study.cfg", trials=300)
+        out = tmp_path / "table.csv"
+        code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
+                     "--config", str(cfg), "--table-out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("guard: 462 subsets x 300 trials")
+        assert not out.exists()
 
 
 class TestAttackDesignCommand:
