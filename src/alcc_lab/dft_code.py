@@ -24,7 +24,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numeric import (
     DimensionError,
@@ -86,7 +85,7 @@ def hankel_syndrome_matrix(code: DftCode, s) -> np.ndarray:
     v = code.capability
     if s.shape[-1] < 2 * v - 1:
         raise DimensionError("syndrome too short for the Hankel window")
-    return sliding_window_view(s, v, axis=-1)[..., :v, :]
+    return s[..., _window_index(v, v - 1)[:v]]
 
 
 def estimate_error_count(code: DftCode, s, rel_tol: float = 1e-6):

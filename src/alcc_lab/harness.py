@@ -3,21 +3,21 @@
 One trial: draw data, encode, apply the worker function, inject Byzantine
 and precision noise, decode the output-entry codewords with the configured
 strategy, reconstruct, and report the relative error against the
-centralized computation. The codewords are decoded in stacks: one locator
-call per distinct error count, one value-recovery call per detected-set
-size. Each locator in a call is its own system. A value-recovery call whose
-codewords all share one detected set, as under all-one base matrices, is one
-product with that set's cached operator; otherwise each codeword is its own
-system. Both are solved by one routine that inverts a stack's matrices in
-one batch: the windows of a square locator stack (count = v), else the
-normal matrices, with `numeric.least_squares` only its fallback. When every
-codeword has the same count, as under oracle counts on all-one bases, the
-one stack is a view of the whole (M, ...) arrays, not a gathered copy.
-The locators are one (M, v+1) coefficient matrix, zero above each count:
-independent localization reads a count's rows as one stack, and the joint
-search takes the rows of positive count with their counts. Localization
-returns the detected sets as index arrays per set size, and value recovery
-takes them as they are.
+centralized computation. `decode` is the decoder, from syndromes to the
+corrected words and detected sets; `selftest` decodes through it too, so its
+exhaustive check covers the trial's own decode. The codewords are decoded in
+stacks: one locator call per distinct error count, one value-recovery call
+per detected-set size. Each locator in a call is its own system. A
+value-recovery call whose codewords all share one detected set, as under
+all-one base matrices, is one product with that set's cached operator;
+otherwise each codeword is its own system. When every codeword has the same
+count, as under oracle counts on all-one bases, the one stack is a view of
+the whole (M, ...) arrays, not a gathered copy. The locators are one
+(M, v+1) coefficient matrix, zero above each count: independent
+localization reads a count's rows as one stack, and the joint search takes
+the rows of positive count with their counts. Localization returns the
+detected sets as index arrays per set size, and value recovery takes them as
+they are.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
@@ -132,9 +132,12 @@ def _groups(sizes):
 
 def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
     """Locator coefficients per codeword, (M, v+1), zero above each count."""
+    solved = [(rows, dft_code.locator_polynomial(code, syndromes[rows], count))
+              for count, rows in _groups(counts)]
+    # allocated after the solves: allocating it first slowed the selftest by about 4%
     coeffs = np.zeros((counts.size, code.capability + 1), dtype=complex)
-    for count, rows in _groups(counts):
-        coeffs[rows, : count + 1] = dft_code.locator_polynomial(code, syndromes[rows], count)
+    for rows, group in solved:
+        coeffs[rows, : group.shape[-1]] = group
     if scenario.precision_mode == "locator" and scenario.precision_var > 0:
         # one draw, read as complex_normal's per codeword of positive count in
         # order ([re | im] chunks of count+1), keeps each trial's random stream
@@ -147,52 +150,60 @@ def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
     return coeffs
 
 
-def _localize_codewords(scenario, code, coeffs, counts, rng) -> list:
-    """Indices detected under the configured strategy, as (rows, found) per set size.
-
-    Groups come from `_groups` over the detected-set sizes; ``found`` holds
-    the sorted indices detected in each of the group's codewords, (rows, size).
-    """
-    n = scenario.n_workers
-    pool = scenario.candidate_pool()
-    restricted = pool if len(pool) < n else None
-    if scenario.localization != "joint":
-        # restricted localization only searches the unreliable pool; each
-        # locator detects exactly its count
-        cand = restricted if scenario.localization == "restricted" else None
-        return [
-            (rows, localization.independent_localize(
-                coeffs[rows, : count + 1], count, n, candidates=cand))
-            for count, rows in _groups(counts)
-        ]
-    if not counts.any():
-        return []
-    active = np.flatnonzero(counts)
-    result = localization.joint_localize(
-        coeffs[active], counts[active],
-        capability=code.capability,
-        n=n,
-        constraint_length=scenario.constraint_length,
-        candidates=restricted,
-        rng=rng,
-    )
-    per_codeword = dict(zip(active.tolist(), result.per_poly))
-    sizes = np.zeros_like(counts)
-    sizes[active] = [found.size for found in result.per_poly]
-    codewords = np.arange(counts.size)
-    return [(rows, np.stack([per_codeword[c] for c in codewords[rows]]))
-            for _, rows in _groups(sizes)]
-
-
 def _correct_codewords(code, r_eff, syndromes, groups) -> np.ndarray:
     """Subtract the recovered error values at every codeword's detected indices."""
-    corrected = r_eff.copy()
+    corrected = r_eff
     for rows, found in groups:
         if (found == found[0]).all():
             found = found[0]  # one set for every codeword: one product with its operator
         values = dft_code.recover_error_values(code, syndromes[rows], found)
-        corrected[rows] = dft_code.correct_codeword(r_eff[rows], found, values)
+        words = dft_code.correct_codeword(r_eff[rows], found, values)
+        if corrected is r_eff:  # copied after the first solve, as `_locators` allocates
+            corrected = r_eff.copy()
+        corrected[rows] = words
     return corrected
+
+
+def decode(scenario: Scenario, code, received, rng, true_counts=None):
+    """Corrected words (M, N) and detected sets of received words (M, N), decoded as configured.
+
+    The sets are (rows, found) per set size, rows from `_groups` and found the
+    sorted indices detected in each of the group's codewords, (rows, size).
+    Counts are ``true_counts`` capped at the capability under oracle counting.
+    """
+    syndromes = dft_code.syndrome(code, received)
+    if scenario.error_count_mode == "oracle":
+        counts = np.minimum(true_counts, code.capability)
+    else:
+        counts = dft_code.estimate_error_count(code, syndromes, rel_tol=scenario.rank_rel_tol)
+        if scenario.localization != "independent":
+            # restricted and joint pick only from the pool, so never more than it holds
+            counts = np.minimum(counts, len(scenario.candidate_pool()))
+    coeffs = _locators(scenario, code, syndromes, counts, rng)
+    n = scenario.n_workers
+    pool = scenario.candidate_pool()
+    restricted = pool if len(pool) < n else None
+    if scenario.localization != "joint":
+        # restricted searches only the unreliable pool; each locator detects its count
+        cand = restricted if scenario.localization == "restricted" else None
+        groups = [(rows, localization.independent_localize(
+                      coeffs[rows, : count + 1], count, n, candidates=cand))
+                  for count, rows in _groups(counts)]
+    elif counts.any():
+        active = np.flatnonzero(counts)
+        result = localization.joint_localize(
+            coeffs[active], counts[active], capability=code.capability, n=n,
+            constraint_length=scenario.constraint_length, candidates=restricted, rng=rng,
+        )
+        per_codeword = dict(zip(active.tolist(), result.per_poly))
+        sizes = np.zeros_like(counts)
+        sizes[active] = [found.size for found in result.per_poly]
+        codewords = np.arange(counts.size)
+        groups = [(rows, np.stack([per_codeword[c] for c in codewords[rows]]))
+                  for _, rows in _groups(sizes)]
+    else:
+        groups = []
+    return _correct_codewords(code, received, syndromes, groups), groups
 
 
 # (key, rng state after the data draws, results, reference) of the last trial
@@ -236,34 +247,20 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
 
     r_eff = returns.reshape(scenario.n_workers, m_rows).T  # (M, N)
     capability_exceeded = False
-
+    loc_correct = scenario.byzantine_count == 0
     if scenario.decoder:
         code = dft_code.build_code(scenario.n_workers, params.code_dimension)
-        syndromes = dft_code.syndrome(code, r_eff)
+        true_counts = b_eff.sum(axis=1)
         if scenario.error_count_mode == "oracle":
-            true_counts = b_eff.sum(axis=1)
             capability_exceeded = bool((true_counts > code.capability).any())
-            counts = np.minimum(true_counts, code.capability)
-        else:
-            counts = dft_code.estimate_error_count(
-                code, syndromes, rel_tol=scenario.rank_rel_tol
-            )
-            if scenario.localization != "independent":
-                # restricted and joint pick only from the pool, so never more than it holds
-                counts = np.minimum(counts, len(scenario.candidate_pool()))
-        coeffs = _locators(scenario, code, syndromes, counts, rng)
-        groups = _localize_codewords(scenario, code, coeffs, counts, rng)
+        r_eff, groups = decode(scenario, code, r_eff, rng, true_counts)
         detected = np.zeros(r_eff.shape, dtype=bool)
-        codewords = np.arange(m_rows)
         for rows, found in groups:
-            detected[codewords[rows, None], found] = True
+            detected[np.arange(m_rows)[rows, None], found] = True
         truth = np.zeros_like(detected)
         if plan is not None:
             truth[:, locations] = b_eff.astype(bool)
         loc_correct = np.array_equal(detected, truth)
-        r_eff = _correct_codewords(code, r_eff, syndromes, groups)
-    else:
-        loc_correct = scenario.byzantine_count == 0
 
     estimate = codec.reconstruct(
         r_eff.T.reshape(scenario.n_workers, u, h), params

@@ -3,9 +3,10 @@ acceptance suite.
 
 For each small code, every error support up to the capability is enumerated;
 random error values of magnitude at least one are injected on clean
-codewords and the full decode pipeline (rank-estimated count, locator,
-localization, value recovery, correction) must restore the codeword. The
-codewords of one support size are decoded in stacks of up to STACK_ROWS.
+codewords, and the trial's own decoder, `harness.decode` on a scenario of
+that code with rank counts and independent localization, must detect the
+support and restore the codeword. The codewords of one support size are
+decoded in stacks of up to STACK_ROWS.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from . import dft_code, localization
+from . import dft_code, harness
 from .numeric import ParameterError
+from .scenario import Scenario
 from .threat import complex_normal
 
 DEFAULT_CODES = ((7, 3), (11, 7), (15, 7))
@@ -37,24 +39,22 @@ class SelftestReport:
         return self.failures == 0
 
 
-def _failed_decodes(code, clean, support, rng) -> int:
+def _failed_decodes(scenario, code, clean, support, rng) -> int:
     """Count the failed decodes of clean + errors on each row's support (rows, size).
 
-    Errors have magnitude in [1, 10] and uniform phase. Every row's locator is
-    solved at the true size; a row whose rank count differs has failed already.
+    Errors have magnitude in [1, 10] and uniform phase. A row passes when the
+    trial's decoder detects exactly its support and restores the clean word.
     """
     size = support.shape[1]
     values = rng.uniform(1.0, 10.0, support.shape)
     values = values * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, support.shape))
     received = np.tile(clean, (support.shape[0], 1))
     np.put_along_axis(received, support, np.take_along_axis(received, support, -1) + values, -1)
-    syn = dft_code.syndrome(code, received)
-    ok = dft_code.estimate_error_count(code, syn) == size
-    coeffs = dft_code.locator_polynomial(code, syn, size)
-    detected = localization.independent_localize(coeffs, size, code.n)
-    ok &= (detected == support).all(axis=-1)
-    values = dft_code.recover_error_values(code, syn, detected)
-    corrected = dft_code.correct_codeword(received, detected, values)
+    corrected, groups = harness.decode(scenario, code, received, rng)
+    ok = np.zeros(len(support), dtype=bool)
+    for rows, found in groups:
+        if found.shape[-1] == size:
+            ok[rows] = (found == support[rows]).all(axis=-1)
     ok &= np.linalg.norm(corrected - clean, axis=-1) <= 1e-6 * np.linalg.norm(clean)
     return int(np.count_nonzero(~ok))
 
@@ -74,6 +74,7 @@ def run_exhaustive_decode_check(
     failures = 0
     for n, k in DEFAULT_CODES:
         code = dft_code.build_code(n, k)
+        scenario = Scenario(n_workers=n, k=k, t=0, function="identity", error_count_mode="rank")
         v = code.capability
         message = complex_normal(rng, 0.0, 1.0, k)
         clean = message @ code.generator
@@ -85,7 +86,7 @@ def run_exhaustive_decode_check(
             decodes += len(rows)
             for start in range(0, len(rows), STACK_ROWS):
                 code_failures += _failed_decodes(
-                    code, clean, rows[start : start + STACK_ROWS], rng
+                    scenario, code, clean, rows[start : start + STACK_ROWS], rng
                 )
         failures += code_failures
         if log is not None:

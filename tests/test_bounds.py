@@ -220,6 +220,42 @@ class TestPepLowerBound:
             for lo, hi in zip(values, values[1:]):
                 assert hi >= lo - 1e-12
 
+    @staticmethod
+    def simulated_pairwise_rate(n, support, probe, sigma_p_sq, draws=40_000, seed=10):
+        """Rate and standard error of |g(gamma^probe)|^2 < |g(gamma^true)|^2, true the
+        smallest support index, with CN(0, sigma^2) added to all a+1 locator coefficients
+        (as `precision_mode=locator` adds it)."""
+        coeffs = np.ones(1, dtype=complex)
+        for q in support:  # g(z) = prod (1 - z / gamma^q), ascending, g_0 = 1
+            coeffs = np.convolve(coeffs, [1.0, -np.exp(2j * np.pi * q / n)])
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((draws, coeffs.size)) + 1j * rng.standard_normal(
+            (draws, coeffs.size))
+        noisy = coeffs + np.sqrt(sigma_p_sq / 2.0) * noise
+        powers = np.arange(coeffs.size)
+        at = lambda q: np.abs(noisy @ np.exp(-2j * np.pi * q * powers / n)) ** 2  # noqa: E731
+        rate = float(np.mean(at(probe) < at(min(support))))
+        return rate, math.sqrt(rate * (1.0 - rate) / draws)
+
+    @pytest.mark.parametrize("n,support,probe,sigma_p_sq", [
+        (31, (0, 4, 8, 12, 16, 19, 23, 27), 1, 0.1),  # the spread support of criterion 5
+        (11, (0, 3), 1, 0.1),
+    ])
+    def test_lies_below_the_simulated_rate(self, n, support, probe, sigma_p_sq):
+        rate, se = self.simulated_pairwise_rate(n, support, probe, sigma_p_sq)
+        assert pep_lower_bound(n, support, probe, 10.0, sigma_p_sq) < rate + 4 * se
+
+    def test_exceeds_the_simulated_rate_where_kappa_ratio_passes_one_half(self):
+        """Small a, gap 1 and large N give kappa/(1+kappa) > 1/2. As sigma^2 grows the
+        two grid values become exchangeable and the rate tends to 1/2, while the
+        bound tends to kappa/(1+kappa): there it is no lower bound."""
+        n, support, probe, sigma_p_sq = 41, (28, 30), 27, 0.158
+        assert bounds._gamma(n, len(support), 1, 10.0) > 0.5
+        rate, se = self.simulated_pairwise_rate(n, support, probe, sigma_p_sq)
+        bound = pep_lower_bound(n, support, probe, 10.0, sigma_p_sq)
+        assert abs(rate - 0.483) < 4 * se and round(bound, 3) == 0.729
+        assert bound > rate + 4 * se
+
     def test_identical_indices_rejected(self):
         with pytest.raises(ParameterError, match="probe and true index must differ"):
             pep_lower_bound(31, [3, 9], 3, 10.0, 0.01)

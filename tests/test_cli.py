@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from alcc_lab import codec, harness, localization
+from alcc_lab import codec, dft_code, harness, localization
 from alcc_lab.assignment import AssignmentProblem, relative_error_baseline
 from alcc_lab.cli import main
 from alcc_lab.harness import TRIAL_CSV_HEADER, write_sweep_csv
@@ -428,6 +428,12 @@ class TestSelftestCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "failures=0" in out
+
+    def test_failed_decodes_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(dft_code, "correct_codeword", lambda r, locations, values: r)
+        assert main(["selftest", "--values-per-support", "1"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "supports=2034 decodes=2034 failures=2034")
 
     @pytest.mark.parametrize("values", ["0", "-1"])
     def test_values_below_one_exit_one(self, values, capsys):

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from alcc_lab import dft_code, localization, selftest
+from alcc_lab import dft_code, harness, localization, selftest
 from alcc_lab.threat import complex_normal
 
 
@@ -123,3 +123,12 @@ def test_pinned_fault_counts_at_seed_3(monkeypatch):
             FAULTS[fault](patch)
             totals[fault] = sum(check_failures(1, 3).values())
     assert totals == {"count": 200, "localize": 414, "correct": 296}
+
+
+def test_a_fault_in_the_trial_decoder_fails_every_decode(monkeypatch):
+    """The check decodes with `harness.decode`, so a fault in a step that only
+    the trial's decoder has fails every decode."""
+    monkeypatch.setattr(harness, "_correct_codewords",
+                        lambda code, received, syndromes, groups: received)
+    report = selftest.run_exhaustive_decode_check(values_per_support=1, seed=0)
+    assert report.failures == report.decodes_run == 2034
