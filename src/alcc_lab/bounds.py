@@ -75,7 +75,12 @@ def pep_lower_bound(
     n: int, support, probe: int, eta: float, sigma_p_sq: float, true_index: int | None = None
 ) -> float:
     """Pairwise-error lower bound for confusing `true_index` (default: the
-    smallest support index) with `probe`, c taken from the true support."""
+    smallest support index) with `probe`, c taken from the true support.
+
+    It is no lower bound where kappa/(1+kappa) > 1/2 (small a, gap 1, large
+    N) and sigma^2 is large: the simulated pairwise rate tends to 1/2 there,
+    the bound to kappa/(1+kappa).
+    """
     support = sorted(int(q) for q in support)
     true_index = support[0] if true_index is None else int(true_index)
     if true_index == probe:

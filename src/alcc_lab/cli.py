@@ -4,8 +4,8 @@ Subcommands: simulate, sweep, bounds, optimize-assignment, attack-design,
 selftest. `optimize-assignment --config` also scans every index subset by
 simulated relative error on the config's scenario and reports the solver's,
 the contiguous and the empirically best subset. Exit codes: 0 success, 1
-invalid configuration or usage (or a stdout its reader closed), 2 runtime
-guard trip.
+invalid configuration or usage, a selftest with a failed decode (or a stdout
+its reader closed), 2 runtime guard trip.
 """
 
 from __future__ import annotations

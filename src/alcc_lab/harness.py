@@ -170,6 +170,7 @@ def decode(scenario: Scenario, code, received, rng, true_counts=None):
     The sets are (rows, found) per set size, rows from `_groups` and found the
     sorted indices detected in each of the group's codewords, (rows, size).
     Counts are ``true_counts`` capped at the capability under oracle counting.
+    With nothing detected, the corrected words are ``received`` itself.
     """
     syndromes = dft_code.syndrome(code, received)
     if scenario.error_count_mode == "oracle":
