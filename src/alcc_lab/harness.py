@@ -164,7 +164,7 @@ def _correct_codewords(code, r_eff, syndromes, groups) -> np.ndarray:
     return corrected
 
 
-def decode(scenario: Scenario, code, received, rng, true_counts=None):
+def decode(scenario: Scenario, received, rng, true_counts=None):
     """Corrected words (M, N) and detected sets of received words (M, N), decoded as configured.
 
     The sets are (rows, found) per set size, rows from `_groups` and found the
@@ -172,6 +172,7 @@ def decode(scenario: Scenario, code, received, rng, true_counts=None):
     Counts are ``true_counts`` capped at the capability under oracle counting.
     With nothing detected, the corrected words are ``received`` itself.
     """
+    code = dft_code.build_code(scenario.n_workers, scenario.code_dimension)
     syndromes = dft_code.syndrome(code, received)
     if scenario.error_count_mode == "oracle":
         counts = np.minimum(true_counts, code.capability)
@@ -250,11 +251,10 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
     capability_exceeded = False
     loc_correct = scenario.byzantine_count == 0
     if scenario.decoder:
-        code = dft_code.build_code(scenario.n_workers, params.code_dimension)
         true_counts = b_eff.sum(axis=1)
         if scenario.error_count_mode == "oracle":
-            capability_exceeded = bool((true_counts > code.capability).any())
-        r_eff, groups = decode(scenario, code, r_eff, rng, true_counts)
+            capability_exceeded = bool((true_counts > scenario.capability).any())
+        r_eff, groups = decode(scenario, r_eff, rng, true_counts)
         detected = np.zeros(r_eff.shape, dtype=bool)
         for rows, found in groups:
             detected[np.arange(m_rows)[rows, None], found] = True

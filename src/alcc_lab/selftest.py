@@ -39,7 +39,7 @@ class SelftestReport:
         return self.failures == 0
 
 
-def _failed_decodes(scenario, code, clean, support, rng) -> int:
+def _failed_decodes(scenario, clean, support, rng) -> int:
     """Count the failed decodes of clean + errors on each row's support (rows, size).
 
     Errors have magnitude in [1, 10] and uniform phase. A row passes when the
@@ -50,7 +50,7 @@ def _failed_decodes(scenario, code, clean, support, rng) -> int:
     values = values * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, support.shape))
     received = np.tile(clean, (support.shape[0], 1))
     np.put_along_axis(received, support, np.take_along_axis(received, support, -1) + values, -1)
-    corrected, groups = harness.decode(scenario, code, received, rng)
+    corrected, groups = harness.decode(scenario, received, rng)
     ok = np.zeros(len(support), dtype=bool)
     for rows, found in groups:
         if found.shape[-1] == size:
@@ -86,7 +86,7 @@ def run_exhaustive_decode_check(
             decodes += len(rows)
             for start in range(0, len(rows), STACK_ROWS):
                 code_failures += _failed_decodes(
-                    scenario, code, clean, rows[start : start + STACK_ROWS], rng
+                    scenario, clean, rows[start : start + STACK_ROWS], rng
                 )
         failures += code_failures
         if log is not None:
