@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec, dft_code, localization, threat
+from .numeric import ParameterError
 from .scenario import Scenario, SweepSpec
 
 TRIAL_CSV_HEADER = ("scenario", "seed", "A", "sigma_p2", "strategy",
@@ -122,9 +123,8 @@ def _groups(sizes):
     all-one bases, rows is ``slice(None)``: the stack is read and written as
     a view, with no gather or scatter. Otherwise rows is an index array.
     """
-    first = sizes[0]
-    if first > 0 and (sizes == first).all():
-        yield first, slice(None)
+    if sizes.size and sizes[0] > 0 and (sizes == sizes[0]).all():
+        yield sizes[0], slice(None)
         return
     for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         yield size, np.flatnonzero(sizes == size)
@@ -169,12 +169,15 @@ def decode(scenario: Scenario, received, rng, true_counts=None):
 
     The sets are (rows, found) per set size, rows from `_groups` and found the
     sorted indices detected in each of the group's codewords, (rows, size).
-    Counts are ``true_counts`` capped at the capability under oracle counting.
-    With nothing detected, the corrected words are ``received`` itself.
+    Oracle counting needs ``true_counts`` and caps them at the capability.
+    With nothing detected, as in an empty stack, the corrected words are
+    ``received`` itself.
     """
     code = dft_code.build_code(scenario.n_workers, scenario.code_dimension)
     syndromes = dft_code.syndrome(code, received)
     if scenario.error_count_mode == "oracle":
+        if true_counts is None:
+            raise ParameterError("oracle error counts need true_counts")
         counts = np.minimum(true_counts, code.capability)
     else:
         counts = dft_code.estimate_error_count(code, syndromes, rel_tol=scenario.rank_rel_tol)

@@ -7,6 +7,8 @@ functions over immutable inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -64,6 +66,46 @@ def least_squares(a, b) -> np.ndarray:
 def numerical_rank(m, rel_tol: float):
     """Count singular values above rel_tol times the largest one, per matrix of a stack.
 
+    A square n x n matrix scaled to unit Frobenius norm has sigma_max <= 1, and
+    its other n-1 singular values, whose squares sum to at most 1, multiply to
+    at most (n-1)**-((n-1)/2): so sigma_min >= |det| * (n-1)**((n-1)/2). One
+    batched determinant of the scaled stack gives that bound (as ``slogdet``,
+    whose logarithm neither underflows nor overflows at any n), and a matrix
+    whose bound exceeds 2*rel_tol + 4*n**2*eps counts n. The allowance covers
+    the rounding of the LU (about n*eps, times a pivot growth of up to n), of
+    the determinant's product and of the SVD's singular values (each about
+    n*eps); the factor 2 leaves room for larger growth. So the SVD's count
+    is n as well. Every other matrix goes to `_gram_rank`, which also returns
+    the SVD's count: the rank-deficient ones, those near the cut, exact
+    zeros, those with a Frobenius norm outside [2**-500, 2**500], and every
+    matrix of a non-square stack.
+    """
+    if not 0.0 < rel_tol < 1.0:
+        raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    m = as_finite_complex(m, "matrix")
+    if m.ndim < 2:
+        raise DimensionError(f"numerical_rank needs a matrix or a stack of them, got {m.shape}")
+    n, cols = m.shape[-2:]
+    if n != cols:
+        return _gram_rank(m, rel_tol)[()]
+    with np.errstate(over="ignore"):  # an overflowing norm falls outside the range below
+        sq = (m.real**2 + m.imag**2).sum(axis=(-2, -1))
+    in_range = (sq >= 2.0**-1000) & (sq <= 2.0**1000)
+    scale = np.sqrt(np.divide(1.0, sq, out=np.zeros_like(sq), where=in_range))
+    # log |det| of each unit-norm matrix; -inf for a singular one and one out of range
+    log_det = np.linalg.slogdet(m * scale[..., None, None])[1]
+    eps = np.finfo(float).eps
+    log_cut = math.log(2 * rel_tol + 4 * n * n * eps) - 0.5 * (n - 1) * math.log(max(n - 1, 1))
+    rank = np.full(sq.shape, n)
+    rest = log_det <= log_cut
+    if rest.any():
+        rank[rest] = _gram_rank(m[rest], rel_tol)
+    return rank[()]
+
+
+def _gram_rank(m, rel_tol: float) -> np.ndarray:
+    """`numerical_rank`'s count for any stack, from the eigenvalues of each Gram.
+
     The count is taken from the eigenvalues of each matrix's Gram (M^H M, or
     M M^H for a wide M): those above rel_tol**2 times the largest, one batched
     ``eigvalsh`` per stack. For an r x k matrix (r >= k; n = max(r, k), u =
@@ -77,11 +119,6 @@ def numerical_rank(m, rel_tol: float):
     2**-1000, whose Gram underflow could blur, and every matrix of a stack
     that holds an entry of modulus 2**500 or more, whose Gram could overflow.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    m = as_finite_complex(m, "matrix")
-    if m.ndim < 2:
-        raise DimensionError(f"numerical_rank needs a matrix or a stack of them, got {m.shape}")
     rows, cols = m.shape[-2:]
     a = m if np.abs(m).max(initial=0.0) < 2.0**500 else np.zeros_like(m)
     ah = a.conj().swapaxes(-1, -2)
@@ -95,7 +132,7 @@ def numerical_rank(m, rel_tol: float):
     if near.any():
         sv = np.linalg.svd(m[near], compute_uv=False)
         rank[near] = np.count_nonzero(sv > rel_tol * sv[..., :1], axis=-1)
-    return rank[()]
+    return rank
 
 
 def poly_eval(coeffs, z):

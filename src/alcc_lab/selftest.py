@@ -12,7 +12,7 @@ decoded in stacks of up to STACK_ROWS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -80,7 +80,8 @@ def run_exhaustive_decode_check(
         clean = message @ code.generator
         code_failures = 0
         for size in range(1, v + 1):
-            support = np.array(list(combinations(range(n), size)))
+            support = np.fromiter(chain.from_iterable(combinations(range(n), size)),
+                                  dtype=int).reshape(-1, size)
             rows = np.repeat(support, values_per_support, axis=0)
             supports += len(support)
             decodes += len(rows)

@@ -278,6 +278,23 @@ class TestRunTrial:
         assert np.isfinite(record.e_rel)
 
 
+class TestDecode:
+    def test_oracle_counts_need_true_counts(self):
+        sc = clean_scenario(byzantine_count=2)
+        with pytest.raises(ParameterError, match="true_counts"):
+            harness.decode(sc, np.ones((3, sc.n_workers), dtype=complex), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", ["oracle", "rank"])
+    @pytest.mark.parametrize("localization", LOCALIZATION_MODES)
+    def test_empty_stack_decodes_to_itself(self, mode, localization):
+        sc = clean_scenario(byzantine_count=2, error_count_mode=mode, localization=localization,
+                            unreliable=(0, 1, 2, 3, 4))
+        received = np.zeros((0, sc.n_workers), dtype=complex)
+        true_counts = np.zeros(0, dtype=int) if mode == "oracle" else None
+        corrected, groups = harness.decode(sc, received, np.random.default_rng(0), true_counts)
+        assert corrected is received and groups == []
+
+
 class TestSharedPrefix:
     """Consecutive trials of one seed and encoding share data, shares and worker results."""
 

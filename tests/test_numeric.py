@@ -1,9 +1,12 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcc_lab import dft_code
+from alcc_lab import dft_code, selftest
 from alcc_lab.numeric import (
     DimensionError,
     ParameterError,
@@ -323,6 +326,74 @@ class TestRankFallback:
     def test_vector_rejected(self):
         with pytest.raises(DimensionError):
             numerical_rank(np.ones(3), 1e-6)
+
+
+class TestDeterminantCertificate:
+    """Square matrices whose |det| bound clears the cut count n without an eigensolve."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_svd_count_on_random_stacks(self, seed, n):
+        # every lower singular value at 0.25..1e3 times the cut, so counts of
+        # 1..n and matrices on both sides of the cut; scales 1e-140..1e140
+        rng = np.random.default_rng(seed)
+        lead = (2, 3, 2, 4)
+        rel_tol = 10 ** rng.uniform(-13, np.log10(0.3))
+        sv = rel_tol * 10 ** rng.uniform(np.log10(0.25), 3, (np.prod(lead), n))
+        sv[:, 0] = 1.0
+        sv = -np.sort(-np.minimum(sv, 1.0), axis=-1)
+        m = _with_singular_values(rng, sv, n) * 10 ** rng.uniform(-140, 140, (len(sv), 1, 1))
+        m = m.reshape(lead + (n, n))
+        ranks = numerical_rank(m, rel_tol)
+        assert ranks.shape == lead
+        np.testing.assert_array_equal(ranks, _svd_rank(m, rel_tol))
+
+    def test_extreme_entries_raise_no_warning(self):
+        # squared norms that overflow or underflow, an exact zero and a
+        # subnormal matrix, in one stack
+        rng = np.random.default_rng(30)
+        stack = _crandn(rng, 6, 4, 4) * np.array([1e300, 1e160, 1e-160, 1e-310, 0.0, 1.0])[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks = numerical_rank(stack, 1e-6)
+        np.testing.assert_array_equal(ranks, _svd_rank(stack, 1e-6))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 3, 3), (0, 3, 5)])
+    def test_empty_stack_counts_nothing(self, shape):
+        ranks = numerical_rank(np.zeros(shape, dtype=complex), 1e-6)
+        assert ranks.shape == shape[:-2] and np.issubdtype(ranks.dtype, np.integer)
+
+    def test_selftest_full_rank_stacks_skip_the_eigensolve(self, monkeypatch, svd_calls):
+        """On the selftest's (15, 7) size-4 stacks, eigvalsh sees only the
+        Grams of matrices whose bound misses 2*rel_tol + 4n^2*eps."""
+        eigvalsh, grams = np.linalg.eigvalsh, []
+
+        def spy(a, *args, **kwargs):
+            grams.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        code = dft_code.build_code(15, 7)
+        rng = np.random.default_rng(2024)
+        support = np.array(list(combinations(range(15), 4)))
+        errors = np.zeros((len(support), 15), dtype=complex)
+        values = rng.uniform(1.0, 10.0, support.shape) * np.exp(2j * np.pi * rng.random(support.shape))
+        np.put_along_axis(errors, support, values, axis=1)
+        clean = _crandn(rng, 7) @ code.generator
+        hankel = dft_code.hankel_syndrome_matrix(code, dft_code.syndrome(code, clean + errors))
+        rel_tol, n = 1e-6, 4
+        expected = []
+        for start in range(0, len(hankel), selftest.STACK_ROWS):
+            stack = hankel[start : start + selftest.STACK_ROWS]
+            assert (numerical_rank(stack, rel_tol) == n).all()
+            unit = stack / np.linalg.norm(stack, axis=(-2, -1))[:, None, None]
+            bound = np.abs(np.linalg.det(unit)) * (n - 1) ** ((n - 1) / 2)
+            missed = stack[bound <= 2 * rel_tol + 4 * n * n * np.finfo(float).eps]
+            if len(missed):
+                expected.append(missed.conj().swapaxes(-1, -2) @ missed)
+        assert svd_calls == []
+        assert sum(map(len, expected)) <= 0.02 * len(hankel)
+        np.testing.assert_allclose(np.concatenate(grams), np.concatenate(expected), rtol=1e-12)
 
 
 class TestPolyEval:
