@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from alcc_lab import cli, codec, dft_code, harness, threat
@@ -490,6 +490,34 @@ class TestSeeds:
         assert one == two
         assert len(set(one)) == 4
         assert set(one) != set(other_grid)
+
+    @staticmethod
+    def numpy_seeds(master, grid, count):
+        """The seeds as NumPy's own SeedSequence derives them, one trial at a time."""
+        return [int(np.random.SeedSequence([master, grid, t]).generate_state(1, np.uint64)[0])
+                for t in range(count)]
+
+    @given(master=st.integers(0, 2**70 - 1), grid=st.integers(0, 2**40 - 1),
+           count=st.integers(0, 300))
+    @example(master=0, grid=0, count=0)
+    @example(master=2**32 - 1, grid=2**32 - 1, count=3)
+    @example(master=2**32, grid=2**32, count=300)
+    @example(master=2**64 - 1, grid=2**40 - 1, count=5)
+    @example(master=2**70 - 1, grid=2**40 - 1, count=7)
+    @seed(20241020)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_seed_sequence(self, master, grid, count):
+        """Bit for bit NumPy's SeedSequence([master, grid, trial]) with two to five
+        entropy words before the trial's, so a NumPy that changed it fails here."""
+        assert trial_seeds(master, grid, count) == self.numpy_seeds(master, grid, count)
+
+    @given(negative=st.integers(-(2**70), -1), in_grid=st.booleans())
+    @seed(20241020)
+    @settings(max_examples=20, deadline=None)
+    def test_negative_master_or_grid_raises(self, negative, in_grid):
+        master, grid = (0, negative) if in_grid else (negative, 0)
+        with pytest.raises(ValueError):
+            trial_seeds(master, grid, 2)
 
 
 def sweep_csv_rows(tmp_path, base, spec):
