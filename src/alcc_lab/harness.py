@@ -43,6 +43,7 @@ one seed list, meet a trial of another seed and pay only a missed comparison.
 from __future__ import annotations
 
 import csv
+import operator
 import sys
 import time
 from contextlib import nullcontext
@@ -87,13 +88,71 @@ class TrialRecord:
         )
 
 
+# NumPy's SeedSequence constants: entropy hash, output hash, mix
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _entropy_words(value) -> list:
+    """The uint32 words SeedSequence reads from a non-negative integer, low word first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _wrap(word):
+    """A word mod 2**32: Python ints grow past 32 bits, uint32 arrays wrap by themselves."""
+    return word & _MASK32 if type(word) is int else word
+
+
+def _hashmix(word, const: int, mult: int):
+    """SeedSequence's hashmix of one word; returns it with the next hash constant."""
+    nxt = const * mult & _MASK32
+    word = _wrap((word ^ const) * nxt)
+    return word ^ word >> 16, nxt
+
+
+def _mix(x, y):
+    word = _wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y))
+    return word ^ word >> 16
+
+
 def trial_seeds(master_seed: int, grid_index: int, count: int) -> list:
-    """Independent per-trial integer seeds derived from (master, grid, trial)."""
-    out = []
-    for t in range(count):
-        ss = np.random.SeedSequence([master_seed, grid_index, t])
-        out.append(int(ss.generate_state(1, np.uint64)[0]))
-    return out
+    """Per-trial integer seeds of one grid point, trials 0 .. count-1.
+
+    A trial's seed is the first uint64 of NumPy's
+    ``SeedSequence([master_seed, grid_index, trial]).generate_state``,
+    derived for the whole point in one vectorized pass: SeedSequence's
+    entropy mixing and output hash run on (count,) uint32 arrays of the trial
+    words, with the words that do not depend on the trial mixed as Python
+    ints. A test pins it to NumPy's own SeedSequence, so a NumPy that changed
+    the algorithm fails Tier-1 instead of drifting silently. A negative or
+    non-integer master seed or grid index raises as SeedSequence does.
+    """
+    entropy = [*_entropy_words(master_seed), *_entropy_words(grid_index),
+               np.arange(count, dtype=np.uint32)]
+    pool, const = [], _INIT_A
+    for i in range(4):  # fill the pool of 4 words, zeros past the entropy
+        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):  # mix so late words affect earlier ones
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[4:]:  # entropy past the pool mixes into every pool word
+        for dst in range(4):
+            word, const = _hashmix(extra, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    low, const = _hashmix(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hashmix(pool[1], const, _MULT_B)
+    return (low.astype(np.uint64) | high.astype(np.uint64) << 32).tolist()
 
 
 def _build_plan(scenario: Scenario, rng: np.random.Generator):
