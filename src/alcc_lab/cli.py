@@ -116,6 +116,8 @@ def _cmd_bounds(args) -> int:
     if args.count < 1:
         raise ParameterError(f"--count must be at least 1, got {args.count}")
     sigmas = [float(tok) for tok in args.sigma_grid.split(",") if tok.strip()]
+    if not sigmas:
+        raise ParameterError(f"--sigma-grid lists no values, got {args.sigma_grid!r}")
     if args.support:
         support = sorted(int(tok) for tok in args.support.split(","))
         if len(support) != args.count:

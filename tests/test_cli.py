@@ -252,6 +252,16 @@ class TestBoundsCommand:
         assert captured.err == f"error: --count must be at least 1, got {count}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid", [",", ""], ids=["comma", "empty"])
+    def test_empty_sigma_grid_exits_one_without_output(self, capsys, tmp_path, grid):
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--n", "31", "--count", "2", "--sigma-grid", grid,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --sigma-grid")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags,field",
