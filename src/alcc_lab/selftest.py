@@ -24,7 +24,11 @@ from .threat import complex_normal
 DEFAULT_CODES = ((7, 3), (11, 7), (15, 7))
 
 # codewords per batched decode: large enough that per-call overhead stays
-# small, small enough that a stack's working arrays stay in a few MB
+# small, small enough that a stack's working arrays stay in a few MB. 256
+# also keeps the largest syndrome product, (256, 15) @ (15, 8) of the (15, 7)
+# code, at 30,720 multiply-adds, below where multithreaded OpenBLAS can jump
+# from tens of microseconds to milliseconds (about 65,000 on 2 vCPUs; see
+# README, Conventions)
 STACK_ROWS = 256
 
 
