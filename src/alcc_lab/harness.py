@@ -119,6 +119,7 @@ def _hashmix(word, const: int, mult: int):
 
 
 def _mix(x, y):
+    """SeedSequence's mix of a pool word with a hashed word."""
     word = _wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y))
     return word ^ word >> 16
 
