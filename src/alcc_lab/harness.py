@@ -133,8 +133,9 @@ def trial_seeds(master_seed: int, grid_index: int, count: int) -> list:
     entropy mixing and output hash run on (count,) uint32 arrays of the trial
     words, with the words that do not depend on the trial mixed as Python
     ints. A test pins it to NumPy's own SeedSequence, so a NumPy that changed
-    the algorithm fails Tier-1 instead of drifting silently. A negative or
-    non-integer master seed or grid index raises as SeedSequence does.
+    the algorithm fails Tier-1 instead of drifting silently. A negative
+    master seed or grid index raises ValueError and a non-integer one
+    TypeError, as in SeedSequence, which alone would take a numeric string.
     """
     entropy = [*_entropy_words(master_seed), *_entropy_words(grid_index),
                np.arange(count, dtype=np.uint32)]

@@ -519,6 +519,11 @@ class TestSeeds:
         with pytest.raises(ValueError):
             trial_seeds(master, grid, 2)
 
+    @pytest.mark.parametrize("master,grid", [(1.5, 0), (5, 0.0), ("5", 0)])
+    def test_non_integer_master_or_grid_raises(self, master, grid):
+        with pytest.raises(TypeError):
+            trial_seeds(master, grid, 2)
+
 
 def sweep_csv_rows(tmp_path, base, spec):
     """The trial and aggregate rows `write_sweep_csv` writes, as dicts."""
