@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from alcc_lab import codec, dft_code
@@ -24,6 +24,21 @@ def small_params(**overrides):
     defaults = dict(n_workers=7, k=2, t=0, degree=2, beta=1.5, sigma_pad=1.0)
     defaults.update(overrides)
     return EncodingParams(**defaults)
+
+
+def two_draw_make_batch(params, blocks, rng):
+    """make_batch with its padding as two draws joined by complex products, the reference."""
+    blocks = np.asarray(blocks, dtype=float)
+    m, n = blocks.shape[1:]
+    if params.t:
+        scale = params.sigma_pad / np.sqrt(params.t)
+        padding = scale * (
+            rng.standard_normal((params.t, m, n))
+            + 1j * rng.standard_normal((params.t, m, n))
+        ) / np.sqrt(2)
+    else:
+        padding = np.zeros((0, m, n), dtype=complex)
+    return np.concatenate([blocks.astype(complex), padding], axis=0)
 
 
 class TestParams:
@@ -126,6 +141,24 @@ class TestEncodeShares:
         assert batch.shape == (8, 20, 5)
         assert shares.shape == (31, 20, 5)
         assert params.code_dimension == 15
+
+    @given(k=st.integers(1, 4), t=st.integers(0, 3), m=st.integers(0, 5), n=st.integers(0, 5),
+           sigma_pad=st.one_of(st.just(0.0), st.floats(0.0, 1e7)),
+           seed_=st.integers(0, 2**32 - 1))
+    @example(k=2, t=2, m=3, n=2, sigma_pad=0.0, seed_=4)
+    @seed(20261020)
+    @settings(max_examples=120, deadline=None)
+    def test_batch_bytes_match_two_draws(self, k, t, m, n, sigma_pad, seed_):
+        """The same stream and the same bytes, signed zeros included, as two
+        padding draws joined by complex products."""
+        params = EncodingParams(n_workers=k + t, k=k, t=t, degree=1, sigma_pad=sigma_pad)
+        blocks = np.random.default_rng(seed_).standard_normal((k, m, n))
+        got_rng, ref_rng = np.random.default_rng(seed_ + 1), np.random.default_rng(seed_ + 1)
+        got = make_batch(params, blocks, got_rng)
+        want = two_draw_make_batch(params, blocks, ref_rng)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bytes(16) == ref_rng.bytes(16)
 
     def test_padding_scale(self):
         params = EncodingParams(n_workers=31, k=5, t=3, degree=2, sigma_pad=1e3)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from alcc_lab.numeric import ParameterError
@@ -19,6 +21,60 @@ from alcc_lab.threat import (
 def all_one_plan(locations, u=3, h=3, **kwargs):
     bases = np.ones((len(locations), u, h), dtype=int)
     return ByzantinePlan(locations=tuple(locations), bases=bases, **kwargs)
+
+
+def two_draw_complex_normal(rng, mean, var, size):
+    """complex_normal as two draws of `size` joined by a `1j *` product, the reference."""
+    draws = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return mean + np.sqrt(var / 2.0) * draws
+
+
+def two_draw_inject(results, plan, precision_mode, precision_var, rng):
+    """inject's noise as complex products of the real draws, the reference."""
+    out = np.array(results, dtype=complex)
+    if plan is not None and plan.count:
+        locations, bases = np.asarray(plan.locations), plan.bases
+        order = np.argsort(locations)
+        locations, bases = locations[order], bases[order]
+        draws = rng.standard_normal((plan.count, 2) + out.shape[1:])
+        noise = plan.noise_mean + np.sqrt(plan.noise_var / 2.0) * (
+            draws[:, 0] + 1j * draws[:, 1]
+        )
+        hit = out[locations]
+        np.add(hit, noise, out=hit, where=bases.astype(bool))
+        out[locations] = hit
+    if precision_mode == "synthetic" and precision_var > 0:
+        out += two_draw_complex_normal(rng, 0.0, precision_var, out.shape)
+    elif precision_mode == "reduced":
+        out = out.astype(np.complex64).astype(complex)
+    return out
+
+
+# finite means, signed zeros among them, and variances from zero to large
+MEANS = st.one_of(
+    st.sampled_from([0.0, -0.0, 10.0, complex(-0.0, -0.0), complex(0.0, -0.0), -2.5 + 3j]),
+    st.floats(-1e3, 1e3),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+VARIANCES = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e6))
+SIZES = st.one_of(st.integers(0, 6), st.lists(st.integers(0, 5), max_size=3).map(tuple))
+
+
+class TestComplexNormal:
+    @given(mean=MEANS, var=VARIANCES, size=SIZES, seed_=st.integers(0, 2**32 - 1))
+    @example(mean=complex(-0.0, -0.0), var=0.0, size=(3, 4), seed_=1)
+    @example(mean=-0.0, var=0.0, size=7, seed_=2)
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_two_draws(self, mean, var, size, seed_):
+        """The same stream and the same bytes, signed zeros included, as two
+        draws of `size` joined by complex products."""
+        got_rng, ref_rng = np.random.default_rng(seed_), np.random.default_rng(seed_)
+        got = complex_normal(got_rng, mean, var, size)
+        want = two_draw_complex_normal(ref_rng, mean, var, size)
+        assert (got.dtype, np.shape(got)) == (want.dtype, np.shape(want))
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bytes(16) == ref_rng.bytes(16)
 
 
 class TestInject:
@@ -103,6 +159,34 @@ class TestInject:
             out = inject(results, plan, "synthetic", 1e-3, got_rng)
             assert out.tobytes() == expected.tobytes()
             assert got_rng.bytes(16) == ref_rng.bytes(16)
+
+    @given(mode=st.sampled_from(("synthetic", "locator", "reduced")),
+           with_plan=st.booleans(), n=st.integers(1, 12), u=st.integers(1, 5),
+           h=st.integers(1, 5), noise_mean=MEANS, noise_var=VARIANCES,
+           precision_var=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           seed_=st.integers(0, 2**32 - 1))
+    @example(mode="synthetic", with_plan=True, n=5, u=2, h=3, noise_mean=complex(-0.0, -0.0),
+             noise_var=0.0, precision_var=0.0, seed_=3)
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_two_draw_expressions(self, mode, with_plan, n, u, h, noise_mean,
+                                              noise_var, precision_var, seed_):
+        """Every precision mode, with and without a plan, gives the bytes and the
+        stream of the noise built by complex products of the real draws."""
+        aux = np.random.default_rng(seed_)
+        results = aux.standard_normal((n, u, h)) + 1j * aux.standard_normal((n, u, h))
+        plan = None
+        if with_plan:
+            count = int(aux.integers(0, n + 1))
+            plan = ByzantinePlan(tuple(aux.choice(n, size=count, replace=False).tolist()),
+                                 (aux.random((count, u, h)) < 0.6).astype(int),
+                                 noise_mean=noise_mean, noise_var=noise_var)
+        got_rng, ref_rng = np.random.default_rng(seed_ + 1), np.random.default_rng(seed_ + 1)
+        got = inject(results, plan, mode, precision_var, got_rng)
+        want = two_draw_inject(results, plan, mode, precision_var, ref_rng)
+        assert got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bytes(16) == ref_rng.bytes(16)
 
     @pytest.mark.parametrize("mode,var,message", [
         ("exact", 0.0, "precision_mode must be one of"),
