@@ -94,21 +94,25 @@ class EncodingParams:
 def make_batch(params: EncodingParams, blocks, rng: np.random.Generator) -> np.ndarray:
     """Stack the k data blocks over t blocks of i.i.d. padding, (k+t, m, n) complex.
 
-    The padding is circular-symmetric Gaussian with std sigma_pad/sqrt(t).
+    The padding is circular-symmetric Gaussian with std sigma_pad/sqrt(t):
+    one (2, t, m, n) draw, all the real parts then all the imaginary parts,
+    scaled in place with the complex products and quotient of
+    ``scale * (re + 1j*im) / sqrt(2)``, so its bytes are that expression's.
+    Blocks that are not (k, m, n) raise DimensionError.
     """
     blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim != 3:
+        raise DimensionError(f"blocks must be stacked as (k, m, n), got shape {blocks.shape}")
     if blocks.shape[0] != params.k:
         raise ParameterError(f"expected {params.k} data blocks, got {blocks.shape[0]}")
-    m, n = blocks.shape[1:]
+    batch = np.empty((params.nodes, *blocks.shape[1:]), dtype=complex)
+    batch[: params.k] = blocks
     if params.t:
-        scale = params.sigma_pad / np.sqrt(params.t)
-        padding = scale * (
-            rng.standard_normal((params.t, m, n))
-            + 1j * rng.standard_normal((params.t, m, n))
-        ) / np.sqrt(2)
-    else:
-        padding = np.zeros((0, m, n), dtype=complex)
-    return np.concatenate([blocks.astype(complex), padding], axis=0)
+        padding = batch[params.k:]
+        padding.real, padding.imag = rng.standard_normal((2, *padding.shape))
+        np.multiply(params.sigma_pad / np.sqrt(params.t), padding, out=padding)
+        np.divide(padding, np.sqrt(2), out=padding)
+    return batch
 
 
 def lagrange_basis(params: EncodingParams, z) -> np.ndarray:

@@ -31,10 +31,13 @@ _MAX_SUBSETS = 200_000
 
 
 def _candidate_array(n: int, candidates) -> np.ndarray:
+    """The candidate indices sorted; a repeated or out-of-range one raises ParameterError."""
     if candidates is None:
         return np.arange(n)
-    cand = np.unique(np.asarray(candidates, dtype=int))
-    if cand.size == 0 or cand.min() < 0 or cand.max() >= n:
+    cand = np.sort(np.asarray(candidates, dtype=int), axis=None)
+    # checked as Python ints, sorted: faster than numpy scalars or np.unique at pool sizes
+    idx = cand.tolist()
+    if not idx or idx[0] < 0 or idx[-1] >= n or any(a == b for a, b in zip(idx, idx[1:])):
         raise ParameterError("candidate indices must be distinct and lie in 0..N-1")
     return cand
 

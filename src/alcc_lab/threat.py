@@ -9,6 +9,8 @@ mode and variance as plain arguments.
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,10 +19,37 @@ import numpy as np
 from .numeric import ParameterError
 
 
+def _check_noise_law(mean, var, mean_name: str, var_name: str) -> None:
+    """Reject a non-finite mean or a negative or non-finite variance, by name."""
+    if not cmath.isfinite(mean):
+        raise ParameterError(f"{mean_name} must be finite, got {mean}")
+    if not 0 <= var < math.inf:
+        raise ParameterError(f"{var_name} must be non-negative and finite, got {var}")
+
+
+def _scaled_complex(re, im, mean, var) -> np.ndarray:
+    """mean + sqrt(var/2) * (re + 1j*im), built in one complex array.
+
+    The products and sums are the ones the expression makes, in its operand
+    order, so the bytes are its bytes, signed zeros included.
+    """
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    np.multiply(np.sqrt(var / 2.0), out, out=out)
+    return np.add(mean, out, out=out)
+
+
 def complex_normal(rng: np.random.Generator, mean, var, size) -> np.ndarray:
-    """Circular-symmetric complex Gaussian draws with the given mean and variance."""
-    draws = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return mean + np.sqrt(var / 2.0) * draws
+    """Circular-symmetric complex Gaussian draws with the given mean and variance.
+
+    One (2, *size) standard-normal draw: all the real parts, then all the
+    imaginary parts, the same stream as two draws of ``size``. A negative or
+    non-finite ``var`` or a non-finite ``mean`` raises ParameterError.
+    """
+    _check_noise_law(mean, var, "mean", "var")
+    shape = np.empty(size, dtype=bool).shape  # an int size read as (size,)
+    draws = rng.standard_normal((2, *shape))
+    return _scaled_complex(draws[0], draws[1], mean, var)
 
 
 @dataclass(frozen=True)
@@ -43,6 +72,7 @@ class ByzantinePlan:
             raise ParameterError("one base matrix per byzantine location required")
         if not ((self.bases == 0) | (self.bases == 1)).all():
             raise ParameterError("base matrices must be binary")
+        _check_noise_law(self.noise_mean, self.noise_var, "noise_mean", "noise_var")
 
     @property
     def count(self) -> int:
@@ -88,8 +118,8 @@ def inject(
     """
     if precision_mode not in PRECISION_MODES:
         raise ParameterError(f"precision_mode must be one of {PRECISION_MODES}")
-    if precision_var < 0:
-        raise ParameterError("precision_var must be non-negative")
+    if not 0 <= precision_var < math.inf:
+        raise ParameterError(f"precision_var must be non-negative and finite, got {precision_var}")
     out = np.array(results, dtype=complex)
     n = out.shape[0]
     if plan is not None and plan.count:
@@ -100,9 +130,7 @@ def inject(
             order = np.argsort(locations)
             locations, bases = locations[order], bases[order]
         draws = rng.standard_normal((plan.count, 2) + out.shape[1:])
-        noise = plan.noise_mean + np.sqrt(plan.noise_var / 2.0) * (
-            draws[:, 0] + 1j * draws[:, 1]
-        )
+        noise = _scaled_complex(draws[:, 0], draws[:, 1], plan.noise_mean, plan.noise_var)
         hit = out[locations]
         np.add(hit, noise, out=hit, where=bases.astype(bool))
         out[locations] = hit

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -357,6 +358,28 @@ class TestEmpiricalBaseline:
         candidates = [(0, 1, 2, 3, 4), (0, 2, 5, 8, 10), (1, 3, 5, 7, 9)]
         relative_error_baseline(prob, scenario, trials=4, seed=3, candidates=candidates)
         assert calls == ["make_batch", "encode_shares"] * 4
+
+    def test_scan_seeds_one_generator_per_seed(self, monkeypatch):
+        # a prefix hit resumes on its thread's spare generator; the scan runs
+        # in a new thread, so the spare is made once, here
+        calls = []
+        default_rng = np.random.default_rng
+
+        def spy(*args):
+            calls.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        monkeypatch.setattr(harness, "_last_prefix", None)
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        scenario = self._scenario().with_updates(byzantine_count=2)
+        candidates = [(0, 1, 2, 3, 4), (0, 2, 5, 8, 10), (1, 3, 5, 7, 9),
+                      (2, 4, 6, 8, 10), (0, 3, 6, 7, 9)]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(relative_error_baseline, prob, scenario, trials=3, seed=3,
+                        candidates=candidates).result(timeout=60)
+        assert [args for args in calls if args] == [(s,) for s in harness.trial_seeds(3, 0, 3)]
+        assert calls.count(()) == 1
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_rejected(self, trials):

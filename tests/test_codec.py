@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -159,6 +161,12 @@ class TestEncodeShares:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
         assert got_rng.bytes(16) == ref_rng.bytes(16)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 2, 1), ()])
+    def test_blocks_not_3d_rejected_by_shape(self, shape):
+        params = EncodingParams(n_workers=5, k=2, t=1, degree=1)
+        with pytest.raises(DimensionError, match=re.escape(f"(k, m, n), got shape {shape}")):
+            make_batch(params, np.zeros(shape), np.random.default_rng(0))
 
     def test_padding_scale(self):
         params = EncodingParams(n_workers=31, k=5, t=3, degree=2, sigma_pad=1e3)

@@ -153,6 +153,15 @@ class TestIndependent:
         out = independent_localize(poly, 2, 15, candidates=[3, 9, 12])
         assert out.tolist() == [3, 9]
 
+    @pytest.mark.parametrize("candidates", [(3, 1, 1, 2), [9, 3, 9], np.array([4, 4])])
+    def test_repeated_candidate_rejected(self, code, candidates):
+        poly = true_locator(code, [3])
+        with pytest.raises(ParameterError, match="must be distinct"):
+            independent_localize(poly, 1, 15, candidates=candidates)
+        with pytest.raises(ParameterError, match="must be distinct"):
+            joint_localize(*stack_locators([poly], 4), capability=4, n=15,
+                           candidates=candidates)
+
     def test_count_exceeding_candidates_rejected(self, code):
         poly = true_locator(code, [3])
         with pytest.raises(ParameterError):

@@ -76,6 +76,27 @@ class TestComplexNormal:
         assert got.tobytes() == want.tobytes()
         assert got_rng.bytes(16) == ref_rng.bytes(16)
 
+    @pytest.mark.parametrize("mean,var,name", [
+        (0.0, -1.0, "var"), (0.0, np.nan, "var"), (0.0, np.inf, "var"),
+        (np.nan, 1.0, "mean"), (complex(np.inf, 0.0), 1.0, "mean"),
+        (complex(0.0, -np.inf), 1.0, "mean"),
+    ])
+    def test_bad_law_rejected_by_name_before_any_draw(self, mean, var, name):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            complex_normal(rng, mean, var, (2, 3))
+        assert rng.bytes(16) == np.random.default_rng(11).bytes(16)
+
+
+class TestByzantinePlan:
+    @pytest.mark.parametrize("field,value", [
+        ("noise_var", -1.0), ("noise_var", np.nan), ("noise_var", np.inf),
+        ("noise_mean", complex(np.nan, 0.0)), ("noise_mean", np.inf),
+    ])
+    def test_bad_noise_law_rejected_by_name(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            all_one_plan([1, 3], **{field: value})
+
 
 class TestInject:
     def test_empty_plan_zero_precision_is_identity(self):
@@ -192,6 +213,9 @@ class TestInject:
         ("exact", 0.0, "precision_mode must be one of"),
         ("synthetic", -1e-3, "precision_var must be non-negative"),
         ("locator", -1.0, "precision_var must be non-negative"),
+        ("synthetic", np.nan, "precision_var must be non-negative and finite"),
+        ("synthetic", np.inf, "precision_var must be non-negative and finite"),
+        ("reduced", np.nan, "precision_var must be non-negative and finite"),
     ])
     def test_bad_precision_rejected_before_any_draw(self, mode, var, message):
         rng = np.random.default_rng(10)
