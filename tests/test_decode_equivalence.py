@@ -1,15 +1,20 @@
-"""The decoder against a fixed reference: trial rows of three sweep grids.
+"""The decoder against a fixed reference: trial rows of four sweep grids.
 
-``data/decode_reference.csv`` holds the trial rows that a sweep
-wrote for these grids, at two trials per point, when every codeword was still
-decoded on its own (one locator solve, localization and value recovery per
-codeword). The decoder now works on stacks of codewords, which may move the
-last bits of ``e_rel`` but must not change a detected support. The grids
-cover oracle counting with independent localization on all-one base matrices
-(byzantine), the joint search with constraint length 8 on weak-collusion
-bases (collusion), and locator-coefficient noise (joint_vs_independent,
-independent half only: its joint half took tens of seconds when the
-fixture was written).
+``data/decode_reference.csv`` holds the trial rows that a sweep wrote for
+these grids, at two trials per point. The rows of the first three grids were
+written when every codeword was still decoded on its own (one locator solve,
+localization and value recovery per codeword). The decoder now works on
+stacks of codewords, which may move the last bits of ``e_rel`` but must not
+change a detected support. The grids cover oracle counting with independent
+localization on all-one base matrices (byzantine), the joint search with
+constraint length 8 on weak-collusion bases (collusion), and
+locator-coefficient noise (joint_vs_independent, independent half only: its
+joint half took tens of seconds when the fixture was written). The
+collusion_strong rows were written later, by the stacked decoder whose joint
+search still made its own per-locator picks, so they pin that decoder, not
+the per-codeword one. Its strong bases give one all-one row and rows of
+degree v-1, so the joint search scores an averaged locator among
+lower-degree ones.
 """
 
 import csv
@@ -28,6 +33,7 @@ GRIDS = {
     "byzantine_sweep": {},
     "collusion_sweep": {},
     "joint_vs_independent": {"strategies": ("independent",)},
+    "collusion_strong": {},
 }
 
 

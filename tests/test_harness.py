@@ -294,6 +294,78 @@ class TestDecode:
         corrected, groups = harness.decode(sc, received, np.random.default_rng(0), true_counts)
         assert corrected is received and groups == []
 
+    @staticmethod
+    def joint_round(rng, n, base_matrix, mode, restricted, thinned):
+        """A joint scenario, its code, noisy received words (M, N) and true counts.
+
+        The pool size, error count, locations, codewords and noise are drawn;
+        N=11 and N=15 give capabilities 4 and 6, so the reference's per-subset
+        loop stays fast.
+        """
+        pool = None
+        if restricted:
+            pool = tuple(sorted(rng.choice(n, size=int(rng.integers(n // 2, n)), replace=False)))
+        sc = Scenario(
+            n_workers=n, k=2, t=1, input_cols=3, unreliable=pool,
+            byzantine_count=int(rng.integers(2, (n - 3) // 2 + 1)),
+            base_matrix=base_matrix, weak_zero_prob=0.4,
+            precision_mode="locator", precision_var=0.05,
+            error_count_mode=mode, localization="joint",
+            constraint_length=int(rng.integers(3, 7)) if thinned else None,
+        )
+        code = dft_code.build_code(n, sc.code_dimension)
+        locations, b_eff = harness._build_plan(sc, rng)
+        received = threat.complex_normal(rng, 0.0, 1.0, (sc.output_entries, code.k)) @ code.generator
+        received += threat.complex_normal(rng, 0.0, 1e-6, received.shape)
+        received[:, locations] += threat.complex_normal(rng, 10.0, 1.0, b_eff.shape) * b_eff
+        return sc, code, received, b_eff.sum(axis=1)
+
+    @pytest.mark.parametrize("n", [11, 15])
+    @pytest.mark.parametrize("base_matrix", BASE_MATRIX_MODES)
+    @pytest.mark.parametrize("mode", ["oracle", "rank"])
+    def test_joint_groups_match_the_reference_search(self, n, base_matrix, mode):
+        """Under joint localization `decode` detects, in each codeword, what the
+        per-subset reference search picks for that codeword's locator, grouped
+        by set size, and leaves its rng where the reference leaves its own."""
+        from test_localization import per_subset_joint_localize
+
+        rng = np.random.default_rng([27, n, BASE_MATRIX_MODES.index(base_matrix), mode == "rank"])
+        for restricted, thinned in [(False, False), (False, True), (True, False), (True, True)]:
+            sc, code, received, true_counts = self.joint_round(
+                rng, n, base_matrix, mode, restricted, thinned)
+            seed_ = int(rng.integers(2**32))
+            decode_rng, ref_rng = np.random.default_rng(seed_), np.random.default_rng(seed_)
+            corrected, groups = harness.decode(sc, received, decode_rng, true_counts)
+
+            syndromes = dft_code.syndrome(code, received)
+            if mode == "oracle":
+                counts = np.minimum(true_counts, code.capability)
+            else:
+                counts = np.minimum(
+                    dft_code.estimate_error_count(code, syndromes, rel_tol=sc.rank_rel_tol),
+                    len(sc.candidate_pool()))
+            coeffs = harness._locators(sc, code, syndromes, counts, ref_rng)
+            picks, sizes = {}, np.zeros_like(counts)
+            active = np.flatnonzero(counts)
+            if active.size:
+                result, _ = per_subset_joint_localize(
+                    coeffs[active], counts[active], code.capability, n, sc.constraint_length,
+                    sc.unreliable, ref_rng)
+                for c, found in zip(active.tolist(), result.per_poly):
+                    picks[c], sizes[c] = found, found.size
+            codewords = np.arange(counts.size)
+            expected = [(codewords[rows], np.stack([picks[c] for c in codewords[rows]]))
+                        for _, rows in harness._groups(sizes)]
+
+            assert len(groups) == len(expected)
+            for (rows, found), (ref_rows, ref_found) in zip(groups, expected):
+                assert np.array_equal(codewords[rows], ref_rows)
+                assert found.dtype == ref_found.dtype
+                assert np.array_equal(found, ref_found)
+            assert np.array_equal(
+                corrected, harness._correct_codewords(code, received, syndromes, expected))
+            assert decode_rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestSharedPrefix:
     """Consecutive trials of one seed and encoding share data, shares and worker results."""
