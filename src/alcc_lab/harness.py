@@ -13,11 +13,11 @@ all-one base matrices, is one product with that set's cached operator;
 otherwise each codeword is its own system. When every codeword has the same
 count, as under oracle counts on all-one bases, the one stack is a view of
 the whole (M, ...) arrays, not a gathered copy. The locators are one
-(M, v+1) coefficient matrix, zero above each count: independent
-localization reads a count's rows as one stack, and the joint search takes
-the rows of positive count with their counts. Localization returns the
-detected sets as index arrays per set size, and value recovery takes them as
-they are.
+(M, v+1) coefficient matrix, zero above each count. Every strategy localizes
+a count's rows as one stack among its candidates: all N indices, the pool,
+or the subset that the joint search picks from the rows of positive count,
+whose averaged locators replace theirs. The detected sets are index arrays
+per set size, and value recovery takes them as they are.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
@@ -251,27 +251,20 @@ def decode(scenario: Scenario, received, rng, true_counts=None):
     coeffs = _locators(scenario, code, syndromes, counts, rng)
     n = scenario.n_workers
     pool = scenario.candidate_pool()
-    restricted = pool if len(pool) < n else None
-    if scenario.localization != "joint":
-        # restricted searches only the unreliable pool; each locator detects its count
-        cand = restricted if scenario.localization == "restricted" else None
-        groups = [(rows, localization.independent_localize(
-                      coeffs[rows, : count + 1], count, n, candidates=cand))
-                  for count, rows in _groups(counts)]
-    elif counts.any():
+    # restricted and joint search only the unreliable pool
+    cand = pool if scenario.localization != "independent" and len(pool) < n else None
+    if scenario.localization == "joint" and counts.any():
         active = np.flatnonzero(counts)
         result = localization.joint_localize(
             coeffs[active], counts[active], capability=code.capability, n=n,
-            constraint_length=scenario.constraint_length, candidates=restricted, rng=rng,
+            constraint_length=scenario.constraint_length, candidates=cand, rng=rng,
         )
-        per_codeword = dict(zip(active.tolist(), result.per_poly))
-        sizes = np.zeros_like(counts)
-        sizes[active] = [found.size for found in result.per_poly]
-        codewords = np.arange(counts.size)
-        groups = [(rows, np.stack([per_codeword[c] for c in codewords[rows]]))
-                  for _, rows in _groups(sizes)]
-    else:
-        groups = []
+        coeffs[active] = result.locators
+        cand = result.chosen_subset
+        counts = np.minimum(counts, cand.size)
+    # each locator detects its count among the candidates, its row zero-padded to N by the FFT
+    groups = [(rows, localization.independent_localize(coeffs[rows], count, n, candidates=cand))
+              for count, rows in _groups(counts)]
     return _correct_codewords(code, received, syndromes, groups), groups
 
 

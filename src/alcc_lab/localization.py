@@ -9,9 +9,10 @@ locators. Three strategies: independent per polynomial, restricted to an
 unreliable index set (independent with a candidate set), and joint across all
 polynomials of one decoding round. The independent strategy also takes a
 stack of locators that share one degree. The joint strategy takes a (P, v+1)
-coefficient matrix, zero above each row's degree, with its (P,) degrees; it
-builds one metric matrix for all its locators and scores all capability-sized
-subsets of its working set in one array pass.
+coefficient matrix, zero above each row's degree, with its (P,) degrees, and
+scores all capability-sized subsets of its working set in one array pass. It
+returns the winning subset and the locators it scored: each polynomial's
+detections are restricted localization of its locator inside that subset.
 """
 
 from __future__ import annotations
@@ -83,11 +84,10 @@ def independent_localize(coeffs, count: int, n: int, candidates=None) -> np.ndar
 
 @dataclass(frozen=True)
 class JointLocalizationResult:
-    """Per-polynomial detected index sets plus search diagnostics."""
+    """The sorted winning subset, the locators it was scored with, and diagnostics."""
 
-    per_poly: list
-    union: np.ndarray
     chosen_subset: np.ndarray
+    locators: np.ndarray = field(repr=False)
     objective: float
     initial_union: np.ndarray = field(repr=False)
     constraint_used: int = 0
@@ -115,8 +115,8 @@ def joint_localize(
     evaluations of each scored locator, and the minimum wins (ties to the
     lexicographically smallest subset).
 
-    Returns detected sets aligned with the input rows; rows of degree
-    `capability` all share the averaged locator's detection.
+    Returns the winning subset and, as `locators`, the input rows with the
+    degree-`capability` ones replaced by their average; it detects nothing.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     degrees = np.asarray(degrees, dtype=int)
@@ -133,14 +133,15 @@ def joint_localize(
         raise ParameterError("a locator has a nonzero coefficient above its degree")
     cand = _candidate_array(n, candidates)
 
-    # one (P, N) metric matrix in one FFT: the averaged full-degree locator
-    # first, then the lower-degree ones in input order
     full = degrees == capability
-    scored, scored_degrees = coeffs[~full], degrees[~full]
+    locators = coeffs.copy()
     if full.any():
-        scored = np.concatenate([coeffs[full].mean(axis=0, keepdims=True), scored])
-        scored_degrees = np.concatenate([[capability], scored_degrees])
-    metric = _grid_metric(scored, n)
+        locators[full] = coeffs[full].mean(axis=0)
+    # one metric matrix in one FFT: the averaged full-degree locator first,
+    # then the lower-degree ones in input order
+    scored = np.concatenate([np.flatnonzero(full)[:1], np.flatnonzero(~full)])
+    scored_degrees = degrees[scored]
+    metric = _grid_metric(locators[scored], n)
 
     initial_union = np.unique(np.concatenate(
         [_smallest(m[cand], d, cand) for m, d in zip(metric, scored_degrees)]
@@ -174,15 +175,9 @@ def joint_localize(
         vals.sort(axis=-1)
         scores += vals[:, :degree].sum(axis=-1)
     best = int(np.argmin(scores))  # first minimum: lexicographic tie-break
-    chosen = working[subsets[best]]
-    picks = [_smallest(m[chosen], min(d, subset_size), chosen)
-             for m, d in zip(metric, scored_degrees)]
-    # input row -> scored row; the averaged locator, when there is one, is row 0
-    scored_row = np.where(full, 0, np.cumsum(~full) - (not full.any()))
     return JointLocalizationResult(
-        per_poly=[picks[r] for r in scored_row],
-        union=np.unique(np.concatenate(picks)),
-        chosen_subset=chosen,
+        chosen_subset=working[subsets[best]],
+        locators=locators,
         objective=float(scores[best]),
         initial_union=initial_union,
         constraint_used=used,

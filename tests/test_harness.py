@@ -348,10 +348,10 @@ class TestDecode:
             picks, sizes = {}, np.zeros_like(counts)
             active = np.flatnonzero(counts)
             if active.size:
-                result, _ = per_subset_joint_localize(
+                _, per_poly, _ = per_subset_joint_localize(
                     coeffs[active], counts[active], code.capability, n, sc.constraint_length,
                     sc.unreliable, ref_rng)
-                for c, found in zip(active.tolist(), result.per_poly):
+                for c, found in zip(active.tolist(), per_poly):
                     picks[c], sizes[c] = found, found.size
             codewords = np.arange(counts.size)
             expected = [(codewords[rows], np.stack([picks[c] for c in codewords[rows]]))

@@ -62,14 +62,18 @@ def per_subset_joint_localize(coeffs, degrees, capability, n, constraint_length=
                               candidates=None, rng=None):
     """Reference joint search: one Python pass per capability-sized subset.
 
-    Returns the result and the number of other subsets that tie the winner.
+    Returns the result, each row's detections in the winning subset (the
+    smallest evaluations of its scored locator there), and the number of
+    other subsets that tie the winner.
     """
     cand = np.arange(n) if candidates is None else np.unique(candidates)
     polys = [row[: d + 1] for row, d in zip(coeffs, degrees)]
     full_idx = [i for i, d in enumerate(degrees) if d == capability]
+    locators = np.array(coeffs, dtype=complex)
     group = []
     if full_idx:
         averaged = np.mean([polys[i] for i in full_idx], axis=0)
+        locators[full_idx] = averaged
         group.append((averaged, capability, full_idx))
     for i, d in enumerate(degrees):
         if d < capability:
@@ -106,18 +110,27 @@ def per_subset_joint_localize(coeffs, degrees, capability, n, constraint_length=
     for (_, _, members), picked in zip(group, best_picks):
         for i in members:
             per_poly[i] = picked
-    union = np.array(sorted(set(np.concatenate(best_picks).tolist())))
     result = JointLocalizationResult(
-        per_poly=per_poly,
-        union=union,
         chosen_subset=best_subset,
+        locators=locators,
         objective=best_obj,
         initial_union=initial_union,
         constraint_used=used,
         union_bound_violated=bool(initial_union.size > capability),
         subsets_evaluated=len(totals),
     )
-    return result, totals.count(best_obj) - 1
+    return result, per_poly, totals.count(best_obj) - 1
+
+
+def detections(result, degrees, n):
+    """Each row's detected set: restricted localization of its locator in the chosen subset."""
+    size = result.chosen_subset.size
+    return [independent_localize(locator, min(d, size), n, candidates=result.chosen_subset)
+            for locator, d in zip(result.locators, degrees)]
+
+
+def detected_union(result, degrees, n):
+    return np.unique(np.concatenate(detections(result, degrees, n)))
 
 
 def assert_same_array(actual, expected):
@@ -129,11 +142,7 @@ def assert_same_result(actual, expected):
     """Every JointLocalizationResult field equal, arrays in dtype and value."""
     for f in dataclasses.fields(JointLocalizationResult):
         a, e = getattr(actual, f.name), getattr(expected, f.name)
-        if f.name == "per_poly":
-            assert len(a) == len(e)
-            for pa, pe in zip(a, e):
-                assert_same_array(pa, pe)
-        elif isinstance(e, np.ndarray):
+        if isinstance(e, np.ndarray):
             assert_same_array(a, e)
         else:
             assert type(a) is type(e) and a == e, f.name
@@ -212,17 +221,18 @@ class TestJoint:
         rng = np.random.default_rng(3)
         support = np.sort(rng.choice(31, size=8, replace=False))
         clean = np.array([true_locator(code, support) for _ in range(12)])
-        result = joint_localize(clean, np.full(12, 8), capability=8, n=31)
-        assert np.array_equal(result.union, support)
-        for detected in result.per_poly:
+        degrees = np.full(12, 8)
+        result = joint_localize(clean, degrees, capability=8, n=31)
+        assert np.array_equal(detected_union(result, degrees, 31), support)
+        for detected in detections(result, degrees, 31):
             assert np.array_equal(detected, support)
         # noisy rows: every row gets the detection of the rows' mean
         for var in (0.01, 0.3, 3.0):
             rows = noisy(clean, var, rng)
-            result = joint_localize(rows, np.full(12, 8), capability=8, n=31)
+            result = joint_localize(rows, degrees, capability=8, n=31)
             expected = independent_localize(rows.mean(axis=0), 8, 31)
-            assert np.array_equal(result.union, expected)
-            for detected in result.per_poly:
+            assert np.array_equal(detected_union(result, degrees, 31), expected)
+            for detected in detections(result, degrees, 31):
                 assert np.array_equal(detected, expected)
 
     def test_mixed_degrees_recover_full_union(self):
@@ -231,11 +241,12 @@ class TestJoint:
         full = true_locator(code, support)
         drop_first = true_locator(code, support[1:])
         drop_last = true_locator(code, support[:-1])
-        result = joint_localize(*stack_locators([full, drop_first, drop_last], 8),
-                                capability=8, n=31)
-        assert np.array_equal(result.union, support)
-        assert np.array_equal(result.per_poly[1], support[1:])
-        assert np.array_equal(result.per_poly[2], support[:-1])
+        coeffs, degrees = stack_locators([full, drop_first, drop_last], 8)
+        result = joint_localize(coeffs, degrees, capability=8, n=31)
+        assert np.array_equal(detected_union(result, degrees, 31), support)
+        found = detections(result, degrees, 31)
+        assert np.array_equal(found[1], support[1:])
+        assert np.array_equal(found[2], support[:-1])
 
     def test_constraint_thinning_is_seeded_and_deterministic(self):
         code = build_code(31, 15)
@@ -253,7 +264,9 @@ class TestJoint:
 
     def test_objective_is_certified_minimum(self):
         # the search must return exactly what the per-subset reference loop
-        # returns, field for field, on a noisy round and on random inputs
+        # returns, field for field, on a noisy round and on random inputs, and
+        # restricted localization of its locators in its subset must detect
+        # what the reference picks there
         code = build_code(15, 7)
         rng = np.random.default_rng(5)
         support = np.array([2, 6, 10, 13])
@@ -261,15 +274,18 @@ class TestJoint:
         low = [noisy(true_locator(code, support[:3]), 0.5, rng) for _ in range(2)]
         low.append(noisy(true_locator(code, support[:2]), 0.5, rng))
         coeffs, degrees = stack_locators(full + low, 4)
-        expected, _ = per_subset_joint_localize(coeffs, degrees, 4, 15)
-        assert_same_result(joint_localize(coeffs, degrees, capability=4, n=15), expected)
+        expected, picks, _ = per_subset_joint_localize(coeffs, degrees, 4, 15)
+        result = joint_localize(coeffs, degrees, capability=4, n=15)
+        assert_same_result(result, expected)
+        for found, picked in zip(detections(result, degrees, 15), picks, strict=True):
+            assert_same_array(found, picked)
 
         tied = 0
         for n in (7, 11, 15, 31):
             for _ in range(200):
                 coeffs, degrees, capability, candidates, constraint = draw_joint_case(rng, n)
                 seed = int(rng.integers(2**32))
-                expected, ties = per_subset_joint_localize(
+                expected, picks, ties = per_subset_joint_localize(
                     coeffs, degrees, capability, n, constraint, candidates,
                     np.random.default_rng(seed),
                 )
@@ -278,6 +294,8 @@ class TestJoint:
                     np.random.default_rng(seed),
                 )
                 assert_same_result(result, expected)
+                for found, picked in zip(detections(result, degrees, n), picks, strict=True):
+                    assert_same_array(found, picked)
                 tied += ties > 0
         assert tied > 0  # the lexicographic tie-break was exercised
 
@@ -295,8 +313,9 @@ class TestJoint:
                 for row in coeffs
             ):
                 ind_errors += 1
-            result = joint_localize(coeffs, np.full(m_polys, 8), capability=8, n=31)
-            if not np.array_equal(result.per_poly[0], support):
+            degrees = np.full(m_polys, 8)
+            result = joint_localize(coeffs, degrees, capability=8, n=31)
+            if not np.array_equal(detections(result, degrees, 31)[0], support):
                 joint_errors += 1
         assert joint_errors <= ind_errors
 
@@ -354,5 +373,6 @@ def test_all_strategies_exact_when_noise_free():
             assert independent_localize(poly, size, n).tolist() == support.tolist()
             restricted = independent_localize(poly, size, n, candidates=support)
             assert restricted.tolist() == support.tolist()
-            joint = joint_localize(*stack_locators([poly], v), capability=v, n=n)
-            assert np.array_equal(joint.per_poly[0], support)
+            coeffs, degrees = stack_locators([poly], v)
+            joint = joint_localize(coeffs, degrees, capability=v, n=n)
+            assert np.array_equal(detections(joint, degrees, n)[0], support)
