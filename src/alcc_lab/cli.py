@@ -106,8 +106,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario, spec = load_config(args.config)
     agg_path = args.agg_out or (str(args.out) + ".agg.csv")
+    # one file written as both would hold the aggregate rows over a torn trial table
+    out, agg = os.path.realpath(args.out), os.path.realpath(agg_path)
+    if out == agg or os.path.exists(out) and os.path.exists(agg) and os.path.samefile(out, agg):
+        raise ParameterError(f"--out {args.out} and --agg-out {agg_path} name the same file")
+    scenario, spec = load_config(args.config)
     harness.write_sweep_csv(scenario, spec, args.out, agg_path)
     return EXIT_OK
 

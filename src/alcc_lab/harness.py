@@ -139,7 +139,11 @@ def trial_seeds(master_seed: int, grid_index: int, count: int) -> list:
     the algorithm fails Tier-1 instead of drifting silently. A negative
     master seed or grid index raises ValueError and a non-integer one
     TypeError, as in SeedSequence, which alone would take a numeric string.
+    So does the count: `np.arange` alone would round 2.5 up to 3 trials.
     """
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError(f"expected a non-negative trial count, got {count}")
     entropy = [*_entropy_words(master_seed), *_entropy_words(grid_index),
                np.arange(count, dtype=np.uint32)]
     pool, const = [], _INIT_A

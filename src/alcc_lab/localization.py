@@ -110,10 +110,10 @@ def joint_localize(
     entry of ``degrees`` (P,). Degree-`capability` rows are averaged into a
     single locator; lower-degree ones stay individual. Candidate roots are the
     union of the per-locator independent detections, optionally thinned to a
-    random subset of size `constraint_length`. Every capability-sized subset
-    of the working set is scored, in one array pass, by the summed smallest
-    evaluations of each scored locator, and the minimum wins (ties to the
-    lexicographically smallest subset).
+    random subset of size `constraint_length`, which must be at least 1.
+    Every capability-sized subset of the working set is scored, in one array
+    pass, by the summed smallest evaluations of each scored locator, and the
+    minimum wins (ties to the lexicographically smallest subset).
 
     Returns the winning subset and, as `locators`, the input rows with the
     degree-`capability` ones replaced by their average; it detects nothing.
@@ -131,6 +131,8 @@ def joint_localize(
         )
     if (coeffs[np.arange(capability + 1) > degrees[:, None]] != 0).any():
         raise ParameterError("a locator has a nonzero coefficient above its degree")
+    if constraint_length is not None and constraint_length < 1:
+        raise ParameterError(f"constraint_length must be at least 1, got {constraint_length}")
     cand = _candidate_array(n, candidates)
 
     full = degrees == capability
@@ -151,7 +153,7 @@ def joint_localize(
     working = initial_union
     used = working.size
     if constraint_length is not None:
-        used = min(max(1, constraint_length), working.size)
+        used = min(constraint_length, working.size)
         if used < working.size:
             if rng is None:
                 raise ParameterError("constraint thinning needs an rng")

@@ -103,6 +103,33 @@ class TestSweepCommand:
         assert calls == []
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+    def test_one_file_for_both_outputs_exits_one_before_any_trial(self, tmp_path, monkeypatch,
+                                                                  capsys, spelling):
+        # both CSVs used to be written into it: the aggregate rows over the
+        # start of the trial rows, with a torn row after them
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda sc, seed: calls.append(seed))
+        cfg = tmp_path / "case.cfg"
+        write_tiny_config(cfg)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "rows.csv"
+        agg = {"same": out, "dotted": tmp_path / "sub" / ".." / "." / "rows.csv",
+               "symlink": tmp_path / "link.csv", "hardlink": tmp_path / "hard.csv"}[spelling]
+        if spelling in ("symlink", "hardlink"):
+            out.write_text("kept\n")
+            agg.symlink_to(out) if spelling == "symlink" else os.link(out, agg)
+        code = main(["sweep", "--config", str(cfg), "--out", str(out), "--agg-out", str(agg)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--out" in err[0] and "--agg-out" in err[0]
+        assert calls == []
+        if spelling in ("symlink", "hardlink"):
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists()
+
     def test_missing_config_exits_one(self, tmp_path):
         code = main(["sweep", "--config", str(tmp_path / "ghost.cfg"),
                      "--out", str(tmp_path / "x.csv")])

@@ -315,7 +315,8 @@ class TestDecode:
         )
         code = dft_code.build_code(n, sc.code_dimension)
         locations, b_eff = harness._build_plan(sc, rng)
-        received = threat.complex_normal(rng, 0.0, 1.0, (sc.output_entries, code.k)) @ code.generator
+        messages = threat.complex_normal(rng, 0.0, 1.0, (sc.output_entries, code.k))
+        received = messages @ code.generator
         received += threat.complex_normal(rng, 0.0, 1e-6, received.shape)
         received[:, locations] += threat.complex_normal(rng, 10.0, 1.0, b_eff.shape) * b_eff
         return sc, code, received, b_eff.sum(axis=1)
@@ -595,6 +596,20 @@ class TestSeeds:
     def test_non_integer_master_or_grid_raises(self, master, grid):
         with pytest.raises(TypeError):
             trial_seeds(master, grid, 2)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", np.float64(2.0)])
+    def test_non_integer_count_raises(self, count):
+        # np.arange used to round 2.5 up to three seeds
+        with pytest.raises(TypeError):
+            trial_seeds(0, 0, count)
+
+    @pytest.mark.parametrize("count", [-1, -(2**40)])
+    def test_negative_count_raises(self, count):
+        with pytest.raises(ValueError, match="trial count"):
+            trial_seeds(0, 0, count)
+
+    def test_integer_like_count_is_read_as_its_value(self):
+        assert trial_seeds(0, 0, np.int64(3)) == trial_seeds(0, 0, 3)
 
 
 def sweep_csv_rows(tmp_path, base, spec):

@@ -86,7 +86,7 @@ def per_subset_joint_localize(coeffs, degrees, capability, n, constraint_length=
     working = initial_union
     used = working.size
     if constraint_length is not None:
-        used = min(max(1, constraint_length), working.size)
+        used = min(constraint_length, working.size)
         if used < working.size:
             working = np.sort(rng.choice(working, size=used, replace=False))
 
@@ -350,6 +350,17 @@ class TestJoint:
         coeffs[0, 3] = 1e-300  # row 0 has degree 2
         with pytest.raises(ParameterError, match="above its degree"):
             joint_localize(coeffs, degrees, capability=4, n=15)
+
+    @pytest.mark.parametrize("constraint_length", [0, -1])
+    def test_constraint_length_below_one_rejected(self, code, constraint_length):
+        # a length of 0 used to search one candidate quietly
+        coeffs, degrees = stack_locators([true_locator(code, [1, 5, 9])], 4)
+        with pytest.raises(ParameterError, match="constraint_length"):
+            joint_localize(coeffs, degrees, capability=4, n=15,
+                           constraint_length=constraint_length, rng=np.random.default_rng(0))
+        result = joint_localize(coeffs, degrees, capability=4, n=15, constraint_length=1,
+                                rng=np.random.default_rng(0))
+        assert result.constraint_used == 1
 
     def test_union_bound_violation_is_reported(self):
         code = build_code(15, 7)
