@@ -25,6 +25,7 @@ from alcc_lab.scenario import (
     load_config,
 )
 from test_dft_code import C_VALUE_RECOVERY, EPS
+from test_localization import per_subset_joint_localize
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -328,8 +329,6 @@ class TestDecode:
         """Under joint localization `decode` detects, in each codeword, what the
         per-subset reference search picks for that codeword's locator, grouped
         by set size, and leaves its rng where the reference leaves its own."""
-        from test_localization import per_subset_joint_localize
-
         rng = np.random.default_rng([27, n, BASE_MATRIX_MODES.index(base_matrix), mode == "rank"])
         for restricted, thinned in [(False, False), (False, True), (True, False), (True, True)]:
             sc, code, received, true_counts = self.joint_round(
