@@ -86,7 +86,7 @@ def per_subset_joint_localize(coeffs, degrees, capability, n, constraint_length=
     working = initial_union
     used = working.size
     if constraint_length is not None:
-        used = min(constraint_length, working.size)
+        used = min(max(1, constraint_length), working.size)
         if used < working.size:
             working = np.sort(rng.choice(working, size=used, replace=False))
 
