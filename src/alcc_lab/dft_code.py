@@ -142,17 +142,22 @@ def _normal_solve(a: np.ndarray, s: np.ndarray, gram=None) -> np.ndarray:
         m_inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:  # an exactly singular M: the whole stack falls back
         m_inv = np.full_like(m, np.nan)
-    cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(m_inv, axis=(-2, -1))
+    fallback = _needs_fallback(m, m_inv)
     if square:
         x = s @ m_inv
     else:
         x = s @ a @ m_inv
         x += (s - x @ lhs) @ a @ m_inv
-    fallback = ~(cond <= 1e8)  # a NaN cond falls back too
     if fallback.any():
         a, b = a[fallback].conj(), s[fallback].swapaxes(-1, -2)
         x[fallback] = least_squares(a, b).swapaxes(-1, -2)
     return x
+
+
+def _needs_fallback(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, whether its Frobenius cond(M) is above 1e8 or NaN."""
+    cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(m_inv, axis=(-2, -1))
+    return ~(cond <= 1e8)  # a NaN cond falls back too
 
 
 def _solve_values(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarray:

@@ -184,6 +184,33 @@ def _build_plan(scenario: Scenario, rng: np.random.Generator):
     return locations, b_eff
 
 
+def _threat(scenario: Scenario, results, rng):
+    """Noisy returns (N, u, h), Byzantine locations (A,) and effective base (M, A) of one trial."""
+    u, h = results.shape[1:]
+    locations, b_eff = _build_plan(scenario, rng)
+    plan = None
+    if locations is not None:
+        plan = threat.plan_from_effective_base(
+            b_eff, locations.tolist(), u, h,
+            noise_mean=scenario.noise_mean, noise_var=scenario.noise_var,
+        )
+    returns = threat.inject(results, plan, scenario.precision_mode, scenario.precision_var, rng)
+    if locations is None:
+        locations = np.zeros(0, dtype=int)
+    return returns, locations, b_eff
+
+
+def _loc_correct(groups, locations, b_eff, n: int) -> bool:
+    """Whether the detected sets of every codeword are exactly its true support."""
+    m_rows = b_eff.shape[0]
+    detected = np.zeros((m_rows, n), dtype=bool)
+    for rows, found in groups:
+        detected[np.arange(m_rows)[rows, None], found] = True
+    truth = np.zeros_like(detected)
+    truth[:, locations] = b_eff.astype(bool)
+    return np.array_equal(detected, truth)
+
+
 def _groups(sizes):
     """(size, rows) for each distinct positive size, sizes and rows ascending.
 
@@ -316,17 +343,9 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
         _last_prefix = (key, rng.bit_generator.state, results, reference)
 
     u, h = results.shape[1:]
-    m_rows = u * h
-    locations, b_eff = _build_plan(scenario, rng)
-    plan = None
-    if locations is not None:
-        plan = threat.plan_from_effective_base(
-            b_eff, locations.tolist(), u, h,
-            noise_mean=scenario.noise_mean, noise_var=scenario.noise_var,
-        )
-    returns = threat.inject(results, plan, scenario.precision_mode, scenario.precision_var, rng)
+    returns, locations, b_eff = _threat(scenario, results, rng)
 
-    r_eff = returns.reshape(scenario.n_workers, m_rows).T  # (M, N)
+    r_eff = returns.reshape(scenario.n_workers, u * h).T  # (M, N)
     capability_exceeded = False
     loc_correct = scenario.byzantine_count == 0
     if scenario.decoder:
@@ -334,13 +353,7 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
         if scenario.error_count_mode == "oracle":
             capability_exceeded = bool((true_counts > scenario.capability).any())
         r_eff, groups = decode(scenario, r_eff, rng, true_counts)
-        detected = np.zeros(r_eff.shape, dtype=bool)
-        for rows, found in groups:
-            detected[np.arange(m_rows)[rows, None], found] = True
-        truth = np.zeros_like(detected)
-        if plan is not None:
-            truth[:, locations] = b_eff.astype(bool)
-        loc_correct = np.array_equal(detected, truth)
+        loc_correct = _loc_correct(groups, locations, b_eff, scenario.n_workers)
 
     estimate = codec.reconstruct(
         r_eff.T.reshape(scenario.n_workers, u, h), params

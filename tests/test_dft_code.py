@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from alcc_lab import dft_code, selftest
@@ -444,6 +444,76 @@ def test_singular_normal_matrix_stack_is_solved_by_least_squares(monkeypatch, co
     values = recover_error_values(code_15_7, s, support)
     assert rejected == [(3, 3, 3)]
     assert (np.abs(values - expected) <= tol).all()
+
+
+def norm_guard(m, m_inv):
+    """The fallback mask from two `np.linalg.norm` calls: the reference."""
+    cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(m_inv, axis=(-2, -1))
+    return ~(cond <= 1e8)
+
+
+def inverse_as_solved(m):
+    """The inverse as `_normal_solve` takes it: NaN of m's layout when inv rejects m."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return np.full_like(m, np.nan)
+
+
+def with_cond(rng, conds, size=2):
+    """(len(conds), size, size) complex matrices of the given Frobenius conds:
+    U diag(1, .., 1, s) V^H with s from (size-1 + s^2)(size-1 + s^-2) = cond^2."""
+    c2, r = np.asarray(conds, dtype=float) ** 2, size - 1
+    # s^2 solves r x^2 + (r^2 + 1 - c^2) x + r = 0, the smaller root
+    b = r * r + 1 - c2
+    x = 2 * r / (-b + np.sqrt(b * b - 4 * r * r))  # written without cancellation
+    sv = np.ones((len(c2), size))
+    sv[:, -1] = np.sqrt(x)
+    u = np.linalg.qr(complex_normal(rng, 0.0, 1.0, (len(c2), size, size)))[0]
+    v = np.linalg.qr(complex_normal(rng, 0.0, 1.0, (len(c2), size, size)))[0]
+    return (u * sv[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+class TestSolveGuard:
+    """`_normal_solve`'s guard sends the same systems to the fallback as
+    Frobenius conds from `np.linalg.norm`."""
+
+    @given(p=st.integers(1, 30), size=st.integers(1, 6), scale=st.sampled_from(
+           [1e-100, 1e-8, 1.0, 1e8, 1e100]), transposed=st.booleans(),
+           seed_=st.integers(0, 2**32 - 1))
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    def test_random_stacks(self, p, size, scale, transposed, seed_):
+        rng = np.random.default_rng(seed_)
+        m = complex_normal(rng, 0.0, 1.0, (p, size, size))
+        # columns shrunk by up to 1e-12, so conds on both sides of 1e8
+        m *= 10.0 ** rng.uniform(-12, 0, (p, 1, size)) * scale
+        if transposed:  # the square path's lhs, a transposed view
+            m = m.conj().swapaxes(-1, -2)
+        m_inv = inverse_as_solved(m)
+        assert np.array_equal(dft_code._needs_fallback(m, m_inv), norm_guard(m, m_inv))
+
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_stacks_either_side_of_1e8(self, size, transposed):
+        below, above = 1e8 * (1 - 1e-6), 1e8 * (1 + 1e-6)
+        m = with_cond(np.random.default_rng(size), [below, above, below, above], size)
+        if transposed:
+            m = m.conj().swapaxes(-1, -2)
+        m_inv = inverse_as_solved(m)
+        expected = np.array([False, True, False, True])
+        assert np.array_equal(norm_guard(m, m_inv), expected)
+        assert np.array_equal(dft_code._needs_fallback(m, m_inv), expected)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_exactly_singular_stack(self, transposed):
+        m = complex_normal(np.random.default_rng(3), 0.0, 1.0, (3, 3, 3))
+        m[1, 2] = 0.0  # a zero row: inv rejects the stack and it reads as NaN
+        if transposed:
+            m = m.conj().swapaxes(-1, -2)
+        m_inv = inverse_as_solved(m)
+        assert np.isnan(m_inv).all() and m_inv.flags.c_contiguous != transposed
+        assert dft_code._needs_fallback(m, m_inv).all() and norm_guard(m, m_inv).all()
 
 
 def test_shared_set_operator_is_read_only_and_cached(code_15_7):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,187 @@ class TestDecode:
             assert np.array_equal(
                 corrected, harness._correct_codewords(code, received, syndromes, expected))
             assert decode_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def chain_build_plan(scenario, rng):
+    """The trial's Byzantine locations and effective base, as run_trial drew them
+    through `_build_plan` before its threat stage: the reference."""
+    a = scenario.byzantine_count
+    if a == 0:
+        return None, np.zeros((scenario.output_entries, 0), dtype=int)
+    pool = np.asarray(scenario.candidate_pool())
+    if scenario.byzantine_locations is not None:
+        locations = np.sort(np.asarray(scenario.byzantine_locations, dtype=int))
+    else:
+        locations = np.sort(rng.choice(pool, size=a, replace=False))
+    m_rows = scenario.output_entries
+    if scenario.base_matrix == "all-one":
+        b_eff = np.ones((m_rows, a), dtype=int)
+    elif scenario.base_matrix == "strong":
+        b_eff = threat.design_strong_collusion(m_rows, a, rng)
+    else:
+        b_eff = threat.design_weak_collusion(m_rows, a, scenario.weak_zero_prob, rng)
+    return locations, b_eff
+
+
+def chain_threat(scenario, results, rng):
+    """`_build_plan`, then `plan_from_effective_base`, then `inject`: the reference."""
+    u, h = results.shape[1:]
+    locations, b_eff = chain_build_plan(scenario, rng)
+    plan = None
+    if locations is not None:
+        plan = threat.plan_from_effective_base(
+            b_eff, locations.tolist(), u, h,
+            noise_mean=scenario.noise_mean, noise_var=scenario.noise_var,
+        )
+    returns = threat.inject(results, plan, scenario.precision_mode, scenario.precision_var, rng)
+    if locations is None:
+        locations = np.zeros(0, dtype=int)
+    return returns, locations, b_eff
+
+
+@st.composite
+def threat_scenarios(draw):
+    """Scenarios over every base and precision mode, A from 0 to the pool size,
+    fixed and drawn locations, noise variances of 0 among them."""
+    n = draw(st.integers(2, 16))
+    unreliable = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1,
+                                           max_size=n, unique=True).map(tuple))
+    pool = list(range(n)) if unreliable is None else list(unreliable)
+    count = draw(st.integers(0, len(pool)))
+    locations = None
+    if count and draw(st.booleans()):
+        locations = tuple(draw(st.permutations(pool))[:count])
+    return Scenario(
+        n_workers=n, k=1, t=0, decoder=False,
+        function=draw(st.sampled_from(("gram", "identity"))),
+        input_rows=draw(st.integers(1, 4)), input_cols=draw(st.integers(1, 4)),
+        unreliable=unreliable, byzantine_count=count, byzantine_locations=locations,
+        base_matrix=draw(st.sampled_from(BASE_MATRIX_MODES)),
+        weak_zero_prob=draw(st.floats(0.05, 0.95)),
+        noise_mean_re=draw(st.sampled_from([10.0, 0.0, -0.0, -2.5])),
+        noise_mean_im=draw(st.sampled_from([0.0, -0.0, 3.0])),
+        noise_var=draw(st.sampled_from([0.0, 1e-300, 1.0, 1e3])),
+        precision_mode=draw(st.sampled_from(("synthetic", "locator", "reduced"))),
+        precision_var=draw(st.sampled_from([0.0, 1e-12, 0.005, 1.0])),
+    )
+
+
+class TestThreatStage:
+    """The trial's threat stage: locations, effective base and noisy returns."""
+
+    @given(sc=threat_scenarios(), seed_=st.integers(0, 2**32 - 1))
+    @example(sc=Scenario(n_workers=5, k=1, t=0, decoder=False, byzantine_count=5,
+                         noise_var=0.0, precision_var=0.0), seed_=1)
+    @example(sc=Scenario(n_workers=5, k=1, t=0, decoder=False, byzantine_count=0,
+                         precision_var=0.5), seed_=2)
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_the_plan_and_inject_chain(self, sc, seed_):
+        """The same returns, locations, base and stream as `_build_plan`, then
+        `plan_from_effective_base`, then `inject`."""
+        aux = np.random.default_rng(seed_)
+        u, h = (sc.input_cols, sc.input_cols) if sc.function == "gram" else (
+            sc.input_rows, sc.input_cols)
+        results = aux.standard_normal((sc.n_workers, u, h)) + 1j * aux.standard_normal(
+            (sc.n_workers, u, h))
+        results.flags.writeable = False  # as a trial's shared prefix keeps them
+        got_rng, ref_rng = np.random.default_rng(seed_ + 1), np.random.default_rng(seed_ + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a strong base of one colluder warns
+            got = harness._threat(sc, results, got_rng)
+            want = chain_threat(sc, results, ref_rng)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+        assert got_rng.bytes(16) == ref_rng.bytes(16)
+        assert not np.shares_memory(got[0], results)
+
+
+def mask_loc_correct(groups, locations, b_eff, n):
+    """loc_correct from (M, N) detected and true masks: the reference."""
+    m_rows = b_eff.shape[0]
+    detected = np.zeros((m_rows, n), dtype=bool)
+    for rows, found in groups:
+        detected[np.arange(m_rows)[rows, None], found] = True
+    truth = np.zeros_like(detected)
+    truth[:, locations] = b_eff.astype(bool)
+    return np.array_equal(detected, truth)
+
+
+class TestLocCorrect:
+    @staticmethod
+    def detections(rng, n, locations, b_eff, fault):
+        """Per row, its true support with at most one fault: an index added, one
+        dropped, one swapped for another, or the row emptied."""
+        sets = []
+        for row in b_eff.astype(bool):
+            found = set(locations[row].tolist())
+            if fault and rng.random() < 0.3:
+                kind = rng.integers(4)
+                outside = sorted(set(range(n)) - found)
+                if kind == 0 and outside:  # a count too high
+                    found.add(int(rng.choice(outside)))
+                elif kind == 1 and found:  # a count too low
+                    found.discard(int(rng.choice(sorted(found))))
+                elif kind == 2 and found and outside:  # the right count, a wrong index
+                    found.discard(int(rng.choice(sorted(found))))
+                    found.add(int(rng.choice(outside)))
+                elif kind == 3:
+                    found = set()
+            sets.append(sorted(found))
+        return sets
+
+    @staticmethod
+    def as_groups(sets):
+        """(rows, found) per detected-set size, as `decode` returns them."""
+        sizes = np.array([len(s) for s in sets], dtype=int)
+        return [(rows, np.array([sets[r] for r in np.arange(len(sets))[rows]], dtype=np.intp))
+                for _, rows in harness._groups(sizes)]
+
+    @given(n=st.integers(1, 16), m_rows=st.integers(1, 12),
+           base=st.sampled_from(("all-one", "strong", "weak", "zero")),
+           fault=st.booleans(), seed_=st.integers(0, 2**32 - 1))
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    def test_group_form_matches_the_mask_form(self, n, m_rows, base, fault, seed_):
+        rng = np.random.default_rng(seed_)
+        a = int(rng.integers(0, n + 1))
+        locations = np.sort(rng.choice(n, size=a, replace=False))
+        if base == "all-one":
+            b_eff = np.ones((m_rows, a), dtype=int)
+        elif base == "strong" and a > 1:
+            b_eff = threat.design_strong_collusion(m_rows, a, rng)
+        elif base == "zero":  # rows whose true count is 0
+            b_eff = np.zeros((m_rows, a), dtype=int)
+        else:
+            b_eff = (rng.random((m_rows, a)) < 0.6).astype(int)
+        groups = self.as_groups(self.detections(rng, n, locations, b_eff, fault))
+        assert harness._loc_correct(groups, locations, b_eff, n) == mask_loc_correct(
+            groups, locations, b_eff, n)
+
+    @pytest.mark.parametrize("sets,b_eff,expected", [
+        ([[1, 4], [1, 4]], [[1, 1], [1, 1]], True),  # one shared group, read as a view
+        ([[1, 4], [1]], [[1, 1], [1, 1]], False),  # a count one too low
+        ([[1, 4], [1, 3, 4]], [[1, 1], [1, 1]], False),  # a count one too high
+        ([[1, 4], [1, 3]], [[1, 1], [1, 1]], False),  # the right count, a wrong index
+        ([[1, 4], []], [[1, 1], [1, 1]], False),  # nothing detected where two errors are
+        ([[1], [4]], [[1, 0], [0, 1]], True),
+        ([[4], [1]], [[1, 0], [0, 1]], False),  # each row's index is the other row's
+    ])
+    def test_counts_and_supports_decide(self, sets, b_eff, expected):
+        locations, b_eff, groups = np.array([1, 4]), np.array(b_eff), self.as_groups(sets)
+        assert harness._loc_correct(groups, locations, b_eff, 6) is expected
+        assert mask_loc_correct(groups, locations, b_eff, 6) is expected
+
+    def test_rows_of_count_zero_must_detect_nothing(self):
+        locations, b_eff = np.array([2]), np.array([[1], [0], [0]])
+        clean = self.as_groups([[2], [], []])
+        assert harness._loc_correct(clean, locations, b_eff, 5)
+        assert not harness._loc_correct(self.as_groups([[2], [], [2]]), locations, b_eff, 5)
+        assert harness._loc_correct([], np.zeros(0, dtype=int), np.zeros((3, 0), dtype=int), 5)
+        assert not harness._loc_correct(self.as_groups([[0], [], []]),
+                                        np.zeros(0, dtype=int), np.zeros((3, 0), dtype=int), 5)
 
 
 class TestSharedPrefix:
