@@ -22,7 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .numeric import DimensionError, ParameterError, as_finite_complex, poly_eval
+from .numeric import (
+    DimensionError,
+    ParameterError,
+    as_finite_complex,
+    check_integer,
+    poly_eval,
+)
 
 
 class MetricError(ValueError):
@@ -62,6 +68,8 @@ class EncodingParams:
     sigma_pad: float = 1e6
 
     def __post_init__(self):
+        for name in ("n_workers", "k", "t", "degree"):
+            check_integer(name, getattr(self, name))
         if self.k < 1 or self.t < 0 or self.degree < 1:
             raise ParameterError("need k >= 1, t >= 0, degree >= 1")
         if not (0 < self.beta < np.inf and 0 <= self.sigma_pad < np.inf):

@@ -14,8 +14,8 @@ stack: the recovery is then one product with the set's operator, built once
 per (N, K, set) and cached.
 
 A code depends only on (N, K), so `build_code` builds each one once and
-returns the same `DftCode`, with read-only generator, parity and H^dagger H,
-to every caller.
+returns the same `DftCode`, with read-only generator, parity, H^dagger and
+H^dagger H, to every caller.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class DftCode:
     k: int
     generator: np.ndarray = field(repr=False)
     parity: np.ndarray = field(repr=False)
+    parity_h: np.ndarray = field(repr=False)  # H^dagger, (N, N-K)
     gram: np.ndarray = field(repr=False)  # H^dagger H, (N, N)
 
     @property
@@ -66,9 +67,12 @@ def build_code(n: int, k: int, /) -> DftCode:
         raise ParameterError(f"need 1 <= K < N, got N={n}, K={k}")
     w = dft_matrix(n)
     w.flags.writeable = False  # generator and parity are views of w
-    gram = w[k:].conj().T @ w[k:]
+    conj = w[k:].conj()
+    conj.flags.writeable = False
+    parity_h = conj.T  # the layout of parity.conj().T, so products keep their bits
+    gram = parity_h @ w[k:]
     gram.flags.writeable = False
-    return DftCode(n=n, k=k, generator=w[:k], parity=w[k:], gram=gram)
+    return DftCode(n=n, k=k, generator=w[:k], parity=w[k:], parity_h=parity_h, gram=gram)
 
 
 def syndrome(code: DftCode, r) -> np.ndarray:
@@ -76,7 +80,7 @@ def syndrome(code: DftCode, r) -> np.ndarray:
     r = as_finite_complex(r, "received")
     if r.shape[-1] != code.n:
         raise DimensionError(f"received length {r.shape[-1]} != N={code.n}")
-    return r @ code.parity.conj().T
+    return r @ code.parity_h
 
 
 def hankel_syndrome_matrix(code: DftCode, s) -> np.ndarray:
@@ -155,9 +159,18 @@ def _normal_solve(a: np.ndarray, s: np.ndarray, gram=None) -> np.ndarray:
 
 
 def _needs_fallback(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack, whether its Frobenius cond(M) is above 1e8 or NaN."""
-    cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(m_inv, axis=(-2, -1))
-    return ~(cond <= 1e8)  # a NaN cond falls back too
+    """Per matrix of a stack, whether its Frobenius cond(M) is above 1e8 or NaN.
+
+    cond(M) = ||M||_F ||inv(M)||_F. Each squared norm is one dot product of
+    the matrix's entries, read as a row of floats from one contiguous copy of
+    both stacks, whatever their layouts.
+    """
+    size = 2 * m.shape[-2] * m.shape[-1]  # floats per matrix
+    # concatenate keeps a layout both share, such as a transposed lhs and its NaN inverse
+    both = np.ascontiguousarray(np.concatenate((m, m_inv)))
+    rows = both.view(float).reshape(2, *m.shape[:-2], 1, size)
+    norms = np.sqrt((rows @ rows.swapaxes(-1, -2))[..., 0, 0])
+    return ~(norms[0] * norms[1] <= 1e8)  # a NaN cond falls back too
 
 
 def _solve_values(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarray:

@@ -164,51 +164,59 @@ def trial_seeds(master_seed: int, grid_index: int, count: int) -> list:
     return (low.astype(np.uint64) | high.astype(np.uint64) << 32).tolist()
 
 
-def _build_plan(scenario: Scenario, rng: np.random.Generator):
-    """Byzantine locations and effective base matrix for one trial."""
-    a = scenario.byzantine_count
-    if a == 0:
-        return None, np.zeros((scenario.output_entries, 0), dtype=int)
-    pool = np.asarray(scenario.candidate_pool())
-    if scenario.byzantine_locations is not None:
-        locations = np.sort(np.asarray(scenario.byzantine_locations, dtype=int))
-    else:
-        locations = np.sort(rng.choice(pool, size=a, replace=False))
-    m_rows = scenario.output_entries
-    if scenario.base_matrix == "all-one":
-        b_eff = np.ones((m_rows, a), dtype=int)
-    elif scenario.base_matrix == "strong":
-        b_eff = threat.design_strong_collusion(m_rows, a, rng)
-    else:
-        b_eff = threat.design_weak_collusion(m_rows, a, scenario.weak_zero_prob, rng)
-    return locations, b_eff
+# the locations of a trial without Byzantine workers
+_NO_LOCATIONS = np.zeros(0, dtype=int)
+_NO_LOCATIONS.flags.writeable = False
 
 
 def _threat(scenario: Scenario, results, rng):
-    """Noisy returns (N, u, h), Byzantine locations (A,) and effective base (M, A) of one trial."""
-    u, h = results.shape[1:]
-    locations, b_eff = _build_plan(scenario, rng)
-    plan = None
-    if locations is not None:
-        plan = threat.plan_from_effective_base(
-            b_eff, locations.tolist(), u, h,
-            noise_mean=scenario.noise_mean, noise_var=scenario.noise_var,
-        )
-    returns = threat.inject(results, plan, scenario.precision_mode, scenario.precision_var, rng)
-    if locations is None:
-        locations = np.zeros(0, dtype=int)
+    """Noisy returns (N, u, h), Byzantine locations (A,) and effective base (M, A) of one trial.
+
+    The draws come in this order: the locations (A of the scenario's pool,
+    unless it fixes them), the base matrix, then the noise of
+    `threat.add_noise`. Every value passed on was checked when the scenario
+    was built, and the base is binary by construction, so no `ByzantinePlan`
+    is built and nothing is checked again.
+    """
+    a = scenario.byzantine_count
+    m_rows = scenario.output_entries
+    mask = None  # an all-one base: every entry of a Byzantine worker's block
+    if a == 0:
+        locations, b_eff = _NO_LOCATIONS, np.zeros((m_rows, 0), dtype=int)
+    else:
+        if scenario.byzantine_locations is not None:
+            locations = np.sort(np.array(scenario.byzantine_locations, dtype=int))
+        else:
+            locations = np.sort(rng.choice(scenario.pool_array(), size=a, replace=False))
+        if scenario.base_matrix == "all-one":
+            b_eff = np.ones((m_rows, a), dtype=int)
+        else:
+            if scenario.base_matrix == "strong":
+                b_eff = threat.design_strong_collusion(m_rows, a, rng)
+            else:
+                b_eff = threat.design_weak_collusion(m_rows, a, scenario.weak_zero_prob, rng)
+            mask = np.ascontiguousarray(b_eff.T, dtype=bool).reshape(a, *results.shape[1:])
+    returns = threat.add_noise(results, locations, mask, scenario.noise_mean, scenario.noise_var,
+                               scenario.precision_mode, scenario.precision_var, rng)
     return returns, locations, b_eff
 
 
-def _loc_correct(groups, locations, b_eff, n: int) -> bool:
-    """Whether the detected sets of every codeword are exactly its true support."""
-    m_rows = b_eff.shape[0]
-    detected = np.zeros((m_rows, n), dtype=bool)
+def _loc_correct(groups, locations, b_eff, true_counts) -> bool:
+    """Whether the detected sets of every codeword are exactly its true support.
+
+    They are when every row's detected size is its true count and its
+    detected indices are its support: `locations` where its base row is one.
+    Both lists are sorted, so a group compares them as flat arrays, and the
+    rows that no group holds must have a count of 0. No (M, N) mask is built.
+    """
+    detected = 0
     for rows, found in groups:
-        detected[np.arange(m_rows)[rows, None], found] = True
-    truth = np.zeros_like(detected)
-    truth[:, locations] = b_eff.astype(bool)
-    return np.array_equal(detected, truth)
+        if not (true_counts[rows] == found.shape[1]).all():
+            return False
+        if not (found.ravel() == locations[np.nonzero(b_eff[rows])[1]]).all():
+            return False
+        detected += len(found)
+    return bool(detected == np.count_nonzero(true_counts))
 
 
 def _groups(sizes):
@@ -353,7 +361,7 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
         if scenario.error_count_mode == "oracle":
             capability_exceeded = bool((true_counts > scenario.capability).any())
         r_eff, groups = decode(scenario, r_eff, rng, true_counts)
-        loc_correct = _loc_correct(groups, locations, b_eff, scenario.n_workers)
+        loc_correct = _loc_correct(groups, locations, b_eff, true_counts)
 
     estimate = codec.reconstruct(
         r_eff.T.reshape(scenario.n_workers, u, h), params

@@ -8,6 +8,7 @@ functions over immutable inputs.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -22,6 +23,21 @@ class ParameterError(ValueError):
 
 class RuntimeGuardError(RuntimeError):
     """A request would exceed the configured simulation budget."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ParameterError naming ``name`` unless ``value`` is an integer.
+
+    An integer is what `operator.index` takes, a bool apart: 2.0 and True
+    are rejected.
+    """
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def as_finite_complex(a, name: str = "array") -> np.ndarray:

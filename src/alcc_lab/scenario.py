@@ -16,8 +16,10 @@ import math
 import typing
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codec import FUNCTIONS, EncodingParams
-from .numeric import ParameterError
+from .numeric import ParameterError, check_integer
 from .threat import PRECISION_MODES
 
 LOCALIZATION_MODES = ("independent", "restricted", "joint")
@@ -64,6 +66,14 @@ class Scenario:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ParameterError(f"{name} must be one of {allowed}")
+        for name in ("n_workers", "k", "t", "input_rows", "input_cols", "byzantine_count",
+                     "trials", "master_seed"):
+            check_integer(name, getattr(self, name))
+        if self.constraint_length is not None:
+            check_integer("constraint_length", self.constraint_length)
+        for name in ("unreliable", "byzantine_locations"):
+            for index in getattr(self, name) or ():
+                check_integer(f"{name} index", index)
         for name in ("beta", "sigma_pad", "noise_mean_re", "noise_mean_im",
                      "noise_var", "precision_var"):
             if not math.isfinite(getattr(self, name)):
@@ -100,6 +110,9 @@ class Scenario:
                 raise ParameterError("byzantine_locations must match byzantine_count")
             if not set(self.byzantine_locations) <= set(pool):
                 raise ParameterError("byzantine_locations must lie in the unreliable pool")
+        pool = np.array(pool, dtype=int)
+        pool.flags.writeable = False
+        object.__setattr__(self, "_pool", pool)  # kept for `pool_array`
         # building the encoding validates K <= N; it is kept for `encoding`
         object.__setattr__(self, "_encoding", EncodingParams(
             n_workers=self.n_workers,
@@ -124,6 +137,10 @@ class Scenario:
         if self.unreliable is not None:
             return tuple(sorted(self.unreliable))
         return tuple(range(self.n_workers))
+
+    def pool_array(self) -> np.ndarray:
+        """`candidate_pool` as a read-only int array, built once with the scenario."""
+        return self._pool
 
     @property
     def code_dimension(self) -> int:

@@ -112,30 +112,56 @@ def inject(
 
     Byzantine draws are made in ascending location order, then precision
     noise is applied, so outputs are bit-reproducible for a given rng state.
-    The Byzantine noise of all A locations is one (A, 2, u, h) draw: location
-    by location, the real then the imaginary parts, the same stream as A
-    `complex_normal` draws of one (u, h) block each.
+    The checks are here; the noise is `add_noise`'s, which the trial's threat
+    stage calls directly on the values its `Scenario` checked.
     """
     if precision_mode not in PRECISION_MODES:
         raise ParameterError(f"precision_mode must be one of {PRECISION_MODES}")
     if not 0 <= precision_var < math.inf:
         raise ParameterError(f"precision_var must be non-negative and finite, got {precision_var}")
-    out = np.array(results, dtype=complex)
-    n = out.shape[0]
+    locations = mask = None
+    noise_mean, noise_var = 0.0, 0.0
     if plan is not None and plan.count:
-        if max(plan.locations) >= n or min(plan.locations) < 0:
+        if max(plan.locations) >= np.shape(results)[0] or min(plan.locations) < 0:
             raise ParameterError("plan locations must lie in 0..N-1")
-        locations, bases = np.asarray(plan.locations), plan.bases
-        if list(plan.locations) != sorted(plan.locations):
-            order = np.argsort(locations)
-            locations, bases = locations[order], bases[order]
-        draws = rng.standard_normal((plan.count, 2) + out.shape[1:])
-        noise = _scaled_complex(draws[:, 0], draws[:, 1], plan.noise_mean, plan.noise_var)
-        hit = out[locations]
-        np.add(hit, noise, out=hit, where=bases.astype(bool))
-        out[locations] = hit
-    if precision_mode == "synthetic" and precision_var > 0:
-        out += complex_normal(rng, 0.0, precision_var, out.shape)
+        order = np.argsort(plan.locations)
+        locations, mask = np.asarray(plan.locations)[order], plan.bases[order].astype(bool)
+        noise_mean, noise_var = plan.noise_mean, plan.noise_var
+    return add_noise(results, locations, mask, noise_mean, noise_var,
+                     precision_mode, precision_var, rng)
+
+
+def add_noise(results, locations, mask, noise_mean, noise_var,
+              precision_mode: str, precision_var: float, rng: np.random.Generator) -> np.ndarray:
+    """A complex copy of results (N, u, h) with Byzantine, then precision, noise; no checks.
+
+    Worker ``locations[a]`` (ascending, distinct, in 0..N-1; None for no
+    worker) adds CN(noise_mean, noise_var) where ``mask[a]`` (u, h) is True,
+    on every entry when ``mask`` is None. The precision mode and variance act
+    as in `inject`. One standard-normal draw makes all the noise: location
+    by location the real then the imaginary parts of its (u, h) block, then
+    the real and the imaginary parts of the (N, u, h) precision noise, the
+    stream of one `complex_normal` draw per location and one for the
+    precision noise. The caller has checked every argument.
+    """
+    out = np.array(results, dtype=complex)
+    block = out.shape[1:]
+    byzantine = 0 if locations is None else len(locations) * math.prod(block)
+    precision = out.size if precision_mode == "synthetic" and precision_var > 0 else 0
+    if byzantine or precision:
+        draws = rng.standard_normal(2 * (byzantine + precision))
+    if byzantine:
+        d = draws[: 2 * byzantine].reshape(len(locations), 2, *block)
+        noise = _scaled_complex(d[:, 0], d[:, 1], noise_mean, noise_var)
+        if mask is None:
+            out[locations] += noise
+        else:
+            hit = out[locations]
+            np.add(hit, noise, out=hit, where=mask)
+            out[locations] = hit
+    if precision:
+        d = draws[2 * byzantine:].reshape(2, *out.shape)
+        out += _scaled_complex(d[0], d[1], 0.0, precision_var)
     elif precision_mode == "reduced":
         out = out.astype(np.complex64).astype(complex)
     return out

@@ -61,6 +61,18 @@ class TestParams:
         with pytest.raises(ParameterError, match=field):
             small_params(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_workers", 11.0), ("k", 2.5), ("t", 1.0), ("t", True), ("degree", 2.0),
+        ("degree", False), ("k", "2"),
+    ])
+    def test_non_integer_dimension_rejected_by_name(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+            small_params(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = small_params(n_workers=np.int64(11), k=np.int32(2), t=np.uint8(1))
+        assert params.code_dimension == small_params(n_workers=11, k=2, t=1).code_dimension
+
 
 class TestLagrangeBasis:
     def test_single_node_is_one(self):

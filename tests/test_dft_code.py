@@ -68,9 +68,12 @@ class TestBuildCode:
     def test_repeated_build_returns_one_read_only_code(self):
         code = build_code(15, 7)
         assert build_code(15, 7) is code
-        for arr in (code.generator, code.parity):
+        for arr in (code.generator, code.parity, code.parity_h, code.gram):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
+        # the layout of parity.conj().T, so syndrome products keep their bits
+        assert code.parity_h.strides == code.parity.conj().T.strides
+        assert np.array_equal(code.parity_h, code.parity.conj().T)
 
 
 class TestSyndrome:

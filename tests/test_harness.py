@@ -88,6 +88,46 @@ class TestScenario:
         with pytest.raises(ParameterError, match=field):
             Scenario(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        # each used to build, write the CSV header, then fail in its first trial
+        ("trials", 2.5), ("master_seed", 1.5), ("byzantine_count", 1.0), ("k", 3.0),
+        ("input_rows", 2.0),
+        # used to run silently
+        ("constraint_length", 2.5),
+        # used to build an encoding whose 1e6 / sqrt(t) overflows in float16
+        ("t", True),
+        ("n_workers", 31.0), ("input_cols", False), ("trials", "3"),
+    ])
+    def test_non_integer_field_rejected_by_name(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer, got"):
+            Scenario(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("unreliable", (0, 2.0, 5)), ("unreliable", (True, 4)),
+        ("byzantine_locations", (1.0, 3)), ("byzantine_locations", (False, 3)),
+    ])
+    def test_non_integer_index_rejected_by_name(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} index must be an integer, got"):
+            Scenario(byzantine_count=2, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        sc = Scenario(n_workers=np.int64(11), k=np.int32(2), t=1, trials=np.int64(2),
+                      byzantine_count=np.int64(2), unreliable=(np.int64(1), 3, 5))
+        assert sc.capability == Scenario(n_workers=11, k=2, t=1).capability
+        assert sc.pool_array().tolist() == [1, 3, 5]
+
+    def test_non_integer_trials_fail_before_the_csv_is_written(self, tmp_path):
+        out = tmp_path / "trials.csv"
+        with pytest.raises(ParameterError, match="trials"):
+            write_sweep_csv(Scenario(trials=2.5, byzantine_count=1), SweepSpec(), out)
+        assert not out.exists()
+
+    def test_non_integer_axis_value_fails_before_the_csv_is_written(self, tmp_path):
+        out = tmp_path / "trials.csv"
+        with pytest.raises(ParameterError, match="byzantine_count"):
+            write_sweep_csv(clean_scenario(), SweepSpec(byzantine_counts=(1, 2.0)), out)
+        assert not out.exists()
+
     def test_decoder_needs_code_dimension_below_n_workers(self):
         # gram doubles the degree: k=1, t=1 give a code dimension of 3 = N
         with pytest.raises(ParameterError, match=r"decoder.*n_workers=3.*k=1, t=1"):
@@ -156,6 +196,15 @@ class TestScenario:
         assert Scenario().candidate_pool() == tuple(range(31))
         sc = Scenario(unreliable=(4, 2, 9))
         assert sc.candidate_pool() == (2, 4, 9)
+
+    def test_pool_array_is_the_sorted_pool_read_only(self):
+        sc = Scenario(unreliable=(4, 2, 9))
+        pool = sc.pool_array()
+        assert pool.tolist() == [2, 4, 9] and pool.dtype == int
+        assert sc.pool_array() is pool
+        with pytest.raises(ValueError):
+            pool[0] = 3
+        assert Scenario().pool_array().tolist() == list(range(31))
 
 
 class TestRunTrial:
@@ -316,7 +365,7 @@ class TestDecode:
             constraint_length=int(rng.integers(3, 7)) if thinned else None,
         )
         code = dft_code.build_code(n, sc.code_dimension)
-        locations, b_eff = harness._build_plan(sc, rng)
+        locations, b_eff = chain_build_plan(sc, rng)
         messages = threat.complex_normal(rng, 0.0, 1.0, (sc.output_entries, code.k))
         received = messages @ code.generator
         received += threat.complex_normal(rng, 0.0, 1e-6, received.shape)
@@ -463,6 +512,11 @@ class TestThreatStage:
         assert not np.shares_memory(got[0], results)
 
 
+def group_loc_correct(groups, locations, b_eff):
+    """`harness._loc_correct` with the true counts of the base, as a trial passes them."""
+    return harness._loc_correct(groups, locations, b_eff, b_eff.sum(axis=1))
+
+
 def mask_loc_correct(groups, locations, b_eff, n):
     """loc_correct from (M, N) detected and true masks: the reference."""
     m_rows = b_eff.shape[0]
@@ -522,7 +576,7 @@ class TestLocCorrect:
         else:
             b_eff = (rng.random((m_rows, a)) < 0.6).astype(int)
         groups = self.as_groups(self.detections(rng, n, locations, b_eff, fault))
-        assert harness._loc_correct(groups, locations, b_eff, n) == mask_loc_correct(
+        assert group_loc_correct(groups, locations, b_eff) == mask_loc_correct(
             groups, locations, b_eff, n)
 
     @pytest.mark.parametrize("sets,b_eff,expected", [
@@ -536,17 +590,16 @@ class TestLocCorrect:
     ])
     def test_counts_and_supports_decide(self, sets, b_eff, expected):
         locations, b_eff, groups = np.array([1, 4]), np.array(b_eff), self.as_groups(sets)
-        assert harness._loc_correct(groups, locations, b_eff, 6) is expected
+        assert group_loc_correct(groups, locations, b_eff) is expected
         assert mask_loc_correct(groups, locations, b_eff, 6) is expected
 
     def test_rows_of_count_zero_must_detect_nothing(self):
         locations, b_eff = np.array([2]), np.array([[1], [0], [0]])
-        clean = self.as_groups([[2], [], []])
-        assert harness._loc_correct(clean, locations, b_eff, 5)
-        assert not harness._loc_correct(self.as_groups([[2], [], [2]]), locations, b_eff, 5)
-        assert harness._loc_correct([], np.zeros(0, dtype=int), np.zeros((3, 0), dtype=int), 5)
-        assert not harness._loc_correct(self.as_groups([[0], [], []]),
-                                        np.zeros(0, dtype=int), np.zeros((3, 0), dtype=int), 5)
+        assert group_loc_correct(self.as_groups([[2], [], []]), locations, b_eff)
+        assert not group_loc_correct(self.as_groups([[2], [], [2]]), locations, b_eff)
+        none, no_base = np.zeros(0, dtype=int), np.zeros((3, 0), dtype=int)
+        assert group_loc_correct([], none, no_base)
+        assert not group_loc_correct(self.as_groups([[0], [], []]), none, no_base)
 
 
 class TestSharedPrefix:
