@@ -3,9 +3,19 @@
 One trial: draw data, encode, apply the worker function, inject Byzantine
 and precision noise, decode the output-entry codewords with the configured
 strategy, reconstruct, and report the relative error against the
-centralized computation. `decode` is the decoder, from syndromes to the
-corrected words and detected sets; `selftest` decodes through it too, so its
-exhaustive check covers the trial's own decode. The codewords are decoded in
+centralized computation.
+
+`_threat` is the threat stage. It draws the Byzantine locations from the
+scenario's read-only pool array (`Scenario.pool_array`), builds the
+effective base, and adds all the noise in one pass through
+`threat.add_noise`. It builds no `ByzantinePlan` and checks nothing again:
+the `Scenario` checked every value it passes, and the base is binary by
+construction. `loc_correct` compares each group's detected indices with its
+rows' supports, with no (M, N) mask.
+
+`decode` is the decoder, from syndromes to the corrected words and detected
+sets; `selftest` decodes through it too, so its exhaustive check covers the
+trial's own decode. The codewords are decoded in
 stacks: one locator call per distinct error count, one value-recovery call
 per detected-set size. Each locator in a call is its own system. A
 value-recovery call whose codewords all share one detected set, as under
@@ -23,8 +33,8 @@ What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
 (see `codec`), the DFT code per (N, K) (see `dft_code.build_code`), the
 value-recovery operator per (N, K, detected set) in a 128-entry LRU (see
-`dft_code.recover_error_values`), and the encoding parameters and the digest
-on the `Scenario` instance. Trials whose sets repeat, such as a baseline
+`dft_code.recover_error_values`), and the encoding parameters, the pool
+array and the digest on the `Scenario` instance. Trials whose sets repeat, such as a baseline
 scan's, reuse the operator; random sets rebuild it from one (count, count)
 inverse. Every draw is still made per trial, from the trial's own seed.
 
@@ -164,11 +174,6 @@ def trial_seeds(master_seed: int, grid_index: int, count: int) -> list:
     return (low.astype(np.uint64) | high.astype(np.uint64) << 32).tolist()
 
 
-# the locations of a trial without Byzantine workers
-_NO_LOCATIONS = np.zeros(0, dtype=int)
-_NO_LOCATIONS.flags.writeable = False
-
-
 def _threat(scenario: Scenario, results, rng):
     """Noisy returns (N, u, h), Byzantine locations (A,) and effective base (M, A) of one trial.
 
@@ -180,9 +185,8 @@ def _threat(scenario: Scenario, results, rng):
     """
     a = scenario.byzantine_count
     m_rows = scenario.output_entries
-    mask = None  # an all-one base: every entry of a Byzantine worker's block
     if a == 0:
-        locations, b_eff = _NO_LOCATIONS, np.zeros((m_rows, 0), dtype=int)
+        locations, b_eff = np.zeros(0, dtype=int), np.zeros((m_rows, 0), dtype=int)
     else:
         if scenario.byzantine_locations is not None:
             locations = np.sort(np.array(scenario.byzantine_locations, dtype=int))
@@ -190,12 +194,11 @@ def _threat(scenario: Scenario, results, rng):
             locations = np.sort(rng.choice(scenario.pool_array(), size=a, replace=False))
         if scenario.base_matrix == "all-one":
             b_eff = np.ones((m_rows, a), dtype=int)
+        elif scenario.base_matrix == "strong":
+            b_eff = threat.design_strong_collusion(m_rows, a, rng)
         else:
-            if scenario.base_matrix == "strong":
-                b_eff = threat.design_strong_collusion(m_rows, a, rng)
-            else:
-                b_eff = threat.design_weak_collusion(m_rows, a, scenario.weak_zero_prob, rng)
-            mask = np.ascontiguousarray(b_eff.T, dtype=bool).reshape(a, *results.shape[1:])
+            b_eff = threat.design_weak_collusion(m_rows, a, scenario.weak_zero_prob, rng)
+    mask = np.ascontiguousarray(b_eff.T, dtype=bool).reshape(a, *results.shape[1:])
     returns = threat.add_noise(results, locations, mask, scenario.noise_mean, scenario.noise_var,
                                scenario.precision_mode, scenario.precision_var, rng)
     return returns, locations, b_eff

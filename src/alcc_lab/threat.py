@@ -3,8 +3,12 @@
 Byzantine workers add complex Gaussian noise on the support of their binary
 base matrices; precision noise models floating-point error either as white
 noise on the returned matrices, as noise on locator coefficients, or as a
-genuine float32 round-trip. `inject` applies both, taking the precision
-mode and variance as plain arguments.
+genuine float32 round-trip. The noise arithmetic is in one place,
+`add_noise`: arrays in, one standard-normal draw for both kinds of noise,
+and no checks. `inject` is its checking wrapper, which takes a
+`ByzantinePlan` and the precision mode and variance as plain arguments. A
+trial's threat stage (`harness`) calls `add_noise` directly, with values its
+`Scenario` checked when it was built.
 """
 
 from __future__ import annotations
@@ -95,6 +99,38 @@ def plan_from_effective_base(
 PRECISION_MODES = ("synthetic", "locator", "reduced")
 
 
+def add_noise(results, locations, mask, noise_mean, noise_var,
+              precision_mode: str, precision_var: float, rng: np.random.Generator) -> np.ndarray:
+    """A complex copy of results (N, u, h) with Byzantine, then precision, noise; no checks.
+
+    Worker ``locations[a]`` (ascending, distinct, in 0..N-1) adds
+    CN(noise_mean, noise_var) where ``mask[a]`` (u, h) is True. The precision
+    mode and variance act as in `inject`. One standard-normal draw makes all
+    the noise: location by location the real then the imaginary parts of its
+    (u, h) block, then the real and the imaginary parts of the (N, u, h)
+    precision noise, the stream of one `complex_normal` draw per location
+    and one for the precision noise. The caller has checked every argument.
+    """
+    out = np.array(results, dtype=complex)
+    block = out.shape[1:]
+    byzantine = len(locations) * math.prod(block)
+    precision = out.size if precision_mode == "synthetic" and precision_var > 0 else 0
+    if byzantine or precision:
+        draws = rng.standard_normal(2 * (byzantine + precision))
+    if byzantine:
+        d = draws[: 2 * byzantine].reshape(len(locations), 2, *block)
+        noise = _scaled_complex(d[:, 0], d[:, 1], noise_mean, noise_var)
+        hit = out[locations]
+        np.add(hit, noise, out=hit, where=mask)
+        out[locations] = hit
+    if precision:
+        d = draws[2 * byzantine:].reshape(2, *out.shape)
+        out += _scaled_complex(d[0], d[1], 0.0, precision_var)
+    elif precision_mode == "reduced":
+        out = out.astype(np.complex64).astype(complex)
+    return out
+
+
 def inject(
     results,
     plan: ByzantinePlan | None,
@@ -119,7 +155,7 @@ def inject(
         raise ParameterError(f"precision_mode must be one of {PRECISION_MODES}")
     if not 0 <= precision_var < math.inf:
         raise ParameterError(f"precision_var must be non-negative and finite, got {precision_var}")
-    locations = mask = None
+    locations, mask = (), None
     noise_mean, noise_var = 0.0, 0.0
     if plan is not None and plan.count:
         if max(plan.locations) >= np.shape(results)[0] or min(plan.locations) < 0:
@@ -129,42 +165,6 @@ def inject(
         noise_mean, noise_var = plan.noise_mean, plan.noise_var
     return add_noise(results, locations, mask, noise_mean, noise_var,
                      precision_mode, precision_var, rng)
-
-
-def add_noise(results, locations, mask, noise_mean, noise_var,
-              precision_mode: str, precision_var: float, rng: np.random.Generator) -> np.ndarray:
-    """A complex copy of results (N, u, h) with Byzantine, then precision, noise; no checks.
-
-    Worker ``locations[a]`` (ascending, distinct, in 0..N-1; None for no
-    worker) adds CN(noise_mean, noise_var) where ``mask[a]`` (u, h) is True,
-    on every entry when ``mask`` is None. The precision mode and variance act
-    as in `inject`. One standard-normal draw makes all the noise: location
-    by location the real then the imaginary parts of its (u, h) block, then
-    the real and the imaginary parts of the (N, u, h) precision noise, the
-    stream of one `complex_normal` draw per location and one for the
-    precision noise. The caller has checked every argument.
-    """
-    out = np.array(results, dtype=complex)
-    block = out.shape[1:]
-    byzantine = 0 if locations is None else len(locations) * math.prod(block)
-    precision = out.size if precision_mode == "synthetic" and precision_var > 0 else 0
-    if byzantine or precision:
-        draws = rng.standard_normal(2 * (byzantine + precision))
-    if byzantine:
-        d = draws[: 2 * byzantine].reshape(len(locations), 2, *block)
-        noise = _scaled_complex(d[:, 0], d[:, 1], noise_mean, noise_var)
-        if mask is None:
-            out[locations] += noise
-        else:
-            hit = out[locations]
-            np.add(hit, noise, out=hit, where=mask)
-            out[locations] = hit
-    if precision:
-        d = draws[2 * byzantine:].reshape(2, *out.shape)
-        out += _scaled_complex(d[0], d[1], 0.0, precision_var)
-    elif precision_mode == "reduced":
-        out = out.astype(np.complex64).astype(complex)
-    return out
 
 
 def design_strong_collusion(m_rows: int, v: int, rng: np.random.Generator) -> np.ndarray:
