@@ -22,13 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numeric import (
-    DimensionError,
-    ParameterError,
-    as_finite_complex,
-    check_integer,
-    poly_eval,
-)
+from .numeric import DimensionError, ParameterError, as_finite_complex, check_integer, poly_eval
 
 
 class MetricError(ValueError):

@@ -8,35 +8,34 @@ centralized computation.
 `_threat` is the threat stage. It draws the Byzantine locations from the
 scenario's read-only pool array (`Scenario.pool_array`), builds the
 effective base, and adds all the noise in one pass through
-`threat.add_noise`. It builds no `ByzantinePlan` and checks nothing again:
-the `Scenario` checked every value it passes, and the base is binary by
-construction. `loc_correct` compares each group's detected indices with its
-rows' supports, with no (M, N) mask.
+`threat.add_noise`, with no `ByzantinePlan`. `_loc_correct` compares each
+group's detected indices with its rows' supports, with no (M, N) mask.
 
 `decode` is the decoder, from syndromes to the corrected words and detected
 sets; `selftest` decodes through it too, so its exhaustive check covers the
-trial's own decode. The codewords are decoded in
-stacks: one locator call per distinct error count, one value-recovery call
-per detected-set size. Each locator in a call is its own system. A
-value-recovery call whose codewords all share one detected set, as under
-all-one base matrices, is one product with that set's cached operator;
-otherwise each codeword is its own system. When every codeword has the same
-count, as under oracle counts on all-one bases, the one stack is a view of
-the whole (M, ...) arrays, not a gathered copy. The locators are one
-(M, v+1) coefficient matrix, zero above each count. Every strategy localizes
-a count's rows as one stack among its candidates: all N indices, the pool,
-or the subset that the joint search picks from the rows of positive count,
-whose averaged locators replace theirs. The detected sets are index arrays
-per set size, and value recovery takes them as they are.
+trial's own decode. The codewords are decoded in stacks: one locator call
+per distinct error count, one value-recovery call per detected-set size.
+Each locator in a call is its own system. A value-recovery call whose
+codewords all share one detected set, as under all-one base matrices, is one
+product with that set's cached operator; otherwise each codeword is its own
+system. When every codeword has the same count, as under oracle counts on
+all-one bases, the one stack is a view of the whole (M, ...) arrays, not a
+gathered copy. The locators are one (M, v+1) coefficient matrix, zero above
+each count. Every strategy localizes a count's rows as one stack among its
+candidates: all N indices, the pool, or the subset that the joint search
+picks from the rows of positive count, whose averaged locators replace
+theirs. The detected sets are index arrays per set size, and value recovery
+takes them as they are.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`
 (see `codec`), the DFT code per (N, K) (see `dft_code.build_code`), the
 value-recovery operator per (N, K, detected set) in a 128-entry LRU (see
 `dft_code.recover_error_values`), and the encoding parameters, the pool
-array and the digest on the `Scenario` instance. Trials whose sets repeat, such as a baseline
-scan's, reuse the operator; random sets rebuild it from one (count, count)
-inverse. Every draw is still made per trial, from the trial's own seed.
+array and the digest on the `Scenario` instance. Trials whose sets repeat,
+such as a baseline scan's, reuse the operator; random sets rebuild it from
+one (count, count) inverse. Every draw is still made per trial, from the
+trial's own seed.
 
 Consecutive trials of one seed also share their prefix: the data blocks,
 padding, shares, worker results and centralized reference depend only on
