@@ -1,7 +1,7 @@
-"""The decoder against a fixed reference: trial rows of four sweep grids.
+"""The decoder against a fixed reference: trial rows of five sweep grids.
 
 ``data/decode_reference.csv`` holds the trial rows that a sweep wrote for
-these grids, at two trials per point. The rows of the first three grids were
+these grids, at two trials per point, or as `SCENARIOS` sets them. The rows of the first three grids were
 written when every codeword was still decoded on its own (one locator solve,
 localization and value recovery per codeword). The decoder now works on
 stacks of codewords, which may move the last bits of ``e_rel`` but must not
@@ -14,7 +14,11 @@ collusion_strong rows were written later, by the stacked decoder whose joint
 search still made its own per-locator picks, so they pin that decoder, not
 the per-codeword one. Its strong bases give one all-one row and rows of
 degree v-1, so the joint search scores an averaged locator among
-lower-degree ones.
+lower-degree ones. The assignment_study rows were written by the decoder
+that still solved every locator through `dft_code._normal_solve`: twenty
+trials of criterion 8's scenario at N = 11 (v = 2), restricted to the pool
+{0, 2, 5, 8, 10} with oracle counts of 2, so every locator is a square
+2 x 2 system.
 """
 
 import csv
@@ -34,15 +38,18 @@ GRIDS = {
     "collusion_sweep": {},
     "joint_vs_independent": {"strategies": ("independent",)},
     "collusion_strong": {},
+    "assignment_study": {},
 }
+# scenario fields set per grid; a grid not named here runs two trials per point
+SCENARIOS = {"assignment_study": {"trials": 20, "unreliable": (0, 2, 5, 8, 10)}}
 
 
 def sweep_rows(grid: str, tmp_path) -> list:
-    """Trial rows of one config's grid at two trials per point, as FIELDS."""
+    """Trial rows of one config's grid, with its `SCENARIOS` fields, as FIELDS."""
     base, spec = load_config(ROOT / "configs" / f"{grid}.cfg")
     spec = dataclasses.replace(spec, **GRIDS[grid])
     path = tmp_path / f"{grid}.csv"
-    write_sweep_csv(base.with_updates(trials=2), spec, path)
+    write_sweep_csv(base.with_updates(**SCENARIOS.get(grid, {"trials": 2})), spec, path)
     rows = []
     with open(path, newline="") as fh:
         for _, seed, a, sigma, strategy, e_rel, _, loc in list(csv.reader(fh))[1:]:

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -681,3 +682,185 @@ def test_zero_syndrome_locator_falls_back_without_warnings(code_15_7):
     assert np.array_equal(coeffs[0], [1, 0, 0])
     expected, tol = locator_lstsq_rows(code_15_7, s[1:], 2)
     assert (np.abs(unknowns(coeffs[1:]) - expected) <= tol).all()
+
+
+def reference_needs_fallback(m, m_inv):
+    """The solve guard as `_normal_solve` ran it for every locator: per matrix,
+    whether the Frobenius cond(M) from two sums of squares is above 1e8 or NaN."""
+    sq = lambda a: (a.real**2 + a.imag**2).sum(axis=(-2, -1))  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(np.sqrt(sq(m)) * np.sqrt(sq(m_inv)) <= 1e8)
+
+
+def reference_locator(code, s, count):
+    """Unknowns (P, count), (g_count, ..., g_1), and the fallback mask (P,) of
+    each locator system W y = b, solved as `_normal_solve` solved every count:
+    y = inv(W) b for square W, else from G = W^H W with one corrected
+    semi-normal step; a system past the guard, or every system when ``inv``
+    rejects the stack, by `least_squares`."""
+    w, b = locator_systems(code, s, count)
+    wh = w.conj().swapaxes(-1, -2)
+    square = w.shape[-2] == count
+    m = w if square else wh @ w
+    m_inv = inverse_as_solved(m)
+    with np.errstate(all="ignore"):  # rows past the guard are solved again below
+        if square:
+            y = (m_inv @ b[..., None])[..., 0]
+        else:
+            y = (m_inv @ (wh @ b[..., None]))[..., 0]
+            r = b - (w @ y[..., None])[..., 0]
+            y += (m_inv @ (wh @ r[..., None]))[..., 0]
+    fallback = reference_needs_fallback(m, m_inv)
+    if fallback.any():
+        y[fallback] = dft_code.least_squares(w[fallback], b[fallback])
+    return y, fallback
+
+
+def locator_tolerance(code, s, count, y):
+    """C_LOCATOR * eps * k_F * (||y|| + ||W^+||_F ||b - W y||) per system, from
+    the singular values of W; infinite for a singular W."""
+    w, b = locator_systems(code, s, count)
+    sv = np.linalg.svd(w, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pinv_norm = np.sqrt((1.0 / sv**2).sum(axis=-1))
+        k_f = np.sqrt((sv**2).sum(axis=-1)) * pinv_norm
+        residual = np.linalg.norm(b - (w @ y[..., None])[..., 0], axis=-1)
+        bound = k_f * (np.linalg.norm(y, axis=-1) + pinv_norm * residual)
+    return np.where(np.isfinite(bound), C_LOCATOR * EPS * bound, np.inf)[:, None]
+
+
+@st.composite
+def small_count_locator_stacks(draw):
+    """A code with N in 5..31, a count of 1 or 2 whose windows are square
+    (count = v) or not, 1-256 syndromes (see `draw_syndromes`) and a scale.
+
+    The scale runs from 1e-100 to 1e100 for square windows, and from 1e-50 to
+    1e50 for the others, whose normal matrices square it.
+    """
+    count = draw(st.integers(1, 2))
+    square = draw(st.booleans())
+    n = draw(st.integers(5 if square or count == 1 else 7, 31))
+    if square:  # N - K in {2v, 2v + 1} with v = count
+        code = build_code(n, n - 2 * count - draw(st.integers(0, min(1, n - 2 * count - 1))))
+    else:
+        code = build_code(n, draw(st.integers(1, n - 2 * count - 2)))
+    rows = draw(st.integers(1, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # adjacent supports, the worst-conditioned windows
+        support = np.sort((rng.integers(0, n, (rows, 1)) + np.arange(count)) % n, axis=-1)
+    else:
+        support = np.sort(rng.random((rows, n)).argsort(axis=-1)[:, :count], axis=-1)
+    s = draw_syndromes(draw, rng, value_systems(code, support))
+    exponent = 100 if square else 50
+    return code, count, s * 10.0 ** draw(st.integers(-exponent, exponent))
+
+
+class TestSmallCountLocator:
+    """`locator_polynomial` at counts 1 and 2 against the route every count took
+    through `_normal_solve`, which is kept here as `reference_locator`."""
+
+    @given(small_count_locator_stacks())
+    @seed(20261021)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_normal_solve_route(self, case):
+        code, count, s = case
+        expected, _ = reference_locator(code, s, count)
+        coeffs = locator_polynomial(code, s, count)
+        assert coeffs.shape == (len(s), count + 1) and np.isfinite(coeffs).all()
+        tol = locator_tolerance(code, s, count, expected)
+        assert (np.abs(unknowns(coeffs) - expected) <= tol).all()
+        # the same detections, apart from rows whose metric ties exactly at the cut
+        ref_coeffs = np.concatenate([np.ones((len(s), 1)), expected[:, ::-1]], axis=1)
+        metric = np.sort(np.abs(np.fft.fft(ref_coeffs, code.n, axis=-1)) ** 2, axis=-1)
+        untied = metric[:, count - 1] != metric[:, count]
+        found = independent_localize(coeffs, count, code.n)
+        assert np.array_equal(found[untied],
+                              independent_localize(ref_coeffs, count, code.n)[untied])
+
+    @pytest.mark.parametrize("scale", [1e-50, 1.0, 1e50])
+    @pytest.mark.parametrize("n,k", [(11, 7), (12, 7), (15, 7), (31, 15)])
+    def test_fallback_decisions_either_side_of_1e8(self, monkeypatch, n, k, scale):
+        """Count-2 stacks whose guarded matrix (W when square, else G) has a
+        Frobenius cond of 1e8 (1 -/+ 1e-6): the same systems fall back."""
+        code = build_code(n, k)
+        conds = [1e8 * (1 - 1e-6), 1e8 * (1 + 1e-6)] * 2
+        s = syndromes_with_cond(code, conds, np.random.default_rng(n)) * scale
+        _, expected = reference_locator(code, s, 2)
+        assert expected.tolist() == [False, True, False, True]
+        solved = []
+        lstsq = dft_code.least_squares
+
+        def spy(a, b):
+            solved.append(np.asarray(a).copy())
+            return lstsq(a, b)
+
+        monkeypatch.setattr(dft_code, "least_squares", spy)
+        locator_polynomial(code, s, 2)
+        w, _ = locator_systems(code, s, 2)
+        assert len(solved) == 1 and np.array_equal(solved[0], w[expected])
+
+    @pytest.mark.parametrize("n,k,count", [(7, 5, 1), (11, 7, 2), (11, 5, 1), (15, 7, 2)],
+                             ids=["square-1", "square-2", "normal-1", "normal-2"])
+    def test_exactly_singular_window_falls_back_without_warnings(self, monkeypatch, n, k, count):
+        """A zero syndrome and a constant one make W, and G, exactly singular:
+        those systems go to `least_squares`, with no floating-point warning."""
+        code = build_code(n, k)
+        s = complex_normal(np.random.default_rng(count), 0.0, 1.0, (4, n - k))
+        s[1] = 0.0
+        s[3] = 1.0 - 2.0j
+        solved = []
+        lstsq = dft_code.least_squares
+
+        def spy(a, b):
+            solved.extend(np.asarray(a))
+            return lstsq(a, b)
+
+        monkeypatch.setattr(dft_code, "least_squares", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = locator_polynomial(code, s, count)
+        w, b = locator_systems(code, s, count)
+        expected = lstsq(w, b)
+        tol = locator_tolerance(code, s, count, expected)
+        assert np.isfinite(coeffs).all()
+        assert (np.abs(unknowns(coeffs) - expected) <= tol).all()
+        for row in (1, 3) if count == 2 else (1,):  # a 1 x 1 window is singular only at 0
+            assert any(np.array_equal(a, w[row]) for a in solved)
+            assert np.abs(unknowns(coeffs)[row] - expected[row]).max() <= 1e-14
+
+
+def syndromes_with_cond(code, conds, rng):
+    """(len(conds), N-K) syndromes whose count-2 locator matrix, W when square
+    (v = 2) and G = W^H W otherwise, has each given Frobenius cond.
+
+    A square W = [[s0, s1], [s1, s2]] is complex symmetric: U diag(1, t) U^T
+    with U unitary has cond_F = (1 + t^2) / t. Otherwise the syndrome is a
+    geometric sequence, whose windows have rank 1, plus e times a random
+    vector, with e tuned by Newton steps on log cond against log e.
+    """
+    v = code.capability
+    s = complex_normal(rng, 0.0, 1.0, (len(conds), code.n - code.k))
+    for row, cond in zip(s, conds):
+        if v == 2:
+            t = 1 / (cond / 2 + np.sqrt(cond * cond / 4 - 1))  # the root below 1 of t^2 - cond t + 1
+            u = np.linalg.qr(complex_normal(rng, 0.0, 1.0, (2, 2)))[0]
+            w = (u * [1.0, t]) @ u.T
+            row[:3] = w[0, 0], w[0, 1], w[1, 1]
+            continue
+        z = np.exp(2j * np.pi * rng.random())
+        base, direction = z ** np.arange(len(row)), row.copy()
+
+        def log_cond(e):
+            w, _ = locator_systems(code, base + e * direction, 2)
+            g = w.conj().T @ w
+            return np.log(np.linalg.norm(g) * np.linalg.norm(np.linalg.inv(g)))
+
+        e = 1e-4
+        for _ in range(50):
+            # cond ~ e^-2 near rank 1, so a Newton step with slope -2 in log-log
+            step = (log_cond(e) - np.log(cond)) / 2
+            e *= np.exp(step)
+            if abs(step) < 1e-12:
+                break
+        row[:] = base + e * direction
+    return s
