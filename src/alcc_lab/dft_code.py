@@ -6,9 +6,14 @@ blocks are: syndrome projection, error-count estimation (Hankel rank),
 locator-polynomial solve, and error-value recovery/subtraction. Each block
 takes one codeword (its syndrome, locator, ...) or a stack of them along
 leading axes; a stack shares one error count or one detected-set size.
-The locator and value recovery share one solve: a square system through the
-inverse of its own matrix, any other from its normal matrix with one
-refinement step, and the SVD of `numeric.least_squares` only past the guard.
+The locator at counts 1 and 2 is solved in closed form, elementwise over the
+stack: a square system by division or Cramer's rule, any other from its 1 x 1
+or 2 x 2 normal matrix, inverted by its adjugate, with one refinement step.
+Larger counts and value recovery share one solve, `_normal_solve`: a square
+system through the inverse of its own matrix, any other from its normal
+matrix with one refinement step. Both guard every system by the Frobenius
+condition number of the matrix they invert, and take the SVD of
+`numeric.least_squares` only past it.
 Value recovery and correction also take one detected set shared by the whole
 stack: the recovery is then one product with the set's operator, built once
 per (N, K, set) and cached.
@@ -102,28 +107,106 @@ def locator_polynomial(code: DftCode, s, count: int) -> np.ndarray:
 
     The locator's roots among gamma^q mark the corrupted evaluation indices;
     its coefficients are ascending, with g_0 = 1. Row i (i = 0..2v-count-1)
-    reads sum_j s[i+j] * g_{count-j} = -s[i+count]; that system W g = b over
-    every syndrome window is solved by `_normal_solve`, through W itself at
-    count = v, where W is square, else from its normal matrix. Every syndrome
-    of a stack shares `count`, but each is its own system.
+    reads sum_j s[i+j] * g_{count-j} = -s[i+count]: a system W g = b over
+    every syndrome window. Counts 1 and 2 are solved in closed form,
+    elementwise over the stack (`_small_locator`); a larger count by
+    `_normal_solve`, through W itself at count = v, where W is square, else
+    from its normal matrix. Every syndrome of a stack shares `count`, but
+    each is its own system.
     """
     s = np.asarray(s, dtype=complex)
     v = code.capability
     if not 1 <= count <= v:
         raise CapabilityExceededError(f"count must lie in 1..v={v}, got {count}")
-    windows = s[..., _window_index(v, count)].reshape(-1, 2 * v - count, count + 1)
-    # W g = b in the row form `_normal_solve` takes: -g @ conj(W)^H = -b
-    x = _normal_solve(windows[..., :count].conj(), windows[:, None, :, count])
-    # x is -(g_count, ..., g_1); flip into ascending coefficients after g_0 = 1
-    coeffs = np.ones((len(x), count + 1), dtype=complex)
-    np.negative(x[:, 0, ::-1], out=coeffs[:, 1:])
+    rows = s.reshape(-1, s.shape[-1])
+    if count <= 2:
+        coeffs = _small_locator(rows, v, count)
+    else:
+        windows = rows[:, _window_index(v, count)]
+        # W g = b in the row form `_normal_solve` takes: -g @ conj(W)^H = -b
+        x = _normal_solve(windows[..., :count].conj(), windows[:, None, :, count])
+        # x is -(g_count, ..., g_1); flip into ascending coefficients after g_0 = 1
+        coeffs = np.ones((len(x), count + 1), dtype=complex)
+        np.negative(x[:, 0, ::-1], out=coeffs[:, 1:])
     return coeffs.reshape(s.shape[:-1] + (count + 1,))
+
+
+def _small_locator(s: np.ndarray, v: int, count: int) -> np.ndarray:
+    """Ascending locator coefficients (P, count+1) of syndrome rows s (P, N-K), count 1 or 2.
+
+    Each row's windows F = [W b] give the system W x = b, x = -(g_count, ..,
+    g_1). For an M of count rows, `_null` gives z with M z = 0 and z_count =
+    det M, up to sign, so z reversed over z_count is (1, g_1, .., g_count).
+    A square system (count = v) takes M = F: division or Cramer's rule. Any
+    other takes M = [G W^H b] with G = W^H W, the normal equations solved by
+    the adjugate of G, then one corrected semi-normal step as in
+    `_normal_solve`: z gains `_null([G W^H r])` for the residual r = b - W x =
+    F z / z_count. The guard is `_normal_solve`'s, on W or G: the Frobenius
+    cond ||M||_F ||adj M||_F / |det M| against 1e8, where ||adj M||_F is 1 at
+    count 1 and ||M||_F at count 2. A NaN cond, or a det that is zero or
+    subnormal, fails it too; those systems are solved by `least_squares`, and
+    nothing warns on the way. Every array here holds one entry per row of
+    its last axis, (..., P), so each operation runs over the whole stack.
+    """
+    cols = s.T[_column_index(v, count)]  # F^T: W's columns, then b, (count+1, 2v-count, P)
+    square = cols.shape[1] == count
+    with np.errstate(all="ignore"):
+        if square:
+            m = cols.swapaxes(0, 1)  # F
+        else:
+            conj = cols[:count].conj()
+            m = (conj[:, None] * cols).sum(axis=2)  # [G W^H b], (count, count+1, P)
+        z = _null(m)
+        det = z[count]
+        z = z / det  # the coefficients, reversed
+        if not square:
+            residual = (cols * z[:, None]).sum(axis=0)  # b - W x
+            m[:, count] = (conj * residual).sum(axis=1)
+            z[:count] += _null(m)[:count] / det
+        m = m[:, :count]  # W (its norm is W^T's) or G
+        size = np.abs(det)
+        norm = size if count == 1 else (m * m.conj()).real.sum(axis=(0, 1))
+        ok = (size >= _TINY) & (norm / size <= 1e8)
+    coeffs = z[::-1].T
+    coeffs[:, 0] = 1.0  # z_count / z_count, which complex division may round
+    if not ok.all():
+        bad = ~ok
+        w, b = cols[:count, :, bad].T, cols[count, :, bad]
+        coeffs[bad, 1:] = -least_squares(w, b)[:, ::-1]
+    return coeffs
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
+# the entries of a (2, 3) M whose products give the cross product of its rows
+_CROSS_ROWS = np.array([[0], [1], [0], [1]])
+_CROSS_COLS = np.array([[1, 2, 0], [2, 0, 1], [2, 0, 1], [1, 2, 0]])
+_SWAP_SIGN = np.array([[1.0], [-1.0]])
+
+
+def _null(m: np.ndarray) -> np.ndarray:
+    """z (count+1, ...) with m z = 0 for m (count, count+1, ...), count 1 or 2.
+
+    z_count is det(m[:count, :count]) at count 2, and its negative at count 1:
+    z is (m_01, -m_00) for one row, the cross product of the rows for two.
+    """
+    if len(m) == 1:
+        return m[0, ::-1] * _SWAP_SIGN
+    f = m[_CROSS_ROWS, _CROSS_COLS]
+    return f[0] * f[1] - f[2] * f[3]
 
 
 @functools.lru_cache(maxsize=128)
 def _window_index(v: int, count: int) -> np.ndarray:
     """Read-only (2v-count, count+1) positions of the syndrome windows, row i at i..i+count."""
     index = np.arange(2 * v - count)[:, None] + np.arange(count + 1)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=128)
+def _column_index(v: int, count: int) -> np.ndarray:
+    """`_window_index` transposed into a read-only C-contiguous (count+1, 2v-count) array."""
+    index = np.ascontiguousarray(_window_index(v, count).T)
     index.flags.writeable = False
     return index
 

@@ -197,7 +197,9 @@ def _threat(scenario: Scenario, results, rng):
             b_eff = threat.design_strong_collusion(m_rows, a, rng)
         else:
             b_eff = threat.design_weak_collusion(m_rows, a, scenario.weak_zero_prob, rng)
-    mask = np.ascontiguousarray(b_eff.T, dtype=bool).reshape(a, *results.shape[1:])
+    mask = None  # all-one: every entry of a Byzantine worker's block
+    if scenario.base_matrix != "all-one":
+        mask = np.ascontiguousarray(b_eff.T, dtype=bool).reshape(a, *results.shape[1:])
     returns = threat.add_noise(results, locations, mask, scenario.noise_mean, scenario.noise_var,
                                scenario.precision_mode, scenario.precision_var, rng)
     return returns, locations, b_eff
@@ -236,13 +238,20 @@ def _groups(sizes):
 
 
 def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
-    """Locator coefficients per codeword, (M, v+1), zero above each count."""
+    """Locator coefficients per codeword, (M, v+1), zero above each count.
+
+    When one group holds every codeword at count v, the solve's own (M, v+1)
+    array is the matrix, with nothing filled or copied.
+    """
     solved = [(rows, dft_code.locator_polynomial(code, syndromes[rows], count))
               for count, rows in _groups(counts)]
-    # allocated after the solves: allocating it first slowed the selftest by about 4%
-    coeffs = np.zeros((counts.size, code.capability + 1), dtype=complex)
-    for rows, group in solved:
-        coeffs[rows, : group.shape[-1]] = group
+    if len(solved) == 1 and solved[0][1].shape == (counts.size, code.capability + 1):
+        coeffs = solved[0][1]
+    else:
+        # allocated after the solves: allocating it first slowed the selftest by about 4%
+        coeffs = np.zeros((counts.size, code.capability + 1), dtype=complex)
+        for rows, group in solved:
+            coeffs[rows, : group.shape[-1]] = group
     if scenario.precision_mode == "locator" and scenario.precision_var > 0:
         # one draw, read as complex_normal's per codeword of positive count in
         # order ([re | im] chunks of count+1), keeps each trial's random stream
@@ -256,13 +265,19 @@ def _locators(scenario, code, syndromes, counts, rng) -> np.ndarray:
 
 
 def _correct_codewords(code, r_eff, syndromes, groups) -> np.ndarray:
-    """Subtract the recovered error values at every codeword's detected indices."""
+    """Subtract the recovered error values at every codeword's detected indices.
+
+    A group of every codeword (rows ``slice(None)``) returns the new array of
+    `dft_code.correct_codeword` as it is.
+    """
     corrected = r_eff
     for rows, found in groups:
         if (found == found[0]).all():
             found = found[0]  # one set for every codeword: one product with its operator
         values = dft_code.recover_error_values(code, syndromes[rows], found)
         words = dft_code.correct_codeword(r_eff[rows], found, values)
+        if isinstance(rows, slice):
+            return words
         if corrected is r_eff:  # copied after the first solve, as `_locators` allocates
             corrected = r_eff.copy()
         corrected[rows] = words
@@ -288,10 +303,10 @@ def decode(scenario: Scenario, received, rng, true_counts=None):
         counts = dft_code.estimate_error_count(code, syndromes, rel_tol=scenario.rank_rel_tol)
         if scenario.localization != "independent":
             # restricted and joint pick only from the pool, so never more than it holds
-            counts = np.minimum(counts, len(scenario.candidate_pool()))
+            counts = np.minimum(counts, len(scenario.pool_array()))
     coeffs = _locators(scenario, code, syndromes, counts, rng)
     n = scenario.n_workers
-    pool = scenario.candidate_pool()
+    pool = scenario.pool_array()
     # restricted and joint search only the unreliable pool
     cand = pool if scenario.localization != "independent" and len(pool) < n else None
     if scenario.localization == "joint" and counts.any():

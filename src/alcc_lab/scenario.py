@@ -66,6 +66,10 @@ class Scenario:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ParameterError(f"{name} must be one of {allowed}")
+        if isinstance(self.decoder, np.bool_):  # stored as bool, so the digest is True's
+            object.__setattr__(self, "decoder", bool(self.decoder))
+        elif not isinstance(self.decoder, bool):
+            raise ParameterError(f"decoder must be a bool, got {self.decoder!r}")
         for name in ("n_workers", "k", "t", "input_rows", "input_cols", "byzantine_count",
                      "trials", "master_seed"):
             check_integer(name, getattr(self, name))

@@ -104,7 +104,8 @@ def add_noise(results, locations, mask, noise_mean, noise_var,
     """A complex copy of results (N, u, h) with Byzantine, then precision, noise; no checks.
 
     Worker ``locations[a]`` (ascending, distinct, in 0..N-1) adds
-    CN(noise_mean, noise_var) where ``mask[a]`` (u, h) is True. The precision
+    CN(noise_mean, noise_var) where ``mask[a]`` (u, h) is True, or to every
+    entry of its block when ``mask`` is None, with the same additions. The precision
     mode and variance act as in `inject`. One standard-normal draw makes all
     the noise: location by location the real then the imaginary parts of its
     (u, h) block, then the real and the imaginary parts of the (N, u, h)
@@ -120,9 +121,12 @@ def add_noise(results, locations, mask, noise_mean, noise_var,
     if byzantine:
         d = draws[: 2 * byzantine].reshape(len(locations), 2, *block)
         noise = _scaled_complex(d[:, 0], d[:, 1], noise_mean, noise_var)
-        hit = out[locations]
-        np.add(hit, noise, out=hit, where=mask)
-        out[locations] = hit
+        if mask is None:
+            out[locations] += noise
+        else:
+            hit = out[locations]
+            np.add(hit, noise, out=hit, where=mask)
+            out[locations] = hit
     if precision:
         d = draws[2 * byzantine:].reshape(2, *out.shape)
         out += _scaled_complex(d[0], d[1], 0.0, precision_var)

@@ -674,8 +674,9 @@ def test_rejected_locator_normal_matrices_are_solved_by_least_squares(monkeypatc
 
 
 def test_zero_syndrome_locator_falls_back_without_warnings(code_15_7):
-    """An all-zero syndrome makes every window zero: ``inv`` rejects the stack,
-    and `least_squares` gives the minimum-norm locator, g = (1, 0, ..., 0)."""
+    """An all-zero syndrome makes every window zero: its normal matrix has a
+    zero determinant, and `least_squares` gives the minimum-norm locator,
+    g = (1, 0, ..., 0)."""
     s = np.zeros((2, 8), dtype=complex)
     s[1] = complex_normal(np.random.default_rng(10), 0.0, 1.0, 8)
     coeffs = locator_polynomial(code_15_7, s, 2)
@@ -732,10 +733,12 @@ def locator_tolerance(code, s, count, y):
 @st.composite
 def small_count_locator_stacks(draw):
     """A code with N in 5..31, a count of 1 or 2 whose windows are square
-    (count = v) or not, 1-256 syndromes (see `draw_syndromes`) and a scale.
+    (count = v) or not, 1-256 syndromes (see `draw_syndromes`) and a scale
+    from 1e-100 to 1e100.
 
-    The scale runs from 1e-100 to 1e100 for square windows, and from 1e-50 to
-    1e50 for the others, whose normal matrices square it.
+    Past about 1e77 either way the normal matrices' squared norms overflow
+    or underflow, and both routes solve by `least_squares`; the closed form
+    does so without a floating-point warning, which the suite makes an error.
     """
     count = draw(st.integers(1, 2))
     square = draw(st.booleans())
@@ -751,8 +754,7 @@ def small_count_locator_stacks(draw):
     else:
         support = np.sort(rng.random((rows, n)).argsort(axis=-1)[:, :count], axis=-1)
     s = draw_syndromes(draw, rng, value_systems(code, support))
-    exponent = 100 if square else 50
-    return code, count, s * 10.0 ** draw(st.integers(-exponent, exponent))
+    return code, count, s * 10.0 ** draw(st.integers(-100, 100))
 
 
 class TestSmallCountLocator:

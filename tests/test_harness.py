@@ -128,6 +128,18 @@ class TestScenario:
             write_sweep_csv(clean_scenario(), SweepSpec(byzantine_counts=(1, 2.0)), out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["no", "", 1, 0, None])
+    def test_non_bool_decoder_rejected_by_name(self, value):
+        # a truthy string used to build and decode with strategy independent
+        with pytest.raises(ParameterError, match="^decoder must be a bool, got"):
+            Scenario(decoder=value)
+
+    @pytest.mark.parametrize("value", [np.True_, np.False_])
+    def test_numpy_bool_decoder_stored_as_bool(self, value):
+        sc = Scenario(decoder=value)
+        assert type(sc.decoder) is bool and sc.decoder == bool(value)
+        assert sc.digest() == Scenario(decoder=bool(value)).digest()
+
     def test_decoder_needs_code_dimension_below_n_workers(self):
         # gram doubles the degree: k=1, t=1 give a code dimension of 3 = N
         with pytest.raises(ParameterError, match=r"decoder.*n_workers=3.*k=1, t=1"):
@@ -344,6 +356,30 @@ class TestDecode:
         true_counts = np.zeros(0, dtype=int) if mode == "oracle" else None
         corrected, groups = harness.decode(sc, received, np.random.default_rng(0), true_counts)
         assert corrected is received and groups == []
+
+    @pytest.mark.parametrize("mode", ["oracle", "rank"])
+    @pytest.mark.parametrize("base_matrix", ["all-one", "weak"])
+    def test_received_is_left_as_it_was_and_never_returned(self, mode, base_matrix):
+        """The one-group path reads the received words and the solves' own
+        arrays in place; the corrected words are still a new array."""
+        # N = 11 gives v = 2: under all-one bases every codeword has count v
+        sc = clean_scenario(n_workers=11, k=3, t=1, byzantine_count=2, base_matrix=base_matrix,
+                            weak_zero_prob=0.3, error_count_mode=mode, input_cols=4)
+        for seed_ in range(5):
+            rng = np.random.default_rng(seed_)
+            blocks = rng.standard_normal((sc.k, sc.input_rows, sc.input_cols))
+            shares = codec.encode_shares(codec.make_batch(sc.encoding(), blocks, rng),
+                                         sc.encoding())
+            results = codec.FUNCTIONS[sc.function].apply(shares)
+            returns, _, b_eff = harness._threat(sc, results, rng)
+            received = returns.reshape(sc.n_workers, -1).T  # (M, N), as a trial passes it
+            before = received.copy()
+            corrected, groups = harness.decode(sc, received, rng, b_eff.sum(axis=1))
+            assert groups
+            if base_matrix == "all-one" and mode == "oracle":
+                assert groups[0][0] == slice(None)
+            assert received.tobytes() == before.tobytes()
+            assert not np.shares_memory(corrected, received)
 
     @staticmethod
     def joint_round(rng, n, base_matrix, mode, restricted, thinned):

@@ -9,6 +9,7 @@ from scipy import optimize, stats
 from alcc_lab.numeric import ParameterError
 from alcc_lab.threat import (
     ByzantinePlan,
+    add_noise,
     complex_normal,
     design_strong_collusion,
     design_weak_collusion,
@@ -180,6 +181,25 @@ class TestInject:
             out = inject(results, plan, "synthetic", 1e-3, got_rng)
             assert out.tobytes() == expected.tobytes()
             assert got_rng.bytes(16) == ref_rng.bytes(16)
+
+    @pytest.mark.parametrize("mode", ["synthetic", "locator", "reduced"])
+    def test_no_mask_adds_to_whole_blocks_without_touching_results(self, mode):
+        """``mask=None`` gives the bytes and stream of an all-True mask, and
+        leaves ``results`` as it was, in a new array."""
+        for seed_ in range(20):
+            rng = np.random.default_rng(seed_)
+            n, u, h = int(rng.integers(2, 32)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            locations = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            results = complex_normal(rng, 0.0, 1.0, (n, u, h))
+            before = results.copy()
+            mask = np.ones((len(locations), u, h), dtype=bool)
+            got_rng, ref_rng = np.random.default_rng(seed_ + 1), np.random.default_rng(seed_ + 1)
+            got = add_noise(results, locations, None, 10.0, 1e3, mode, 1e-3, got_rng)
+            want = add_noise(results, locations, mask, 10.0, 1e3, mode, 1e-3, ref_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bytes(16) == ref_rng.bytes(16)
+            assert results.tobytes() == before.tobytes()
+            assert not np.shares_memory(got, results)
 
     @given(mode=st.sampled_from(("synthetic", "locator", "reduced")),
            with_plan=st.booleans(), n=st.integers(1, 12), u=st.integers(1, 5),
