@@ -148,7 +148,7 @@ def _small_locator(s: np.ndarray, v: int, count: int) -> np.ndarray:
     nothing warns on the way. Every array here holds one entry per row of
     its last axis, (..., P), so each operation runs over the whole stack.
     """
-    cols = s.T[_column_index(v, count)]  # F^T: W's columns, then b, (count+1, 2v-count, P)
+    cols = s.T[_window_index(v, count).T]  # F^T: W's columns, then b, (count+1, 2v-count, P)
     square = cols.shape[1] == count
     with np.errstate(all="ignore"):
         if square:
@@ -199,14 +199,6 @@ def _null(m: np.ndarray) -> np.ndarray:
 def _window_index(v: int, count: int) -> np.ndarray:
     """Read-only (2v-count, count+1) positions of the syndrome windows, row i at i..i+count."""
     index = np.arange(2 * v - count)[:, None] + np.arange(count + 1)
-    index.flags.writeable = False
-    return index
-
-
-@functools.lru_cache(maxsize=128)
-def _column_index(v: int, count: int) -> np.ndarray:
-    """`_window_index` transposed into a read-only C-contiguous (count+1, 2v-count) array."""
-    index = np.ascontiguousarray(_window_index(v, count).T)
     index.flags.writeable = False
     return index
 
