@@ -163,7 +163,7 @@ def _small_locator(s: np.ndarray, v: int, count: int) -> np.ndarray:
             residual = (cols * z[:, None]).sum(axis=0)  # b - W x
             m[:, count] = (conj * residual).sum(axis=1)
             z[:count] += _null(m)[:count] / det
-        m = m[:, :count]  # W (its norm is W^T's) or G
+        m = m[:, :count]  # W or G, the matrix the guard judges
         size = np.abs(det)
         norm = size if count == 1 else (m * m.conj()).real.sum(axis=(0, 1))
         ok = (size >= _TINY) & (norm / size <= 1e8)
@@ -176,7 +176,7 @@ def _small_locator(s: np.ndarray, v: int, count: int) -> np.ndarray:
     return coeffs
 
 
-_TINY = np.finfo(float).tiny  # the smallest normal float
+_TINY = 2.0**-1022  # the smallest normal float
 # the entries of a (2, 3) M whose products give the cross product of its rows
 _CROSS_ROWS = np.array([[0], [1], [0], [1]])
 _CROSS_COLS = np.array([[1, 2, 0], [2, 0, 1], [2, 0, 1], [1, 2, 0]])

@@ -8,8 +8,10 @@ centralized computation.
 `_threat` is the threat stage. It draws the Byzantine locations from the
 scenario's read-only pool array (`Scenario.pool_array`), builds the
 effective base, and adds all the noise in one pass through
-`threat.add_noise`, with no `ByzantinePlan`. `_loc_correct` compares each
-group's detected indices with its rows' supports, with no (M, N) mask.
+`threat.add_noise`, with no `ByzantinePlan`. Under all-one bases it passes
+no mask, so each Byzantine worker's noise is added to its whole block.
+`_loc_correct` compares each group's detected indices with its rows'
+supports, with no (M, N) mask.
 
 `decode` is the decoder, from syndromes to the corrected words and detected
 sets; `selftest` decodes through it too, so its exhaustive check covers the
@@ -20,12 +22,14 @@ codewords all share one detected set, as under all-one base matrices, is one
 product with that set's cached operator; otherwise each codeword is its own
 system. When every codeword has the same count, as under oracle counts on
 all-one bases, the one stack is a view of the whole (M, ...) arrays, not a
-gathered copy. The locators are one (M, v+1) coefficient matrix, zero above
-each count. Every strategy localizes a count's rows as one stack among its
-candidates: all N indices, the pool, or the subset that the joint search
-picks from the rows of positive count, whose averaged locators replace
-theirs. The detected sets are index arrays per set size, and value recovery
-takes them as they are.
+gathered copy, and its corrected words are the new array that
+`dft_code.correct_codeword` returns, with no second copy. The locators are
+one (M, v+1) coefficient matrix, zero above each count; when the one count
+is v, that matrix is the locator solve's own array. Every strategy localizes
+a count's rows as one stack among its candidates: all N indices, the pool,
+or the subset that the joint search picks from the rows of positive count,
+whose averaged locators replace theirs. The detected sets are index arrays
+per set size, and value recovery takes them as they are.
 
 What a trial shares with the other trials of its scenario is built once:
 the encode basis and the reconstruction map are cached per `EncodingParams`

@@ -104,8 +104,8 @@ def add_noise(results, locations, mask, noise_mean, noise_var,
     """A complex copy of results (N, u, h) with Byzantine, then precision, noise; no checks.
 
     Worker ``locations[a]`` (ascending, distinct, in 0..N-1) adds
-    CN(noise_mean, noise_var) where ``mask[a]`` (u, h) is True, or to every
-    entry of its block when ``mask`` is None, with the same additions. The precision
+    CN(noise_mean, noise_var) where ``mask[a]`` (u, h) is True, or on its
+    whole block when ``mask`` is None, by the same additions. The precision
     mode and variance act as in `inject`. One standard-normal draw makes all
     the noise: location by location the real then the imaginary parts of its
     (u, h) block, then the real and the imaginary parts of the (N, u, h)

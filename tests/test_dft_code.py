@@ -685,14 +685,6 @@ def test_zero_syndrome_locator_falls_back_without_warnings(code_15_7):
     assert (np.abs(unknowns(coeffs[1:]) - expected) <= tol).all()
 
 
-def reference_needs_fallback(m, m_inv):
-    """The solve guard as `_normal_solve` ran it for every locator: per matrix,
-    whether the Frobenius cond(M) from two sums of squares is above 1e8 or NaN."""
-    sq = lambda a: (a.real**2 + a.imag**2).sum(axis=(-2, -1))  # noqa: E731
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ~(np.sqrt(sq(m)) * np.sqrt(sq(m_inv)) <= 1e8)
-
-
 def reference_locator(code, s, count):
     """Unknowns (P, count), (g_count, ..., g_1), and the fallback mask (P,) of
     each locator system W y = b, solved as `_normal_solve` solved every count:
@@ -711,7 +703,7 @@ def reference_locator(code, s, count):
             y = (m_inv @ (wh @ b[..., None]))[..., 0]
             r = b - (w @ y[..., None])[..., 0]
             y += (m_inv @ (wh @ r[..., None]))[..., 0]
-    fallback = reference_needs_fallback(m, m_inv)
+        fallback = norm_guard(m, m_inv)
     if fallback.any():
         y[fallback] = dft_code.least_squares(w[fallback], b[fallback])
     return y, fallback
