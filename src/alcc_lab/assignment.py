@@ -11,11 +11,12 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from typing import Literal
 
 import numpy as np
 
 from .bounds import assignment_pair_log_bound, check_noise_parameters, gamma_bounds
-from .numeric import ParameterError, RuntimeGuardError
+from .numeric import ParameterError, RuntimeGuardError, check_fields, check_index_set
 
 # exhaustive search refuses more subsets than this; beam search has no limit
 _EXHAUSTIVE_LIMIT = 1_000_000
@@ -35,9 +36,10 @@ class AssignmentProblem:
     byzantine_count: int
     eta: float = 10.0
     sigma_p_sq: float = 1.0
-    metric: str = "integer"
+    metric: Literal["integer", "chord"] = "integer"
 
     def __post_init__(self):
+        check_fields(self)
         if not 0 < self.unreliable_count <= self.n_workers:
             raise ParameterError("need 0 < unreliable count <= N")
         if self.byzantine_count < 0:
@@ -50,13 +52,12 @@ class AssignmentProblem:
 
 def _support_iter(subset, a: int, rng):
     if math.comb(len(subset), a) <= _EXPECTATION_LIMIT:
-        yield from combinations(subset, a)
-        return
+        return combinations(subset, a)
     if rng is None:
         raise ParameterError("Monte-Carlo expectation needs an rng")
     subset = np.asarray(subset)
-    for _ in range(_EXPECTATION_SAMPLES):
-        yield tuple(np.sort(rng.choice(subset, size=a, replace=False)).tolist())
+    return (tuple(np.sort(rng.choice(subset, size=a, replace=False)).tolist())
+            for _ in range(_EXPECTATION_SAMPLES))
 
 
 def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
@@ -65,13 +66,9 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
     Computed with log-sum-exp so that tiny terms still rank correctly. Each
     (support, probe) bound is computed once per problem and looked up after.
     """
-    subset = tuple(sorted(int(i) for i in subset))
+    subset = tuple(check_index_set("subset", subset, prob.n_workers).tolist())
     if len(subset) != prob.unreliable_count:
         raise ParameterError("subset size must equal the unreliable count")
-    if len(set(subset)) < len(subset) or subset[0] < 0 or subset[-1] >= prob.n_workers:
-        raise ParameterError(
-            f"subset {subset} must hold distinct indices in 0..{prob.n_workers - 1}"
-        )
     a = prob.byzantine_count
     if a < 1:
         raise ParameterError(f"byzantine_count must be at least 1 to score a subset, got {a}")
@@ -79,16 +76,7 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
         return -math.inf  # no non-Byzantine probe exists; degenerate zero
     gmax = gamma_bounds(prob.n_workers, a, prob.eta)[1]
     table = _pair_log_bounds(prob.n_workers, prob.eta, gmax, prob.sigma_p_sq, prob.metric)
-
-    def bound(support, j):
-        value = table.get((support, j))
-        if value is None:
-            value = table[support, j] = assignment_pair_log_bound(
-                support, j, prob.n_workers, prob.eta, gmax, prob.sigma_p_sq, prob.metric
-            )
-        return value
-
-    exps = [max(bound(support, j) for j in subset if j not in support)
+    exps = [max([table[support, j] for j in subset if j not in support])
             for support in _support_iter(subset, a, rng)]
     peak = max(exps)
     if peak == -math.inf:
@@ -96,17 +84,26 @@ def problem2_log_objective(subset, prob: AssignmentProblem, rng=None) -> float:
     return peak + math.log(sum(math.exp(e - peak) for e in exps)) - math.log(len(exps))
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_log_bounds(n: int, eta: float, gamma_max: float, sigma_p_sq: float,
-                     metric: str) -> dict:
-    """Table of log bounds per (support, probe), filled as scans first reach each pair.
+class _PairLogBounds(dict):
+    """Table of log bounds per (support, probe), each computed when a scan first reaches it.
 
-    The bound depends on a problem only through these arguments, so every
-    subset of a scan, and every partial problem of a beam search, shares one.
-    A table holds at most C(N, A) * (N - A) entries; the 8 most recently used
-    tables are kept.
+    Built from `assignment_pair_log_bound`'s arguments past the support and
+    probe (n, eta, gamma_max, sigma_p_sq, metric): the bound depends on a
+    problem only through these, so every subset of a scan, and every partial
+    problem of a beam search, shares one table. A table holds at most
+    C(N, A) * (N - A) entries; `_pair_log_bounds` keeps the 8 most recently used.
     """
-    return {}
+
+    def __init__(self, *params):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, key):
+        value = self[key] = assignment_pair_log_bound(*key, *self.params)
+        return value
+
+
+_pair_log_bounds = functools.lru_cache(maxsize=8)(_PairLogBounds)
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,8 @@ def relative_error_baseline(
     if candidates is None:
         n_candidates = math.comb(prob.n_workers, prob.unreliable_count)
     else:
-        candidates = [tuple(sorted(int(i) for i in subset)) for subset in candidates]
+        candidates = [tuple(check_index_set("candidate", subset, prob.n_workers).tolist())
+                      for subset in candidates]
         if not candidates:
             raise ParameterError("the candidate list is empty")
         for subset in candidates:

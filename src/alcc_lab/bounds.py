@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ParameterError
+from .numeric import ParameterError, check_index_set
 
 
 def check_noise_parameters(eta: float, sigma_p_sq: float) -> None:
@@ -109,9 +109,7 @@ def localization_upper_bound(
     objective rather than a certified bound on the empirical rate.
     """
     check_noise_parameters(eta, sigma_p_sq)
-    support = sorted(int(q) for q in support)
-    if len(set(support)) != len(support) or not all(0 <= q < n for q in support):
-        raise ParameterError(f"support must be distinct indices in 0..{n - 1}, got {support}")
+    support = check_index_set("support", support, n).tolist()
     others = [j for j in range(n) if j not in support]
     total = 0.0
     for probe in others:

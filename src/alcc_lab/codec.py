@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numeric import DimensionError, ParameterError, as_finite_complex, check_integer, poly_eval
+from .numeric import DimensionError, ParameterError, as_finite_complex, check_fields, poly_eval
 
 
 class MetricError(ValueError):
@@ -62,12 +62,11 @@ class EncodingParams:
     sigma_pad: float = 1e6
 
     def __post_init__(self):
-        for name in ("n_workers", "k", "t", "degree"):
-            check_integer(name, getattr(self, name))
+        check_fields(self)
         if self.k < 1 or self.t < 0 or self.degree < 1:
             raise ParameterError("need k >= 1, t >= 0, degree >= 1")
-        if not (0 < self.beta < np.inf and 0 <= self.sigma_pad < np.inf):
-            raise ParameterError("beta must be positive and sigma_pad non-negative, both finite")
+        if not (self.beta > 0 and self.sigma_pad >= 0):
+            raise ParameterError("beta must be positive and sigma_pad non-negative")
         if self.code_dimension > self.n_workers:
             raise ParameterError(
                 f"code dimension K={self.code_dimension} exceeds N={self.n_workers}"

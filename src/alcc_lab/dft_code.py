@@ -244,8 +244,9 @@ def _needs_fallback(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     # concatenate keeps a layout both share, such as a transposed lhs and its NaN inverse
     both = np.ascontiguousarray(np.concatenate((m, m_inv)))
     rows = both.view(float).reshape(2, *m.shape[:-2], 1, size)
-    norms = np.sqrt((rows @ rows.swapaxes(-1, -2))[..., 0, 0])
-    return ~(norms[0] * norms[1] <= 1e8)  # a NaN cond falls back too
+    with np.errstate(over="ignore"):  # an overflowing norm gives an inf cond: fallback
+        norms = np.sqrt((rows @ rows.swapaxes(-1, -2))[..., 0, 0])
+        return ~(norms[0] * norms[1] <= 1e8)  # a NaN cond falls back too
 
 
 def _solve_values(code: DftCode, s: np.ndarray, locations: np.ndarray) -> np.ndarray:

@@ -23,24 +23,12 @@ from math import comb
 
 import numpy as np
 
-from .numeric import DimensionError, ParameterError, RuntimeGuardError
+from .numeric import DimensionError, ParameterError, RuntimeGuardError, check_index_set
 
 # largest subset count the joint search scores before demanding a constraint
 # length; its (S, size) index, metric and sorted arrays grow with it, and
 # C(20, 8) = 125,970 subsets of 8 take about 8 MB each
 _MAX_SUBSETS = 200_000
-
-
-def _candidate_array(n: int, candidates) -> np.ndarray:
-    """The candidate indices sorted; a repeated or out-of-range one raises ParameterError."""
-    if candidates is None:
-        return np.arange(n)
-    cand = np.sort(np.asarray(candidates, dtype=int), axis=None)
-    # checked as Python ints, sorted: faster than numpy scalars or np.unique at pool sizes
-    idx = cand.tolist()
-    if not idx or idx[0] < 0 or idx[-1] >= n or any(a == b for a, b in zip(idx, idx[1:])):
-        raise ParameterError("candidate indices must be distinct and lie in 0..N-1")
-    return cand
 
 
 def _grid_metric(coeffs, n: int) -> np.ndarray:
@@ -78,7 +66,7 @@ def independent_localize(coeffs, count: int, n: int, candidates=None) -> np.ndar
     metric = _grid_metric(coeffs, n)
     if candidates is None:
         return _smallest(metric, count)
-    cand = _candidate_array(n, candidates)
+    cand = check_index_set("candidates", candidates, n)
     return _smallest(metric[..., cand], count, cand)
 
 
@@ -133,7 +121,7 @@ def joint_localize(
         raise ParameterError("a locator has a nonzero coefficient above its degree")
     if constraint_length is not None and constraint_length < 1:
         raise ParameterError(f"constraint_length must be at least 1, got {constraint_length}")
-    cand = _candidate_array(n, candidates)
+    cand = np.arange(n) if candidates is None else check_index_set("candidates", candidates, n)
 
     full = degrees == capability
     locators = coeffs.copy()

@@ -7,8 +7,11 @@ functions over immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import operator
+import typing
 
 import numpy as np
 
@@ -25,19 +28,87 @@ class RuntimeGuardError(RuntimeError):
     """A request would exceed the configured simulation budget."""
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ParameterError naming ``name`` unless ``value`` is an integer.
+def check_integer(name: str, value) -> int:
+    """``value`` as a plain int; ParameterError naming ``name`` unless it is an integer.
 
     An integer is what `operator.index` takes, a bool apart: 2.0 and True
     are rejected.
     """
     if not isinstance(value, bool):
         try:
-            operator.index(value)
-            return
+            return operator.index(value)
         except TypeError:
             pass
     raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def check_index_set(name: str, values, n: int) -> np.ndarray:
+    """``values`` as a sorted int array; ParameterError naming ``name`` unless
+    they are distinct integers (`check_integer`'s) in 0..n-1."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        idx = values.tolist()
+    else:
+        idx = [i if type(i) is int else check_integer(f"{name} index", i) for i in values]
+    idx.sort()
+    if idx and (idx[0] < 0 or idx[-1] >= n) or len(set(idx)) < len(idx):
+        raise ParameterError(f"{name} {tuple(idx)} must hold distinct indices in 0..{n - 1}")
+    return np.array(idx, dtype=int)
+
+
+def check_fields(obj) -> None:
+    """Check each field of dataclass ``obj`` by its annotation and store it as a plain value.
+
+    The annotations, read once per class, may be ``int`` (what `check_integer`
+    takes), ``float`` (finite and real, not a bool), ``bool`` (numpy's too),
+    ``Literal[...]`` of strings, ``tuple[int, ...]`` (any iterable) and
+    ``X | None``. A value is stored as the equal plain int, float, bool, str or
+    tuple of ints, so numpy scalars and lists compare, hash and print as their
+    plain twins; an int, float, bool or str of that type is stored as it is.
+    """
+    values = obj.__dict__  # written directly: a frozen dataclass refuses setattr
+    for name, kind, unchecked in _field_kinds(type(obj)):
+        if type(values[name]) not in unchecked:
+            values[name] = _plain(name, kind, values[name])
+
+
+@functools.lru_cache(maxsize=16)
+def _field_kinds(cls) -> tuple:
+    """(name, kind, types taken unchecked) per field of ``cls``; a Literal's kind is its names."""
+    kinds = []
+    for name, hint in typing.get_type_hints(cls).items():
+        unchecked = (type(None),) if type(None) in typing.get_args(hint) else ()
+        if unchecked:
+            (hint,) = set(typing.get_args(hint)) - set(unchecked)
+        kind = typing.get_args(hint) if typing.get_origin(hint) is typing.Literal else hint
+        kind = tuple if kind == tuple[int, ...] else kind
+        if kind not in (int, float, bool, tuple) and type(kind) is not tuple:
+            raise TypeError(f"{cls.__name__}.{name}: no check for {hint}")
+        kinds.append((name, kind, unchecked + ((kind,) if kind in (int, bool) else ())))
+    return tuple(kinds)
+
+
+def _plain(name: str, kind, value):
+    """``value`` as the plain value of a field of this kind; ParameterError naming ``name``."""
+    if kind is float:
+        if (type(value) is float or isinstance(value, numbers.Real)
+                and not isinstance(value, bool)) and math.isfinite(value):
+            return float(value)
+        raise ParameterError(f"{name} must be finite and real, got {value!r}")
+    if kind is int:
+        return check_integer(name, value)
+    if kind is bool:
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
+        raise ParameterError(f"{name} must be a bool, got {value!r}")
+    if kind is tuple:
+        try:
+            return tuple(i if type(i) is int else check_integer(f"{name} index", i)
+                         for i in value)
+        except TypeError:
+            raise ParameterError(f"{name} must be a sequence of integers, got {value!r}") from None
+    if isinstance(value, str) and value in kind:
+        return str(value)
+    raise ParameterError(f"{name} must be one of {kind}, got {value!r}")
 
 
 def as_finite_complex(a, name: str = "array") -> np.ndarray:

@@ -3,27 +3,27 @@
 Scenarios are frozen dataclasses; sweeps derive variants with
 ``with_updates``. The on-disk format is flat key-value text with typed
 sections (configparser syntax), see ``configs/`` for examples. Each key is
-parsed by the type annotation of the dataclass field it names.
+parsed by the type annotation of the dataclass field it names, and every
+field, from a file or from the API, is checked and stored by it
+(`numeric.check_fields`); the choice fields are ``Literal``s of their names.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import hashlib
 import itertools
-import math
 import typing
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .codec import FUNCTIONS, EncodingParams
-from .numeric import ParameterError, check_integer
+from .numeric import ParameterError, check_fields, check_index_set
 from .threat import PRECISION_MODES
-
-LOCALIZATION_MODES = ("independent", "restricted", "joint")
-BASE_MATRIX_MODES = ("all-one", "strong", "weak")
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Scenario:
     t: int = 3
     beta: float = 1.5
     sigma_pad: float = 1e6
-    function: str = "gram"
+    function: Literal[tuple(FUNCTIONS)] = "gram"
     input_rows: int = 20
     input_cols: int = 5
     # trust profile: evaluation indices (0-based) held by unreliable workers
@@ -42,46 +42,25 @@ class Scenario:
     # threat
     byzantine_count: int = 0
     byzantine_locations: tuple[int, ...] | None = None  # None: resampled per trial
-    base_matrix: str = "all-one"
+    base_matrix: Literal["all-one", "strong", "weak"] = "all-one"
     weak_zero_prob: float = 0.25
     noise_mean_re: float = 10.0
     noise_mean_im: float = 0.0
     noise_var: float = 1e3
-    precision_mode: str = "synthetic"
+    precision_mode: Literal[PRECISION_MODES] = "synthetic"
     precision_var: float = 0.0
     # decoder
     decoder: bool = True
-    error_count_mode: str = "oracle"
+    error_count_mode: Literal["oracle", "rank"] = "oracle"
     rank_rel_tol: float = 1e-6
-    localization: str = "independent"
+    localization: Literal["independent", "restricted", "joint"] = "independent"
     constraint_length: int | None = None
     # experiment
     trials: int = 100
     master_seed: int = 0
 
     def __post_init__(self):
-        choices = {"function": tuple(FUNCTIONS), "localization": LOCALIZATION_MODES,
-                   "base_matrix": BASE_MATRIX_MODES, "precision_mode": PRECISION_MODES,
-                   "error_count_mode": ("oracle", "rank")}
-        for name, allowed in choices.items():
-            if getattr(self, name) not in allowed:
-                raise ParameterError(f"{name} must be one of {allowed}")
-        if isinstance(self.decoder, np.bool_):  # stored as bool, so the digest is True's
-            object.__setattr__(self, "decoder", bool(self.decoder))
-        elif not isinstance(self.decoder, bool):
-            raise ParameterError(f"decoder must be a bool, got {self.decoder!r}")
-        for name in ("n_workers", "k", "t", "input_rows", "input_cols", "byzantine_count",
-                     "trials", "master_seed"):
-            check_integer(name, getattr(self, name))
-        if self.constraint_length is not None:
-            check_integer("constraint_length", self.constraint_length)
-        for name in ("unreliable", "byzantine_locations"):
-            for index in getattr(self, name) or ():
-                check_integer(f"{name} index", index)
-        for name in ("beta", "sigma_pad", "noise_mean_re", "noise_mean_im",
-                     "noise_var", "precision_var"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
+        check_fields(self)
         ranges = {
             "input_rows": (self.input_rows >= 1, "be at least 1"),
             "input_cols": (self.input_cols >= 1, "be at least 1"),
@@ -99,33 +78,25 @@ class Scenario:
         for name, (valid, rule) in ranges.items():
             if not valid:
                 raise ParameterError(f"{name} must {rule}")
-        for name in ("unreliable", "byzantine_locations"):
-            idx = getattr(self, name)
-            if idx is not None:
-                if any(not 0 <= i < self.n_workers for i in idx):
-                    raise ParameterError(f"{name} indices must lie in 0..N-1")
-                if len(set(idx)) != len(idx):
-                    raise ParameterError(f"{name} indices must be distinct")
-        pool = self.candidate_pool()
+        if self.unreliable is None:
+            pool = np.arange(self.n_workers)
+        else:
+            pool = check_index_set("unreliable", self.unreliable, self.n_workers)
+        if self.byzantine_locations is not None:
+            check_index_set("byzantine_locations", self.byzantine_locations, self.n_workers)
         if self.byzantine_count > len(pool):
             raise ParameterError("byzantine count exceeds the unreliable pool")
         if self.byzantine_locations is not None:
             if len(self.byzantine_locations) != self.byzantine_count:
                 raise ParameterError("byzantine_locations must match byzantine_count")
-            if not set(self.byzantine_locations) <= set(pool):
+            if not set(self.byzantine_locations) <= set(pool.tolist()):
                 raise ParameterError("byzantine_locations must lie in the unreliable pool")
-        pool = np.array(pool, dtype=int)
         pool.flags.writeable = False
         object.__setattr__(self, "_pool", pool)  # kept for `pool_array`
         # building the encoding validates K <= N; it is kept for `encoding`
-        object.__setattr__(self, "_encoding", EncodingParams(
-            n_workers=self.n_workers,
-            k=self.k,
-            t=self.t,
-            degree=FUNCTIONS[self.function].degree,
-            beta=self.beta,
-            sigma_pad=self.sigma_pad,
-        ))
+        object.__setattr__(self, "_encoding", _encoding_params(
+            self.n_workers, self.k, self.t, FUNCTIONS[self.function].degree, self.beta,
+            self.sigma_pad))
         if self.decoder and self.code_dimension == self.n_workers:
             raise ParameterError(
                 f"decoder needs a code dimension below n_workers={self.n_workers}, but k="
@@ -136,14 +107,9 @@ class Scenario:
         """The scenario's (frozen) encoding parameters, built once with the scenario."""
         return self._encoding
 
-    def candidate_pool(self) -> tuple:
-        """Evaluation indices that unreliable workers hold."""
-        if self.unreliable is not None:
-            return tuple(sorted(self.unreliable))
-        return tuple(range(self.n_workers))
-
     def pool_array(self) -> np.ndarray:
-        """`candidate_pool` as a read-only int array, built once with the scenario."""
+        """Evaluation indices that unreliable workers hold, sorted: a read-only int array
+        built once with the scenario."""
         return self._pool
 
     @property
@@ -166,7 +132,8 @@ class Scenario:
         return complex(self.noise_mean_re, self.noise_mean_im)
 
     def with_updates(self, **changes) -> "Scenario":
-        return dataclasses.replace(self, **changes)
+        # dataclasses.replace, without its per-field introspection
+        return type(self)(**{**{name: getattr(self, name) for name in _FIELDS}, **changes})
 
     def digest(self) -> str:
         """Stable short hash identifying the scenario (excludes trial count).
@@ -182,7 +149,15 @@ class Scenario:
         return cached
 
 
-_DIGEST_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(Scenario) if f.name != "trials"))
+@functools.lru_cache(maxsize=128)
+def _encoding_params(*values) -> EncodingParams:
+    """One EncodingParams per distinct value, built and checked once: scenarios
+    that differ only past the encoding, such as a baseline scan's candidates, share it."""
+    return EncodingParams(*values)
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(Scenario))
+_DIGEST_FIELDS = tuple(sorted(name for name in _FIELDS if name != "trials"))
 
 
 # each SweepSpec axis and the Scenario field it sets, outermost first
@@ -247,9 +222,9 @@ class SweepSpec:
 def _cast(hint, raw: str):
     """Parse one config value into the type of a field annotation.
 
-    Handles int, float and str; bool through configparser's boolean words;
-    ``tuple[T, ...]`` as a comma- or semicolon-separated list; and ``X | None``,
-    where an empty value means None.
+    Handles int, float and str; a ``Literal`` as its string; bool through
+    configparser's boolean words; ``tuple[T, ...]`` as a comma- or
+    semicolon-separated list; and ``X | None``, where an empty value means None.
     """
     args = typing.get_args(hint)
     if type(None) in args:
@@ -260,6 +235,8 @@ def _cast(hint, raw: str):
     if typing.get_origin(hint) is tuple:
         tokens = (tok.strip() for tok in raw.replace(";", ",").split(","))
         return tuple(_cast(args[0], tok) for tok in tokens if tok)
+    if typing.get_origin(hint) is Literal:
+        return raw
     if hint is bool:
         try:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]

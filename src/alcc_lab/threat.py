@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import ParameterError
+from .numeric import ParameterError, check_index_set
 
 
 def _check_noise_law(mean, var, mean_name: str, var_name: str) -> None:
@@ -162,10 +162,8 @@ def inject(
     locations, mask = (), None
     noise_mean, noise_var = 0.0, 0.0
     if plan is not None and plan.count:
-        if max(plan.locations) >= np.shape(results)[0] or min(plan.locations) < 0:
-            raise ParameterError("plan locations must lie in 0..N-1")
-        order = np.argsort(plan.locations)
-        locations, mask = np.asarray(plan.locations)[order], plan.bases[order].astype(bool)
+        locations = check_index_set("plan locations", plan.locations, np.shape(results)[0])
+        mask = plan.bases[np.argsort(plan.locations)].astype(bool)
         noise_mean, noise_var = plan.noise_mean, plan.noise_var
     return add_noise(results, locations, mask, noise_mean, noise_var,
                      precision_mode, precision_var, rng)

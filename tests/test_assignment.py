@@ -131,10 +131,37 @@ class TestObjective:
         with pytest.raises(ParameterError, match=f"subset {named} must hold distinct indices"):
             problem2_log_objective(subset, TABLE_PROBLEM)
 
+    @pytest.mark.parametrize("subset", [(0, 1.9, 4, 6, 8), (0, True, 4, 6, 8)])
+    def test_non_integer_index_rejected_by_name(self, subset):
+        # (0, 1.9, 4, 6, 8) used to be scored as (0, 1, 4, 6, 8)
+        with pytest.raises(ParameterError, match="^subset index must be an integer, got"):
+            problem2_log_objective(subset, TABLE_PROBLEM)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_workers", 11.0), ("unreliable_count", 2.5), ("byzantine_count", True),
+    ])
+    def test_non_integer_count_rejected_when_built(self, field, value):
+        # each used to build and then fail, or run, at the first score
+        fields = dict(n_workers=11, unreliable_count=5, byzantine_count=2)
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer, got"):
+            AssignmentProblem(**{**fields, field: value})
+
+    def test_unknown_metric_rejected_when_built(self):
+        with pytest.raises(ParameterError, match=r"^metric must be one of \('integer', 'chord'\)"):
+            AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2, metric="foo")
+
+    def test_numpy_fields_stored_as_plain_values(self):
+        prob = AssignmentProblem(n_workers=np.int64(11), unreliable_count=np.int32(5),
+                                 byzantine_count=2, eta=np.float64(10.0), metric=np.str_("integer"))
+        assert prob == TABLE_PROBLEM and hash(prob) == hash(TABLE_PROBLEM)
+        assert repr(prob) == repr(TABLE_PROBLEM)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("field", ["eta", "sigma_p_sq"])
     def test_bad_noise_parameter_rejected_by_name(self, field, value):
-        with pytest.raises(ParameterError, match=f"^{field} must be finite and positive"):
+        # a non-finite value fails the field's type check, a finite one the range check
+        rule = "positive" if math.isfinite(value) else "real"
+        with pytest.raises(ParameterError, match=f"^{field} must be finite and {rule}, got"):
             AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2,
                               **{field: value})
 
@@ -224,7 +251,8 @@ class TestSolver:
 
         shared = [solve(*case) for case in cases]
         # a fresh table per subset recomputes every bound, as each scan once did
-        monkeypatch.setattr(assignment_mod, "_pair_log_bounds", lambda *key: {})
+        monkeypatch.setattr(assignment_mod, "_pair_log_bounds",
+                            assignment_mod._pair_log_bounds.__wrapped__)
         # subset, objective, log_objective and evaluated, bit for bit
         assert [solve(*case) for case in cases] == shared
 
@@ -445,3 +473,20 @@ class TestEmpiricalBaseline:
         prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)
         with pytest.raises(ParameterError, match="empty"):
             relative_error_baseline(prob, self._scenario(), trials=1, seed=0, candidates=[])
+
+    @pytest.mark.parametrize("candidate", [(0, 1.5, 2, 3, 4), (0, True, 2, 3, 4)])
+    def test_non_integer_candidate_rejected_before_any_trial(self, monkeypatch, candidate):
+        # (0, 1.5, 2, 3, 4) used to run as (0, 1, 2, 3, 4)
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda sc, seed: calls.append(seed))
+        prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
+        with pytest.raises(ParameterError, match="^candidate index must be an integer, got"):
+            relative_error_baseline(prob, self._scenario().with_updates(byzantine_count=2),
+                                    trials=1, seed=0, candidates=[(0, 2, 5, 8, 10), candidate])
+        assert calls == []
+
+    def test_out_of_range_candidate_rejected_by_name(self):
+        prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)
+        with pytest.raises(ParameterError, match=r"^candidate \(0, 1, 11\) must hold distinct"):
+            relative_error_baseline(prob, self._scenario(), trials=1, seed=0,
+                                    candidates=[(11, 0, 1)])

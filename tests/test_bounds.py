@@ -292,6 +292,12 @@ class TestUnionBound:
         with pytest.raises(ParameterError, match="distinct indices"):
             localization_upper_bound(11, support, 0.1, 10.0)
 
+    @pytest.mark.parametrize("support", [[0, 2.7], [0, True]])
+    def test_non_integer_support_rejected_by_name(self, support):
+        # [0, 2.7] used to give the value of [0, 2]
+        with pytest.raises(ParameterError, match="^support index must be an integer, got"):
+            localization_upper_bound(11, support, 0.1, 10.0)
+
 
 class TestDominantTerm:
     def test_nondecreasing_in_count(self):

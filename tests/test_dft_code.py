@@ -823,6 +823,29 @@ class TestSmallCountLocator:
             assert np.abs(unknowns(coeffs)[row] - expected[row]).max() <= 1e-14
 
 
+@pytest.mark.parametrize("count", [3, 4])
+@pytest.mark.parametrize("scale", [1e80, 1e-80])
+def test_far_scaled_locator_falls_back_without_warnings(monkeypatch, scale, count):
+    """At counts 3 and 4, syndromes near 1e80 or 1e-80 overflow the guard's
+    squared norms of G or inv(G): every system goes to `least_squares`, with
+    no floating-point warning."""
+    code = build_code(31, 15)
+    s = complex_normal(np.random.default_rng(count), 0.0, 1.0, (4, 16)) * scale
+    solved = []
+    lstsq = dft_code.least_squares
+
+    def spy(a, b):
+        solved.append(len(a))
+        return lstsq(a, b)
+
+    monkeypatch.setattr(dft_code, "least_squares", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = locator_polynomial(code, s, count)
+    assert solved == [4]
+    assert np.isfinite(coeffs).all()
+
+
 def syndromes_with_cond(code, conds, rng):
     """(len(conds), N-K) syndromes whose count-2 locator matrix, W when square
     (v = 2) and G = W^H W otherwise, has each given Frobenius cond.

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import sys
 import threading
+import typing
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from alcc_lab import cli, codec, dft_code, harness, threat
+from alcc_lab import cli, codec, dft_code, harness, numeric, threat
 from alcc_lab.harness import (
     TRIAL_CSV_HEADER,
     run_trial,
@@ -18,17 +19,14 @@ from alcc_lab.harness import (
     write_sweep_csv,
 )
 from alcc_lab.numeric import ParameterError
-from alcc_lab.scenario import (
-    BASE_MATRIX_MODES,
-    LOCALIZATION_MODES,
-    Scenario,
-    SweepSpec,
-    load_config,
-)
+from alcc_lab.scenario import Scenario, SweepSpec, load_config
 from test_dft_code import C_VALUE_RECOVERY, EPS
 from test_localization import per_subset_joint_localize
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# the choices of two Scenario fields, read from their Literal annotations
+LOCALIZATION_MODES = typing.get_args(typing.get_type_hints(Scenario)["localization"])
+BASE_MATRIX_MODES = typing.get_args(typing.get_type_hints(Scenario)["base_matrix"])
 
 
 def clean_scenario(**overrides):
@@ -83,6 +81,8 @@ class TestScenario:
         ("noise_var", float("inf")),
         ("precision_var", float("inf")),
         ("master_seed", -1),
+        # a bool scale used to build, a complex or str one to raise a bare TypeError
+        ("beta", True), ("sigma_pad", 1j), ("noise_mean_re", "1.0"),
     ])
     def test_invalid_field_rejected_by_name(self, field, value):
         with pytest.raises(ParameterError, match=field):
@@ -103,7 +103,7 @@ class TestScenario:
             Scenario(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("unreliable", (0, 2.0, 5)), ("unreliable", (True, 4)),
+        ("unreliable", (0, 2.0, 5)), ("unreliable", (True, 4)), ("unreliable", [0, 2.5]),
         ("byzantine_locations", (1.0, 3)), ("byzantine_locations", (False, 3)),
     ])
     def test_non_integer_index_rejected_by_name(self, field, value):
@@ -115,6 +115,33 @@ class TestScenario:
                       byzantine_count=np.int64(2), unreliable=(np.int64(1), 3, 5))
         assert sc.capability == Scenario(n_workers=11, k=2, t=1).capability
         assert sc.pool_array().tolist() == [1, 3, 5]
+
+    @pytest.mark.parametrize("numpy_fields,plain_fields", [
+        (dict(byzantine_count=np.int64(2)), dict(byzantine_count=2)),
+        (dict(unreliable=[0, 1, 2, 3]), dict(unreliable=(0, 1, 2, 3))),
+        (dict(unreliable=np.array([3, 1, 2, 0])), dict(unreliable=(3, 1, 2, 0))),
+        (dict(byzantine_locations=[np.int32(2), 0]), dict(byzantine_locations=(2, 0))),
+        (dict(beta=np.float64(1.25), noise_var=np.float32(0.5), precision_var=0),
+         dict(beta=1.25, noise_var=0.5, precision_var=0.0)),
+        (dict(function=np.str_("identity"), decoder=np.True_),
+         dict(function="identity", decoder=True)),
+        (dict(constraint_length=np.uint8(3)), dict(constraint_length=3)),
+    ])
+    def test_numpy_scalars_and_lists_equal_their_plain_twins(self, numpy_fields, plain_fields):
+        # each pair used to differ in digest, or not compare equal, or not hash
+        base = dict(n_workers=11, k=2, t=1, byzantine_count=2)
+        got = Scenario(**{**base, **numpy_fields})
+        want = Scenario(**{**base, **plain_fields})
+        assert got == want and hash(got) == hash(want)
+        assert got.digest() == want.digest()
+        for name in plain_fields:
+            assert type(getattr(got, name)) is type(getattr(want, name))
+
+    def test_plain_values_stored_as_given(self):
+        # the digest hashes each field's repr, so the pool keeps its order
+        beta = 1.25
+        sc = Scenario(n_workers=11, k=2, t=2, unreliable=(6, 0, 2, 4), beta=beta)
+        assert sc.unreliable == (6, 0, 2, 4) and sc.beta is beta
 
     def test_non_integer_trials_fail_before_the_csv_is_written(self, tmp_path):
         out = tmp_path / "trials.csv"
@@ -205,9 +232,9 @@ class TestScenario:
         assert sc.digest() == expected
 
     def test_candidate_pool_resolution(self):
-        assert Scenario().candidate_pool() == tuple(range(31))
+        assert Scenario().pool_array().tolist() == list(range(31))
         sc = Scenario(unreliable=(4, 2, 9))
-        assert sc.candidate_pool() == (2, 4, 9)
+        assert sc.pool_array().tolist() == [2, 4, 9]
 
     def test_pool_array_is_the_sorted_pool_read_only(self):
         sc = Scenario(unreliable=(4, 2, 9))
@@ -429,7 +456,7 @@ class TestDecode:
             else:
                 counts = np.minimum(
                     dft_code.estimate_error_count(code, syndromes, rel_tol=sc.rank_rel_tol),
-                    len(sc.candidate_pool()))
+                    len(sc.pool_array()))
             coeffs = harness._locators(sc, code, syndromes, counts, ref_rng)
             picks, sizes = {}, np.zeros_like(counts)
             active = np.flatnonzero(counts)
@@ -459,7 +486,7 @@ def chain_build_plan(scenario, rng):
     a = scenario.byzantine_count
     if a == 0:
         return None, np.zeros((scenario.output_entries, 0), dtype=int)
-    pool = np.asarray(scenario.candidate_pool())
+    pool = scenario.pool_array()
     if scenario.byzantine_locations is not None:
         locations = np.sort(np.asarray(scenario.byzantine_locations, dtype=int))
     else:
@@ -653,8 +680,20 @@ class TestSharedPrefix:
         monkeypatch.setattr(harness, "_last_prefix", None)
         return run_trial(sc, seed)
 
-    def test_interleaved_trials_match_fresh_trials(self, monkeypatch):
+    @pytest.fixture
+    def square(self, monkeypatch):
+        """SQUARE in codec.FUNCTIONS, and Scenario's `function` annotation re-read to take it.
+
+        The annotation is resolved once per class, so its cache is cleared
+        when SQUARE is added and again when it is gone.
+        """
         monkeypatch.setitem(codec.FUNCTIONS, self.SQUARE.name, self.SQUARE)
+        numeric._field_kinds.cache_clear()
+        yield
+        monkeypatch.undo()
+        numeric._field_kinds.cache_clear()
+
+    def test_interleaved_trials_match_fresh_trials(self, monkeypatch, square):
         a = Scenario(**self.BASE)
         b = a.with_updates(unreliable=(0, 2, 5, 8, 10))
         # each differs from `a` in one field: the first five change the shared
@@ -1046,6 +1085,13 @@ class TestConfigFiles:
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             scenario, spec = load_config(cfg)
             assert scenario.n_workers >= scenario.code_dimension
+
+    @pytest.mark.parametrize("cfg", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.stem)
+    def test_shipped_config_builds_its_whole_grid(self, cfg):
+        # a shipped config with an invalid grid point fails here, not in a user's sweep
+        scenario, spec = load_config(cfg)
+        points = list(spec.grid(scenario))
+        assert points and all(isinstance(sc, Scenario) for _, sc, _ in points)
 
     @pytest.mark.parametrize("text,key", [
         ("[scenario]\ndecoder = ture\n", "decoder"),

@@ -165,9 +165,19 @@ class TestIndependent:
     @pytest.mark.parametrize("candidates", [(3, 1, 1, 2), [9, 3, 9], np.array([4, 4])])
     def test_repeated_candidate_rejected(self, code, candidates):
         poly = true_locator(code, [3])
-        with pytest.raises(ParameterError, match="must be distinct"):
+        with pytest.raises(ParameterError, match=r"^candidates \(.*\) must hold distinct"):
             independent_localize(poly, 1, 15, candidates=candidates)
-        with pytest.raises(ParameterError, match="must be distinct"):
+        with pytest.raises(ParameterError, match=r"^candidates \(.*\) must hold distinct"):
+            joint_localize(*stack_locators([poly], 4), capability=4, n=15,
+                           candidates=candidates)
+
+    @pytest.mark.parametrize("candidates", [[0, 2.5, 4], [0, True, 4], np.array([0.0, 3.0])])
+    def test_non_integer_candidate_rejected_by_name(self, code, candidates):
+        # 2.5 and True used to be read as 2 and 1
+        poly = true_locator(code, [3])
+        with pytest.raises(ParameterError, match="^candidates index must be an integer, got"):
+            independent_localize(poly, 1, 15, candidates=candidates)
+        with pytest.raises(ParameterError, match="^candidates index must be an integer, got"):
             joint_localize(*stack_locators([poly], 4), capability=4, n=15,
                            candidates=candidates)
 

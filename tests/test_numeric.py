@@ -1,5 +1,7 @@
+import dataclasses
 import warnings
 from itertools import combinations
+from typing import Literal
 
 import numpy as np
 import pytest
@@ -10,11 +12,100 @@ from alcc_lab import dft_code, selftest
 from alcc_lab.numeric import (
     DimensionError,
     ParameterError,
+    check_fields,
+    check_index_set,
     dft_matrix,
     least_squares,
     numerical_rank,
     poly_eval,
 )
+
+
+class TestCheckIndexSet:
+    @pytest.mark.parametrize("values", [
+        (4, 0, 2), [4, 0, 2], np.array([4, 0, 2]), np.array([4, 0, 2], dtype=np.uint8),
+        (np.int64(4), 0, np.int32(2)), range(0, 5, 2)[::-1],
+    ])
+    def test_returns_the_sorted_int_array(self, values):
+        got = check_index_set("pool", values, 5)
+        assert got.tolist() == [0, 2, 4] and got.dtype == int
+
+    def test_empty_set_is_an_empty_int_array(self):
+        got = check_index_set("pool", (), 5)
+        assert got.shape == (0,) and got.dtype == int
+
+    @pytest.mark.parametrize("values", [
+        (0, 2.5), (0, 2.0), (True, 3), [np.True_, 3], ("1", 2), np.array([0.0, 1.0]),
+        np.array([[0, 1]]),
+    ])
+    def test_non_integer_rejected_by_name(self, values):
+        with pytest.raises(ParameterError, match="^pool index must be an integer, got"):
+            check_index_set("pool", values, 5)
+
+    @pytest.mark.parametrize("values,named", [
+        ((3, 3), r"\(3, 3\)"), ((5, 0), r"\(0, 5\)"), ((-1, 2), r"\(-1, 2\)"),
+    ], ids=["repeated", "above", "negative"])
+    def test_repeated_or_out_of_range_rejected_by_name(self, values, named):
+        with pytest.raises(ParameterError, match=f"^pool {named} must hold distinct indices in 0..4$"):
+            check_index_set("pool", values, 5)
+
+
+@dataclasses.dataclass(frozen=True)
+class Checked:
+    count: int = 1
+    scale: float = 1.5
+    flag: bool = True
+    mode: Literal["a", "b"] = "a"
+    indices: tuple[int, ...] | None = None
+    limit: int | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+class TestCheckFields:
+    def test_plain_values_kept_as_they_are(self):
+        count, scale, mode = 10**20, 2.5, "".join("ab")[1:]
+        got = Checked(count=count, scale=scale, mode=mode, indices=(3, 1))
+        assert got.count is count and got.scale is scale and got.mode is mode
+        assert got.indices == (3, 1)
+
+    def test_numpy_scalars_and_sequences_stored_plain(self):
+        got = Checked(count=np.int64(3), scale=2, flag=np.False_, mode=np.str_("b"),
+                      indices=[np.int32(3), 1], limit=np.uint16(4))
+        want = Checked(count=3, scale=2.0, flag=False, mode="b", indices=(3, 1), limit=4)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert [type(getattr(got, f.name)) for f in dataclasses.fields(Checked)] == [
+            int, float, bool, str, tuple, int]
+        assert type(got.indices[0]) is int
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("count", 2.0, "count must be an integer, got 2.0"),
+        ("count", None, "count must be an integer, got None"),
+        ("scale", float("nan"), "scale must be finite and real, got nan"),
+        ("scale", False, "scale must be finite and real, got False"),
+        ("scale", "1", "scale must be finite and real, got '1'"),
+        ("flag", 1, "flag must be a bool, got 1"),
+        ("mode", "c", "mode must be one of ('a', 'b'), got 'c'"),
+        ("indices", (1, 2.5), "indices index must be an integer, got 2.5"),
+        ("indices", 3, "indices must be a sequence of integers, got 3"),
+        ("limit", True, "limit must be an integer, got True"),
+    ])
+    def test_bad_value_rejected_by_name(self, field, value, message):
+        with pytest.raises(ParameterError) as info:
+            Checked(**{field: value})
+        assert str(info.value) == message
+
+    def test_unsupported_annotation_is_a_type_error(self):
+        @dataclasses.dataclass(frozen=True)
+        class Named:
+            name: str = "x"
+
+            def __post_init__(self):
+                check_fields(self)
+
+        with pytest.raises(TypeError, match="no check"):
+            Named()
 
 
 class TestDftMatrix:

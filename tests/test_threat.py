@@ -100,6 +100,18 @@ class TestByzantinePlan:
 
 
 class TestInject:
+    @pytest.mark.parametrize("locations", [(1, 2.5), (True, 3)])
+    def test_non_integer_plan_location_rejected_by_name(self, locations):
+        # 2.5 used to fail with an IndexError, and True to add the noise at index 1
+        with pytest.raises(ParameterError, match="^plan locations index must be an integer"):
+            inject(np.zeros((5, 3, 3), dtype=complex), all_one_plan(locations), "synthetic",
+                   0.0, np.random.default_rng(0))
+
+    def test_out_of_range_plan_location_rejected(self):
+        with pytest.raises(ParameterError, match=r"^plan locations \(1, 5\) must hold"):
+            inject(np.zeros((5, 3, 3), dtype=complex), all_one_plan([5, 1]), "synthetic",
+                   0.0, np.random.default_rng(0))
+
     def test_empty_plan_zero_precision_is_identity(self):
         rng = np.random.default_rng(0)
         results = complex_normal(rng, 0.0, 1.0, (5, 3, 3))
