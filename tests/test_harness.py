@@ -103,8 +103,9 @@ class TestScenario:
             Scenario(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("unreliable", (0, 2.0, 5)), ("unreliable", (True, 4)), ("unreliable", [0, 2.5]),
+        ("unreliable", (0, 2.0, 5)), ("unreliable", (True, 4)),
         ("byzantine_locations", (1.0, 3)), ("byzantine_locations", (False, 3)),
+        ("unreliable", [0, 2.5]),
     ])
     def test_non_integer_index_rejected_by_name(self, field, value):
         with pytest.raises(ParameterError, match=f"^{field} index must be an integer, got"):
