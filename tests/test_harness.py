@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from alcc_lab import cli, codec, dft_code, harness, numeric, threat
 from alcc_lab.harness import (
+    AGGREGATE_CSV_HEADER,
     TRIAL_CSV_HEADER,
     run_trial,
     trial_seeds,
@@ -998,6 +999,33 @@ class TestSweep:
         assert [r.csv_row()[5:7] for r in records] == [("0.000000000000e+00", "-inf")] * 3
         [(_, sc, label)] = SweepSpec().grid(exact)
         assert harness._aggregate_row(sc, label, records)[-2:] == ("0.000000000000e+00", "-inf")
+
+    def test_aggregate_rows_name_each_point(self, tmp_path):
+        # every axis set; a decoder-off point reads strategy none, an int 0 variance 0
+        spec = SweepSpec(decoder_states=(False, True), byzantine_counts=(1,),
+                         precision_vars=(0, 1e-3), strategies=("restricted", "joint"),
+                         zero_probs=(0.4,), constraint_lengths=(None, 3))
+        base = Scenario(n_workers=11, k=2, t=1, input_rows=2, input_cols=2, trials=1)
+        _, aggregates = sweep_csv_rows(tmp_path, base, spec)
+        columns = AGGREGATE_CSV_HEADER[1:AGGREGATE_CSV_HEADER.index("trials") + 1]
+        assert [tuple(row[c] for c in columns) for row in aggregates] == [
+            ("0", "1", "0", "none", "0.4", "", "1"),
+            ("0", "1", "0", "none", "0.4", "3", "1"),
+            ("0", "1", "0", "none", "0.4", "", "1"),
+            ("0", "1", "0", "none", "0.4", "3", "1"),
+            ("0", "1", "0.001", "none", "0.4", "", "1"),
+            ("0", "1", "0.001", "none", "0.4", "3", "1"),
+            ("0", "1", "0.001", "none", "0.4", "", "1"),
+            ("0", "1", "0.001", "none", "0.4", "3", "1"),
+            ("1", "1", "0", "restricted", "0.4", "", "1"),
+            ("1", "1", "0", "restricted", "0.4", "3", "1"),
+            ("1", "1", "0", "joint", "0.4", "", "1"),
+            ("1", "1", "0", "joint", "0.4", "3", "1"),
+            ("1", "1", "0.001", "restricted", "0.4", "", "1"),
+            ("1", "1", "0.001", "restricted", "0.4", "3", "1"),
+            ("1", "1", "0.001", "joint", "0.4", "", "1"),
+            ("1", "1", "0.001", "joint", "0.4", "3", "1"),
+        ]
 
     def test_csv_header_contract(self, tmp_path):
         path = tmp_path / "out.csv"
