@@ -16,7 +16,8 @@ from typing import Literal
 import numpy as np
 
 from .bounds import assignment_pair_log_bound, check_noise_parameters, gamma_bounds
-from .numeric import ParameterError, RuntimeGuardError, check_fields, check_index_set
+from .numeric import (ParameterError, RuntimeGuardError, check_fields, check_index_set,
+                      check_integer)
 
 # exhaustive search refuses more subsets than this; beam search has no limit
 _EXHAUSTIVE_LIMIT = 1_000_000
@@ -167,7 +168,7 @@ def solve_assignment(
 
 def canonical_class(subset, n: int) -> tuple:
     """Lexicographically smallest rotation/reflection of a mod-n index set."""
-    subset = sorted(int(i) % n for i in subset)
+    subset = sorted(check_integer("subset index", i) % n for i in subset)
     best = None
     for pts in (subset, [(-x) % n for x in subset]):
         for shift in range(n):

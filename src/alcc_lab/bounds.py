@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ParameterError, check_index_set
+from .numeric import ParameterError, check_index_set, check_integer
 
 
 def check_noise_parameters(eta: float, sigma_p_sq: float) -> None:
@@ -49,8 +49,9 @@ def locator_gain(n: int, support, probe: int) -> complex:
 
     Equals prod_a (1 - gamma^probe / gamma^{q_a}).
     """
-    roots = np.exp(-2j * np.pi * np.asarray(support, dtype=int) / n)
-    z = np.exp(-2j * np.pi * probe / n)
+    support = np.array([check_integer("support index", q) for q in support], dtype=int)
+    roots = np.exp(-2j * np.pi * support / n)
+    z = np.exp(-2j * np.pi * check_integer("probe", probe) / n)
     return complex(np.prod(1.0 - z / roots))
 
 
@@ -81,12 +82,13 @@ def pep_lower_bound(
     N) and sigma^2 is large: the simulated pairwise rate tends to 1/2 there,
     the bound to kappa/(1+kappa).
     """
-    support = sorted(int(q) for q in support)
-    true_index = support[0] if true_index is None else int(true_index)
+    support = sorted(check_integer("support index", q) for q in support)
+    true_index = support[0] if true_index is None else check_integer("true_index", true_index)
+    probe = check_integer("probe", probe)
     if true_index == probe:
         raise ParameterError("probe and true index must differ")
     c = locator_gain(n, support, probe)
-    return _pep_term(n, len(support), abs(int(probe) - true_index), eta, sigma_p_sq,
+    return _pep_term(n, len(support), abs(probe - true_index), eta, sigma_p_sq,
                      c.real**2 + c.imag**2)
 
 
@@ -169,7 +171,8 @@ def confusability(support, probe: int, n: int, metric: str = "integer") -> float
     metric="integer" takes the literal index differences; metric="chord"
     takes root-of-unity differences (rotation invariant).
     """
-    support = np.asarray(support, dtype=int)
+    support = np.array([check_integer("support index", q) for q in support], dtype=int)
+    probe = check_integer("probe", probe)
     if metric == "integer":
         prod = float(np.prod((probe - support).astype(float)))
         return prod * prod

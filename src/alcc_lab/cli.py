@@ -20,7 +20,7 @@ from . import assignment as assignment_mod
 from . import bounds as bounds_mod
 from . import codec, harness, selftest, threat
 from .assignment import AssignmentProblem, RuntimeGuardError
-from .numeric import ParameterError
+from .numeric import ParameterError, field_kinds
 from .scenario import SweepSpec, load_config
 
 EXIT_OK = 0
@@ -68,7 +68,8 @@ def _build_parser() -> _Parser:
     oa.add_argument("--count", type=int, required=True, help="byzantine count A")
     oa.add_argument("--sigma-p2", type=float, default=1.0)
     oa.add_argument("--eta", type=float, default=10.0)
-    oa.add_argument("--metric", choices=("integer", "chord"), default="integer")
+    oa.add_argument("--metric", choices=field_kinds(AssignmentProblem)["metric"][0],
+                    default="integer")
     oa.add_argument("--search", choices=("exhaustive", "beam"), default="exhaustive")
     oa.add_argument("--beam-width", type=int, default=64)
     oa.add_argument("--seed", type=int, default=0)

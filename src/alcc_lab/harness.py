@@ -403,17 +403,17 @@ def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
     )
 
 
-def _aggregate_row(sc: Scenario, label: dict, records: list) -> tuple:
-    """One grid point's aggregate CSV row: its label and mean e_rel."""
+def _aggregate_row(sc: Scenario, records: list) -> tuple:
+    """One grid point's aggregate CSV row: its scenario's axis fields and mean e_rel."""
     mean = float(np.mean([r.e_rel for r in records]))
-    cl = label["constraint_length"]
+    cl = sc.constraint_length
     return (
         sc.digest(),
-        str(int(bool(label["decoder"]))),
-        str(label["A"]),
-        f"{label['precision_var']:.6g}",
-        label["strategy"],
-        f"{label['zero_prob']:.6g}",
+        str(int(sc.decoder)),
+        str(sc.byzantine_count),
+        f"{sc.precision_var:.6g}",
+        sc.localization if sc.decoder else "none",
+        f"{sc.weak_zero_prob:.6g}",
         "" if cl is None else str(cl),
         str(sc.trials),
         f"{mean:.12e}",
@@ -453,11 +453,11 @@ def write_sweep_csv(base: Scenario, spec: SweepSpec, trial_path, aggregate_path=
         with agg_file as agg:
             yield TRIAL_CSV_HEADER
             aggregates = [AGGREGATE_CSV_HEADER]
-            for seed_index, sc, label in points:
+            for seed_index, sc, _ in points:
                 seeds = trial_seeds(sc.master_seed, seed_index, sc.trials)
                 records = [run_trial(sc, s) for s in seeds]
                 yield from (record.csv_row() for record in records)
-                aggregates.append(_aggregate_row(sc, label, records))
+                aggregates.append(_aggregate_row(sc, records))
             if agg is not None:
                 csv.writer(agg).writerows(aggregates)
 

@@ -56,25 +56,24 @@ def check_index_set(name: str, values, n: int) -> np.ndarray:
 
 
 def check_fields(obj) -> None:
-    """Check each field of dataclass ``obj`` by its annotation and store it as a plain value.
+    """Check each field of dataclass ``obj`` by its kind (`field_kinds`) and store it plain.
 
-    The annotations, read once per class, may be ``int`` (what `check_integer`
-    takes), ``float`` (finite and real, not a bool), ``bool`` (numpy's too),
-    ``Literal[...]`` of strings, ``tuple[int, ...]`` (any iterable) and
-    ``X | None``. A value is stored as the equal plain int, float, bool, str or
-    tuple of ints, so numpy scalars and lists compare, hash and print as their
-    plain twins; an int, float, bool or str of that type is stored as it is.
+    A value is stored as `check_value` returns it, so numpy scalars and lists
+    compare, hash and print as their plain twins; an int, float, bool or str
+    of that type is stored as it is.
     """
     values = obj.__dict__  # written directly: a frozen dataclass refuses setattr
-    for name, kind, unchecked in _field_kinds(type(obj)):
+    for name, (kind, unchecked) in field_kinds(type(obj)).items():
         if type(values[name]) not in unchecked:
-            values[name] = _plain(name, kind, values[name])
+            values[name] = check_value(name, kind, values[name])
 
 
 @functools.lru_cache(maxsize=16)
-def _field_kinds(cls) -> tuple:
-    """(name, kind, types taken unchecked) per field of ``cls``; a Literal's kind is its names."""
-    kinds = []
+def field_kinds(cls) -> dict:
+    """{name: (kind, types taken unchecked)} of dataclass ``cls``; the one reader of the
+    annotations, each class read once: ``int``, ``float``, ``bool``, ``tuple[int, ...]`` (kind
+    ``tuple``) or ``Literal[...]`` of strings (kind: its names), ``| None`` taking None."""
+    kinds = {}
     for name, hint in typing.get_type_hints(cls).items():
         unchecked = (type(None),) if type(None) in typing.get_args(hint) else ()
         if unchecked:
@@ -83,12 +82,12 @@ def _field_kinds(cls) -> tuple:
         kind = tuple if kind == tuple[int, ...] else kind
         if kind not in (int, float, bool, tuple) and type(kind) is not tuple:
             raise TypeError(f"{cls.__name__}.{name}: no check for {hint}")
-        kinds.append((name, kind, unchecked + ((kind,) if kind in (int, bool) else ())))
-    return tuple(kinds)
+        kinds[name] = (kind, unchecked + ((kind,) if kind in (int, bool) else ()))
+    return kinds
 
 
-def _plain(name: str, kind, value):
-    """``value`` as the plain value of a field of this kind; ParameterError naming ``name``."""
+def check_value(name: str, kind, value):
+    """``value`` as the plain value of a field of kind ``kind``; ParameterError naming ``name``."""
     if kind is float:
         if (type(value) is float or isinstance(value, numbers.Real)
                 and not isinstance(value, bool)) and math.isfinite(value):

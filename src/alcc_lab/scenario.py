@@ -2,10 +2,10 @@
 
 Scenarios are frozen dataclasses; sweeps derive variants with
 ``with_updates``. The on-disk format is flat key-value text with typed
-sections (configparser syntax), see ``configs/`` for examples. Each key is
-parsed by the type annotation of the dataclass field it names, and every
-field, from a file or from the API, is checked and stored by it
-(`numeric.check_fields`); the choice fields are ``Literal``s of their names.
+sections (configparser syntax), see ``configs/`` for examples. A key is
+parsed, and a field from a file or from the API checked and stored
+(`numeric.check_fields`), by the kind `numeric.field_kinds` reads from the
+field's annotation; a ``[sweep]`` axis lists values of the field it sets.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import dataclasses
 import functools
 import hashlib
 import itertools
-import typing
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .codec import FUNCTIONS, EncodingParams
-from .numeric import ParameterError, check_fields, check_index_set
+from .numeric import ParameterError, check_fields, check_index_set, check_value, field_kinds
 from .threat import PRECISION_MODES
 
 
@@ -175,25 +174,33 @@ _AXES = {
 class SweepSpec:
     """Grid axes layered over a base scenario; empty axes mean 'keep base'.
 
-    ``paired_axes`` names axes whose points share trial seeds, so that a
-    comparison along them runs on common random numbers.
+    Each axis is stored as a tuple of plain values of the `Scenario` field it sets
+    (``_AXES``), checked by that field's kind when the spec is built. ``paired_axes``
+    names axes whose points share trial seeds, so that a comparison along them runs
+    on common random numbers.
     """
 
     byzantine_counts: tuple[int, ...] = ()
     precision_vars: tuple[float, ...] = ()
     strategies: tuple[str, ...] = ()
     zero_probs: tuple[float, ...] = ()
-    constraint_lengths: tuple[int, ...] = ()
+    constraint_lengths: tuple[int | None, ...] = ()
     decoder_states: tuple[bool, ...] = ()
     paired_axes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        kinds = field_kinds(Scenario)
+        for axis, field in _AXES.items():
+            kind, unchecked = kinds[field]
+            # written directly: a frozen dataclass refuses setattr
+            self.__dict__[axis] = tuple(v if type(v) in unchecked else check_value(axis, kind, v)
+                                        for v in getattr(self, axis))
         unknown = [name for name in self.paired_axes if name not in _AXES]
         if unknown:
             raise ParameterError(f"paired_axes names unknown axes {unknown}; use {tuple(_AXES)}")
 
     def grid(self, base: Scenario):
-        """Yield (seed_index, scenario, label-dict) in deterministic order.
+        """Yield (seed_index, scenario, its value on each axis) in deterministic order.
 
         The seed index seeds the trials: it is the point's position in the
         grid with the paired axes removed, counted over axis positions, so a
@@ -207,53 +214,36 @@ class SweepSpec:
             for axis, pos, axis_values in zip(_AXES, positions, values):
                 if axis not in self.paired_axes:
                     seed_index = seed_index * len(axis_values) + pos
-            changes = {field: v[pos] for field, v, pos in zip(_AXES.values(), values, positions)}
-            label = {
-                "decoder": changes["decoder"],
-                "A": changes["byzantine_count"],
-                "precision_var": changes["precision_var"],
-                "strategy": changes["localization"] if changes["decoder"] else "none",
-                "zero_prob": changes["weak_zero_prob"],
-                "constraint_length": changes["constraint_length"],
-            }
-            yield seed_index, base.with_updates(**changes), label
+            point = tuple(v[pos] for v, pos in zip(values, positions))
+            yield seed_index, base.with_updates(**dict(zip(_AXES.values(), point))), point
 
 
-def _cast(hint, raw: str):
-    """Parse one config value into the type of a field annotation.
-
-    Handles int, float and str; a ``Literal`` as its string; bool through
-    configparser's boolean words; ``tuple[T, ...]`` as a comma- or
-    semicolon-separated list; and ``X | None``, where an empty value means None.
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if not raw.strip():
-            return None
-        (hint,) = (arg for arg in args if arg is not type(None))
-        return _cast(hint, raw)
-    if typing.get_origin(hint) is tuple:
-        tokens = (tok.strip() for tok in raw.replace(";", ",").split(","))
-        return tuple(_cast(args[0], tok) for tok in tokens if tok)
-    if typing.get_origin(hint) is Literal:
-        return raw
-    if hint is bool:
+def _parse(kind, raw: str, listed: bool = False):
+    """One config value of a field of this kind (`numeric.field_kinds`), or a comma- or
+    semicolon-separated list of them: a bool by configparser's boolean words, a tuple as
+    a list of ints, a ``Literal``'s name as written (its field's check names the choices)."""
+    if listed or kind is tuple:
+        return tuple(_parse(int if kind is tuple else kind, tok.strip())
+                     for tok in raw.replace(";", ",").split(",") if tok.strip())
+    if kind is bool:
         try:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         except KeyError:
             raise ValueError(f"not a boolean: {raw!r}") from None
-    return hint(raw)
+    return kind(raw) if kind in (int, float) else raw
 
 
-def _read_section(parser: configparser.ConfigParser, name: str, cls) -> dict:
-    """Keyword arguments for ``cls`` from one config section."""
-    hints = typing.get_type_hints(cls)
+def _read_section(parser: configparser.ConfigParser, name: str, kinds: dict) -> dict:
+    """Keyword arguments from one config section, each value parsed by the kind of its
+    key: a [sweep] value as a list, an empty [scenario] value of an optional field as None."""
     fields = {}
     for key, raw in parser[name].items():
-        if key not in hints:
+        if key not in kinds:
             raise ParameterError(f"unknown {name} key {key!r}")
+        kind, unchecked = kinds[key]
         try:
-            fields[key] = _cast(hints[key], raw)
+            fields[key] = (None if name == "scenario" and type(None) in unchecked
+                           and not raw.strip() else _parse(kind, raw, listed=name == "sweep"))
         except ValueError as exc:
             raise ParameterError(f"[{name}] {key}: {exc}") from exc
     return fields
@@ -276,8 +266,12 @@ def load_config(path) -> tuple[Scenario, SweepSpec]:
             raise ParameterError(f"unknown config section [{name}]; use [scenario] and [sweep]")
     if "scenario" not in parser:
         raise ParameterError("config needs a [scenario] section")
-    scenario = Scenario(**_read_section(parser, "scenario", Scenario))
+    kinds = field_kinds(Scenario)
+    scenario = Scenario(**_read_section(parser, "scenario", kinds))
     sweep = SweepSpec()
     if "sweep" in parser:
-        sweep = SweepSpec(**_read_section(parser, "sweep", SweepSpec))
+        # an axis lists values of the field it sets; paired_axes lists axis names
+        axis_kinds = {axis: kinds[field] for axis, field in _AXES.items()}
+        axis_kinds["paired_axes"] = (tuple(_AXES), ())
+        sweep = SweepSpec(**_read_section(parser, "sweep", axis_kinds))
     return scenario, sweep

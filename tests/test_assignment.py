@@ -310,6 +310,12 @@ class TestCanonicalClass:
     def test_contiguous_class(self):
         assert canonical_class((7, 8, 9, 10, 0), 11) == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("subset", [(0, 2.5, 4), (0, True, 4)])
+    def test_non_integer_index_rejected_by_name(self, subset):
+        # (0, 2.5, 4) used to give the class of (0, 2, 4)
+        with pytest.raises(ParameterError, match="^subset index must be an integer, got"):
+            canonical_class(subset, 11)
+
 
 class TestEmpiricalBaseline:
     def _scenario(self):

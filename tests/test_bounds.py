@@ -256,6 +256,24 @@ class TestPepLowerBound:
         assert abs(rate - 0.483) < 4 * se and round(bound, 3) == 0.729
         assert bound > rate + 4 * se
 
+    @pytest.mark.parametrize("args,name", [
+        ((11, [0, 2.7], 5, 10.0, 0.1), "support index"),  # used to give the value for [0, 2]
+        ((11, [0, 2], 5.5, 10.0, 0.1), "probe"),  # used to read 5.5 in the gain, 5 in the gap
+        ((11, [0, 2], True, 10.0, 0.1), "probe"),
+        ((11, [0, 2], 5, 10.0, 0.1, 2.5), "true_index"),
+    ])
+    def test_non_integer_index_rejected_by_name(self, args, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+            pep_lower_bound(*args)
+
+    @pytest.mark.parametrize("support,probe,name", [
+        ([0, 2.7], 5, "support index"),  # used to give the gain of [0, 2]
+        ([0, 2], 5.5, "probe"),
+    ])
+    def test_locator_gain_rejects_a_non_integer_index(self, support, probe, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+            locator_gain(11, support, probe)
+
     def test_identical_indices_rejected(self):
         with pytest.raises(ParameterError, match="probe and true index must differ"):
             pep_lower_bound(31, [3, 9], 3, 10.0, 0.01)
@@ -402,6 +420,15 @@ class TestConfusability:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ParameterError):
             confusability([1], 2, 5, metric="manhattan")
+
+    @pytest.mark.parametrize("support,probe,name", [
+        ([0, 2.7], 5, "support index"),  # used to give 225.0, the value for [0, 2]
+        ([0, True], 5, "support index"),
+        ([0, 2], 5.5, "probe"),
+    ])
+    def test_non_integer_index_rejected_by_name(self, support, probe, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+            confusability(support, probe, 11)
 
 
 def pair_bound(support, probe, metric="integer"):

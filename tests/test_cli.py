@@ -356,6 +356,12 @@ class TestOptimizeAssignmentCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_metric_choices_are_the_problem_metrics(self, capsys):
+        code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
+                     "--metric", "foo"])
+        assert code == 1
+        assert "(choose from 'integer', 'chord')" in capsys.readouterr().err
+
     def test_zero_beam_width_exits_one(self, capsys):
         code = main(["optimize-assignment", "--n", "11", "--mu", "5", "--count", "2",
                      "--search", "beam", "--beam-width", "0"])

@@ -690,10 +690,10 @@ class TestSharedPrefix:
         when SQUARE is added and again when it is gone.
         """
         monkeypatch.setitem(codec.FUNCTIONS, self.SQUARE.name, self.SQUARE)
-        numeric._field_kinds.cache_clear()
+        numeric.field_kinds.cache_clear()
         yield
         monkeypatch.undo()
-        numeric._field_kinds.cache_clear()
+        numeric.field_kinds.cache_clear()
 
     def test_interleaved_trials_match_fresh_trials(self, monkeypatch, square):
         a = Scenario(**self.BASE)
@@ -997,8 +997,7 @@ class TestSweep:
                          input_rows=1, input_cols=1, decoder=False)
         records = [run_trial(exact, seed) for seed in range(3)]
         assert [r.csv_row()[5:7] for r in records] == [("0.000000000000e+00", "-inf")] * 3
-        [(_, sc, label)] = SweepSpec().grid(exact)
-        assert harness._aggregate_row(sc, label, records)[-2:] == ("0.000000000000e+00", "-inf")
+        assert harness._aggregate_row(exact, records)[-2:] == ("0.000000000000e+00", "-inf")
 
     def test_aggregate_rows_name_each_point(self, tmp_path):
         # every axis set; a decoder-off point reads strategy none, an int 0 variance 0
@@ -1033,6 +1032,32 @@ class TestSweep:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(TRIAL_CSV_HEADER)
         assert header == "scenario,seed,A,sigma_p2,strategy,e_rel,e_rel_db,loc_correct"
+
+
+class TestSweepSpec:
+    @pytest.mark.parametrize("axis,values,message", [
+        ("byzantine_counts", (1, 2.0), "must be an integer, got 2.0"),
+        ("strategies", ("foo",),
+         "must be one of ('independent', 'restricted', 'joint'), got 'foo'"),
+        ("decoder_states", ("no",), "must be a bool, got 'no'"),
+        ("precision_vars", (float("nan"),), "must be finite and real, got nan"),
+    ], ids=["byzantine_counts", "strategies", "decoder_states", "precision_vars"])
+    def test_bad_axis_value_rejected_by_axis_when_built(self, axis, values, message):
+        # each used to build, and then fail in grid() naming the Scenario field
+        with pytest.raises(ParameterError) as info:
+            SweepSpec(**{axis: values})
+        assert str(info.value) == f"{axis} {message}"
+
+    def test_numpy_axis_stored_as_a_plain_tuple(self):
+        # used to raise ValueError on ==, and TypeError on hash
+        got = SweepSpec(byzantine_counts=np.arange(3), decoder_states=[np.True_])
+        want = SweepSpec(byzantine_counts=(0, 1, 2), decoder_states=(True,))
+        assert got == want and hash(got) == hash(want)
+        assert [type(a) for a in got.byzantine_counts + got.decoder_states] == [int] * 3 + [bool]
+
+    def test_unset_constraint_length_is_an_axis_value(self):
+        spec = SweepSpec(constraint_lengths=(None, 8))
+        assert [sc.constraint_length for _, sc, _ in spec.grid(clean_scenario())] == [None, 8]
 
 
 class TestPairedSweep:
