@@ -137,6 +137,7 @@ def solve_assignment(
             )
         finalists = combinations(range(n), mu)
     elif search == "beam":
+        beam_width = check_integer("beam_width", beam_width)
         if beam_width < 1:
             raise ParameterError(f"beam_width must be at least 1, got {beam_width}")
         finalists = [(i,) for i in range(n)]
@@ -212,6 +213,7 @@ def relative_error_baseline(
     """
     from . import harness  # local import: harness sits above this module
 
+    trials = check_integer("trials", trials)
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     if candidates is None:

@@ -34,6 +34,7 @@ from .numeric import (
     DimensionError,
     ParameterError,
     as_finite_complex,
+    check_integer,
     dft_matrix,
     least_squares,
     numerical_rank,
@@ -61,13 +62,18 @@ class DftCode:
         return (self.n - self.k) // 2
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)
 def build_code(n: int, k: int, /) -> DftCode:
     """The (N, K) DFT code, built on the first call for (n, k) and shared after.
 
     (n, k) are positional-only: the cache keys a keyword call apart from a
-    positional one, so taking keywords would build a second, equal code.
+    positional one, so taking keywords would build a second, equal code. The
+    cache is typed, so 15.0 or True misses the entry of 15 and reaches the
+    integer check, which raises and caches nothing; np.int64(15) gets the
+    code of 15.
     """
+    if type(n) is not int or type(k) is not int:
+        return build_code(check_integer("n", n), check_integer("k", k))
     if not 1 <= k < n:
         raise ParameterError(f"need 1 <= K < N, got N={n}, K={k}")
     w = dft_matrix(n)
@@ -116,6 +122,7 @@ def locator_polynomial(code: DftCode, s, count: int) -> np.ndarray:
     """
     s = np.asarray(s, dtype=complex)
     v = code.capability
+    count = check_integer("count", count)  # `_window_index`'s cache would take 3.0 for 3
     if not 1 <= count <= v:
         raise CapabilityExceededError(f"count must lie in 1..v={v}, got {count}")
     rows = s.reshape(-1, s.shape[-1])

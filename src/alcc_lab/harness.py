@@ -44,20 +44,21 @@ trial's own seed.
 Consecutive trials of one seed also share their prefix: the data blocks,
 padding, shares, worker results and centralized reference depend only on
 the seed, the `EncodingParams`, the function and the input shape, not on
-the threat, the unreliable pool or the decoder. `run_trial` keeps the last
-trial's prefix (read-only) with the generator state after its draws; a trial
-with the same key reuses it and makes every later draw from the same stream,
-so its record is the one a fresh run gives. Such a hit builds no generator:
-it sets the stored state on its thread's spare generator and draws from that,
-so only a miss seeds `default_rng(seed)`. Paired scans over the same seeds,
-such as `assignment.relative_error_baseline`, run seed-major to share it.
-Sweeps run point by point, so even the points of a paired axis, which repeat
-one seed list, meet a trial of another seed and pay only a missed comparison.
+the threat, the unreliable pool or the decoder. `_prefix` builds them from
+those five values, read-only, with the generator state after its draws, and
+keeps the last one (a one-entry `functools.lru_cache`). Every trial resumes
+that state on its thread's spare generator and makes every later draw from
+the same stream, so its record is the one a fresh run gives, and only a miss
+seeds `default_rng(seed)`. Paired scans over the same seeds, such as
+`assignment.relative_error_baseline`, run seed-major to share it. Sweeps run
+point by point, so even the points of a paired axis, which repeat one seed
+list, meet a trial of another seed and miss.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import operator
 import sys
 import threading
@@ -328,13 +329,23 @@ def decode(scenario: Scenario, received, rng, true_counts=None):
     return _correct_codewords(code, received, syndromes, groups), groups
 
 
-# (key, rng state after the data draws, results, reference) of the last trial
-# run; replaced by one assignment, its arrays read-only
-_last_prefix = None
+@functools.lru_cache(maxsize=1)
+def _prefix(seed: int, params: codec.EncodingParams, function: str, input_rows: int,
+            input_cols: int):
+    """A trial's prefix (see the module docstring): the generator state after its draws,
+    the worker results (N, u, h) and the reference, both read-only."""
+    rng = np.random.default_rng(seed)
+    fn = codec.FUNCTIONS[function]
+    blocks = rng.standard_normal((params.k, input_rows, input_cols))
+    batch = codec.make_batch(params, blocks, rng)
+    results = fn.apply(codec.encode_shares(batch, params))
+    reference = fn.apply(blocks)
+    results.flags.writeable = reference.flags.writeable = False
+    return rng.bit_generator.state, results, reference
 
 
 class _Spare(threading.local):
-    """A generator per thread, which a prefix hit resumes at the stored state.
+    """A generator per thread, which every trial resumes at its prefix's state.
 
     Per thread, because trials of one thread never overlap, and those of two
     threads may.
@@ -349,27 +360,12 @@ _spare = _Spare()
 
 def run_trial(scenario: Scenario, seed: int) -> TrialRecord:
     """Run one seeded trial of the configured scenario."""
-    global _last_prefix
     start = time.perf_counter()
     params = scenario.encoding()
-    # the seed first: a trial of another seed misses on one int comparison
-    key = (seed, params, scenario.function, scenario.input_rows, scenario.input_cols)
-    memo = _last_prefix
-    if memo is not None and memo[0] == key:
-        rng = _spare.rng
-        _, rng.bit_generator.state, results, reference = memo
-    else:
-        rng = np.random.default_rng(seed)
-        fn = codec.FUNCTIONS[scenario.function]
-        blocks = rng.standard_normal(
-            (scenario.k, scenario.input_rows, scenario.input_cols)
-        )
-        batch = codec.make_batch(params, blocks, rng)
-        shares = codec.encode_shares(batch, params)
-        results = fn.apply(shares)  # (N, u, h)
-        reference = fn.apply(blocks)
-        results.flags.writeable = reference.flags.writeable = False
-        _last_prefix = (key, rng.bit_generator.state, results, reference)
+    state, results, reference = _prefix(seed, params, scenario.function,
+                                        scenario.input_rows, scenario.input_cols)
+    rng = _spare.rng
+    rng.bit_generator.state = state
 
     u, h = results.shape[1:]
     returns, locations, b_eff = _threat(scenario, results, rng)

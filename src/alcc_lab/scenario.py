@@ -177,7 +177,8 @@ class SweepSpec:
     Each axis is stored as a tuple of plain values of the `Scenario` field it sets
     (``_AXES``), checked by that field's kind when the spec is built. ``paired_axes``
     names axes whose points share trial seeds, so that a comparison along them runs
-    on common random numbers.
+    on common random numbers; it is stored as a tuple too. Every one of them takes a
+    sequence: a str or a scalar is rejected, not read item by item.
     """
 
     byzantine_counts: tuple[int, ...] = ()
@@ -194,8 +195,10 @@ class SweepSpec:
             kind, unchecked = kinds[field]
             # written directly: a frozen dataclass refuses setattr
             self.__dict__[axis] = tuple(v if type(v) in unchecked else check_value(axis, kind, v)
-                                        for v in getattr(self, axis))
-        unknown = [name for name in self.paired_axes if name not in _AXES]
+                                        for v in _sequence(axis, getattr(self, axis)))
+        self.__dict__["paired_axes"] = _sequence("paired_axes", self.paired_axes)
+        unknown = [name for name in self.paired_axes if not isinstance(name, str)
+                   or name not in _AXES]
         if unknown:
             raise ParameterError(f"paired_axes names unknown axes {unknown}; use {tuple(_AXES)}")
 
@@ -216,6 +219,16 @@ class SweepSpec:
                     seed_index = seed_index * len(axis_values) + pos
             point = tuple(v[pos] for v, pos in zip(values, positions))
             yield seed_index, base.with_updates(**dict(zip(_AXES.values(), point))), point
+
+
+def _sequence(name: str, values) -> tuple:
+    """``values`` as a tuple; ParameterError naming ``name`` for a str or a scalar."""
+    if not isinstance(values, str):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} takes a sequence of values, got {values!r}")
 
 
 def _parse(kind, raw: str, listed: bool = False):

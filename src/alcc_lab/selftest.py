@@ -17,7 +17,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import dft_code, harness
-from .numeric import ParameterError
+from .numeric import ParameterError, check_integer
 from .scenario import Scenario
 from .threat import complex_normal
 
@@ -68,6 +68,7 @@ def run_exhaustive_decode_check(
     seed: int = 2024,
     log=None,
 ) -> SelftestReport:
+    values_per_support = check_integer("values_per_support", values_per_support)
     if values_per_support < 1:
         raise ParameterError(
             f"values_per_support must be at least 1, got {values_per_support}"

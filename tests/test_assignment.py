@@ -294,6 +294,12 @@ class TestSolver:
         # C(11, 2) supports times 9 probes outside each
         assert len(calls) == len(set(calls)) == 55 * 9
 
+    @pytest.mark.parametrize("width", [2.5, True])
+    def test_non_integer_beam_width_rejected_by_name(self, width):
+        # 2.5 used to raise TypeError from a slice, and True to run at width 1
+        with pytest.raises(ParameterError, match=f"^beam_width must be an integer, got {width}$"):
+            solve_assignment(TABLE_PROBLEM, search="beam", beam_width=width)
+
     def test_exhaustive_guard_trips(self):
         prob = AssignmentProblem(n_workers=40, unreliable_count=20,
                                  byzantine_count=2)
@@ -386,7 +392,7 @@ class TestEmpiricalBaseline:
                 return _fn(*args)
 
             monkeypatch.setattr(codec, name, spy)
-        monkeypatch.setattr(harness, "_last_prefix", None)
+        harness._prefix.cache_clear()
         prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
         scenario = self._scenario().with_updates(byzantine_count=2)
         candidates = [(0, 1, 2, 3, 4), (0, 2, 5, 8, 10), (1, 3, 5, 7, 9)]
@@ -394,8 +400,8 @@ class TestEmpiricalBaseline:
         assert calls == ["make_batch", "encode_shares"] * 4
 
     def test_scan_seeds_one_generator_per_seed(self, monkeypatch):
-        # a prefix hit resumes on its thread's spare generator; the scan runs
-        # in a new thread, so the spare is made once, here
+        # every trial resumes its prefix's state on its thread's spare generator;
+        # the scan runs in a new thread, so the spare is made once, here
         calls = []
         default_rng = np.random.default_rng
 
@@ -404,7 +410,7 @@ class TestEmpiricalBaseline:
             return default_rng(*args)
 
         monkeypatch.setattr(np.random, "default_rng", spy)
-        monkeypatch.setattr(harness, "_last_prefix", None)
+        harness._prefix.cache_clear()
         prob = AssignmentProblem(n_workers=11, unreliable_count=5, byzantine_count=2)
         scenario = self._scenario().with_updates(byzantine_count=2)
         candidates = [(0, 1, 2, 3, 4), (0, 2, 5, 8, 10), (1, 3, 5, 7, 9),
@@ -414,6 +420,16 @@ class TestEmpiricalBaseline:
                         candidates=candidates).result(timeout=60)
         assert [args for args in calls if args] == [(s,) for s in harness.trial_seeds(3, 0, 3)]
         assert calls.count(()) == 1
+
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_non_integer_trials_rejected_by_name(self, trials):
+        # 2.5 used to build every candidate's scenario and then raise TypeError,
+        # and True to run one trial per subset
+        prob = AssignmentProblem(n_workers=11, unreliable_count=3, byzantine_count=0)
+        with pytest.raises(ParameterError, match=f"^trials must be an integer, got {trials}$"):
+            relative_error_baseline(
+                prob, self._scenario(), trials=trials, seed=0, candidates=[(0, 1, 2)]
+            )
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_rejected(self, trials):

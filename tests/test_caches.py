@@ -1,15 +1,19 @@
 """Every memoizing cache in alcc_lab is bounded, so a long run keeps a flat peak RSS,
 and a cached constructor builds each value once."""
 
+import ast
 import importlib
 import inspect
 import math
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import alcc_lab
 from alcc_lab.dft_code import build_code
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "alcc_lab"
 
 
 def cached_functions() -> dict:
@@ -33,7 +37,15 @@ CACHED = cached_functions()
 
 def test_walk_finds_the_known_caches():
     assert {"dft_code.build_code", "dft_code._window_index",
-            "dft_code._value_operator"} <= set(CACHED)
+            "dft_code._value_operator", "harness._prefix"} <= set(CACHED)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_rebinds_a_global(path):
+    # a module-level memo kept by hand is rebound through `global`; the walk above misses it
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert not found, f"{path.name} has a global statement at lines {found}; use an lru_cache"
 
 
 @pytest.mark.parametrize("name", sorted(CACHED))

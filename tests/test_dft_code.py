@@ -76,6 +76,29 @@ class TestBuildCode:
         assert code.parity_h.strides == code.parity.conj().T.strides
         assert np.array_equal(code.parity_h, code.parity.conj().T)
 
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "not-cached"])
+    @pytest.mark.parametrize("n,k,name", [(15.0, 7, "n"), (15, 7.0, "k"), (True, 7, "n"),
+                                          (15, True, "k")])
+    def test_non_integer_dimension_rejected_by_name(self, n, k, name, cached):
+        # (15.0, 7) used to cache a code with n = 15.0, which every later (15, 7)
+        # call got and whose next locator solve raised IndexError
+        build_code.cache_clear()
+        if cached:
+            build_code(15, 7)
+        size = build_code.cache_info().currsize
+        bad = n if name == "n" else k
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {bad!r}$"):
+            build_code(n, k)
+        assert build_code.cache_info().currsize == size
+        code = build_code(15, 7)
+        assert (type(code.n), type(code.k)) == (int, int)
+        assert build_code(np.int64(15), np.int64(7)) is code
+        support = [2, 6, 11]
+        clean, received = inject(code, support, [3.0, -2.0j, 1.5 + 1j])
+        _, detected, corrected = decode(code, received, 3)
+        assert np.array_equal(detected, support)
+        assert np.linalg.norm(corrected - clean) <= 1e-6 * np.linalg.norm(clean)
+
 
 class TestSyndrome:
     def test_zero_vector(self, code_15_7):
@@ -162,6 +185,22 @@ class TestLocatorPolynomial:
     def test_count_bounds(self, code_15_7):
         with pytest.raises(CapabilityExceededError):
             locator_polynomial(code_15_7, np.zeros(8), 5)
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "not-cached"])
+    @pytest.mark.parametrize("count", [3.0, 2.5, True])
+    def test_non_integer_count_rejected_by_name(self, code_15_7, count, cached):
+        # 3.0 used to cache a float index array as the windows of count 3, so
+        # every later count-3 solve on this code raised IndexError
+        dft_code._window_index.cache_clear()
+        support = [2, 6, 11]
+        clean, received = inject(code_15_7, support, [3.0, -2.0j, 1.5 + 1j])
+        if cached:
+            locator_polynomial(code_15_7, syndrome(code_15_7, received), 3)
+        with pytest.raises(ParameterError, match=f"^count must be an integer, got {count!r}$"):
+            locator_polynomial(code_15_7, syndrome(code_15_7, received), count)
+        _, detected, corrected = decode(code_15_7, received, 3)
+        assert np.array_equal(detected, support)
+        assert np.linalg.norm(corrected - clean) <= 1e-6 * np.linalg.norm(clean)
 
 
 class TestValueRecovery:

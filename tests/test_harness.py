@@ -677,9 +677,9 @@ class TestSharedPrefix:
                 unreliable=(0, 1, 2, 3, 4))
 
     @staticmethod
-    def fresh(monkeypatch, sc, seed):
+    def fresh(sc, seed):
         """The trial run with nothing kept from the trial before it."""
-        monkeypatch.setattr(harness, "_last_prefix", None)
+        harness._prefix.cache_clear()
         return run_trial(sc, seed)
 
     @pytest.fixture
@@ -695,7 +695,7 @@ class TestSharedPrefix:
         monkeypatch.undo()
         numeric.field_kinds.cache_clear()
 
-    def test_interleaved_trials_match_fresh_trials(self, monkeypatch, square):
+    def test_interleaved_trials_match_fresh_trials(self, square):
         a = Scenario(**self.BASE)
         b = a.with_updates(unreliable=(0, 2, 5, 8, 10))
         # each differs from `a` in one field: the first five change the shared
@@ -709,20 +709,20 @@ class TestSharedPrefix:
         for other in others:
             sequence += [(other, s1), (a, s1)]
         sequence += [(b, s2), (b, s2)]
-        monkeypatch.setattr(harness, "_last_prefix", None)
+        harness._prefix.cache_clear()
         run = [run_trial(sc, seed) for sc, seed in sequence]
-        alone = [self.fresh(monkeypatch, sc, seed) for sc, seed in sequence]
+        alone = [self.fresh(sc, seed) for sc, seed in sequence]
         for got, want in zip(run, alone):
             assert dataclasses.replace(got, wall_time=0.0) == dataclasses.replace(
                 want, wall_time=0.0)
         # the sequence changes the worker results, not only the threat
         assert len({r.e_rel for r in alone}) > len(sequence) // 2
 
-    def test_threads_interleaving_seeds_match_fresh_trials(self, monkeypatch):
+    def test_threads_interleaving_seeds_match_fresh_trials(self):
         a = Scenario(**self.BASE)
         b = a.with_updates(unreliable=(0, 2, 5, 8, 10))
         pairs = [(sc, seed) for seed in (5, 6) for sc in (a, b)]
-        want = [dataclasses.replace(self.fresh(monkeypatch, sc, seed), wall_time=0.0)
+        want = [dataclasses.replace(self.fresh(sc, seed), wall_time=0.0)
                 for sc, seed in pairs]
         failures, finished = [], []
 
@@ -1054,6 +1054,27 @@ class TestSweepSpec:
         want = SweepSpec(byzantine_counts=(0, 1, 2), decoder_states=(True,))
         assert got == want and hash(got) == hash(want)
         assert [type(a) for a in got.byzantine_counts + got.decoder_states] == [int] * 3 + [bool]
+
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=f"{field}-{type(value).__name__}")
+        for field, text, scalar in [
+            ("byzantine_counts", "2", 2), ("precision_vars", "0.1", 0.1),
+            ("strategies", "joint", None), ("zero_probs", "0.2", 0.2),
+            ("constraint_lengths", "8", 8), ("decoder_states", "true", True),
+            ("paired_axes", "strategies", None),
+        ] for value in (text, scalar)])
+    def test_str_or_scalar_rejected_as_not_a_sequence(self, field, value):
+        # a str used to be read letter by letter, and a scalar raised TypeError
+        with pytest.raises(ParameterError) as info:
+            SweepSpec(**{field: value})
+        assert str(info.value) == f"{field} takes a sequence of values, got {value!r}"
+
+    def test_paired_axes_stored_as_a_plain_tuple(self):
+        # a list used to be kept, so the spec was unequal to its tuple twin and unhashable
+        got = SweepSpec(strategies=["independent", "joint"], paired_axes=["strategies"])
+        want = SweepSpec(strategies=("independent", "joint"), paired_axes=("strategies",))
+        assert got == want and hash(got) == hash(want)
+        assert type(got.paired_axes) is tuple
 
     def test_unset_constraint_length_is_an_axis_value(self):
         spec = SweepSpec(constraint_lengths=(None, 8))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from alcc_lab import dft_code, harness, localization, selftest
+from alcc_lab.numeric import ParameterError
 from alcc_lab.threat import complex_normal
 
 
@@ -126,3 +127,11 @@ def test_a_fault_in_the_trial_decoder_fails_every_decode(monkeypatch):
                         lambda code, received, syndromes, groups: received)
     report = selftest.run_exhaustive_decode_check(values_per_support=1, seed=0)
     assert report.failures == report.decodes_run == 2034
+
+
+@pytest.mark.parametrize("values", [1.5, True])
+def test_non_integer_values_per_support_rejected_by_name(values):
+    # 1.5 and True used to run 2,034 decodes, as at 1
+    with pytest.raises(ParameterError,
+                       match=f"^values_per_support must be an integer, got {values!r}$"):
+        selftest.run_exhaustive_decode_check(values_per_support=values)
